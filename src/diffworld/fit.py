@@ -6,8 +6,15 @@ excitation is drawn once from the configured seed and held fixed across
 steps, which makes the objective deterministic and lets a fit with a matched
 seed drive the loss to the noise-realization floor.
 
-The pitch contour is a fixed input: the excitation spectra are precomputed
-once and only the spectral shaping is re-evaluated per step.
+Everything that does not depend on the parameters is computed once per fit:
+the excitation spectra of the fixed pitch contour and noise
+(:func:`synth.excitation_spectra`) and the target's magnitude and floored
+log-magnitude spectrograms at every loss scale (:func:`losses.msl_target`).
+A step decompresses the features, shapes and mixes the two spectra with one
+inverse STFT (:func:`synth.render`), evaluates the loss against the cached
+target, and back-propagates.  A non-finite loss or gradient stops the fit
+with :class:`FitDivergence`, which names the step, and for a gradient the
+parameter and the first non-finite index.
 """
 
 from __future__ import annotations
@@ -20,13 +27,15 @@ from . import melcodec
 from . import tensor as dt
 from .errors import DiffworldError, ValidationError
 from .features import CompressedFeatures, Waveform
-from .losses import MslConfig, mse_features, msl
-from .synth import (FirPostFilter, SynthConfig, interpolate_f0, istft,
-                    noise_excitation, pulse_train, stft)
+from .losses import MslConfig, mse_features, msl, msl_target
+from .synth import FirPostFilter, SynthConfig, excitation_spectra, render
+# stages that excitation_spectra and render run for fit; perfbench's tracer
+# and its smoke test expect to find them bound in this module too
+from .synth import interpolate_f0, istft, noise_excitation, pulse_train, stft  # noqa: F401
 
 
 class FitDivergence(DiffworldError):
-    """The optimization produced a non-finite loss."""
+    """The optimization produced a non-finite loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,20 @@ def _default_init(n_frames: int, n_mels: int, ap_bands: int,
     return s0, a0
 
 
+def _check_finite(loss: float, grads: dict, step: int) -> None:
+    """Raise :class:`FitDivergence` naming the step, and the first parameter
+    whose gradient is non-finite with the index where it is."""
+    problems = [] if np.isfinite(loss) else ["non-finite loss"]
+    for key, grad in grads.items():
+        bad = ~np.isfinite(grad)
+        if bad.any():
+            index = tuple(int(i) for i in np.argwhere(bad)[0])
+            problems.append(f"non-finite gradient of {key} at index {index}")
+            break
+    if problems:
+        raise FitDivergence(f"at step {step}: {'; '.join(problems)}")
+
+
 def _logit(a: np.ndarray) -> np.ndarray:
     a = np.clip(a, 1e-6, 1.0 - 1e-6)
     return np.log(a / (1.0 - a))
@@ -144,13 +167,9 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     basis = melcodec.MelBasis.build(synth_cfg.sample_rate, synth_cfg.fft_size, n_mels)
     n_bins = synth_cfg.fft_size // 2 + 1
 
-    # the excitation spectra are constant across steps: precompute them
-    freq, mask = interpolate_f0(f0, hop, n_samples)
-    spec_h = dt.Tensor(stft(pulse_train(freq, mask, synth_cfg),
-                            synth_cfg.fft_size, hop, n_frames).data)
-    spec_n = dt.Tensor(stft(noise_excitation(n_samples, cfg.seed),
-                            synth_cfg.fft_size, hop, n_frames).data)
-    target_t = dt.Tensor(target)
+    # constant across steps: computed once
+    spec_h, spec_n = excitation_spectra(f0, synth_cfg, cfg.seed)
+    target_spec = msl_target(target, cfg.msl)
 
     params = {"log_mel": s0, "ap_logit": _logit(a0)}
     if fir is not None:
@@ -159,37 +178,26 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     trace = np.empty(cfg.steps)
 
     for step in range(cfg.steps):
-        s_t = dt.Tensor(params["log_mel"], requires_grad=True)
-        z_t = dt.Tensor(params["ap_logit"], requires_grad=True)
+        leaves = {key: dt.Tensor(value, requires_grad=True)
+                  for key, value in params.items()}
+        s_t, z_t = leaves["log_mel"], leaves["ap_logit"]
         sp = melcodec.decompress_sp(s_t, basis)
         ap = melcodec.decompress_ap(dt.sigmoid(z_t), n_bins)
-        root = dt.sqrt(sp)
-        gain_h = dt.mul(dt.sub(1.0, ap), root)
-        gain_n = dt.mul(ap, root)
-        h = istft(dt.mul(spec_h, dt.reshape(gain_h, (n_frames, 1, n_bins))),
-                  synth_cfg.fft_size, hop, n_samples)
-        n = istft(dt.mul(spec_n, dt.reshape(gain_n, (n_frames, 1, n_bins))),
-                  synth_cfg.fft_size, hop, n_samples)
-        y = dt.add(dt.mul(synth_cfg.gain_harmonic, h),
-                   dt.mul(synth_cfg.gain_noise, n))
+        y = render(spec_h, spec_n, sp, ap, synth_cfg)
         if fir is not None:
-            w_t = dt.Tensor(params["fir_free"], requires_grad=True)
             y = dt.add(dt.mul(synth_cfg.gain_dry, y),
-                       dt.mul(synth_cfg.gain_fir, fir.apply(y, w_t)))
-        loss = msl(target_t, y, cfg.msl)
+                       dt.mul(synth_cfg.gain_fir, fir.apply(y, leaves["fir_free"])))
+        loss = msl(target_spec, y, cfg.msl)
         if reference is not None and cfg.alpha != 0.0:
             feat_loss = dt.add(mse_features(reference.log_mel, s_t),
                                mse_features(reference.coded_ap, dt.sigmoid(z_t)))
             loss = dt.add(loss, dt.mul(cfg.alpha, feat_loss))
         value = loss.item()
-        if not np.isfinite(value):
-            raise FitDivergence(f"non-finite loss at step {step}")
-        trace[step] = value
-
         grad_map = dt.backward(loss)
-        grads = {"log_mel": grad_map[s_t], "ap_logit": grad_map[z_t]}
-        if fir is not None:
-            grads["fir_free"] = grad_map.get(w_t, np.zeros_like(params["fir_free"]))
+        grads = {key: grad_map.get(leaf, np.zeros_like(params[key]))
+                 for key, leaf in leaves.items()}
+        _check_finite(value, grads, step)
+        trace[step] = value
         params, state = adam_step(params, grads, state, cfg)
 
     if fir is not None:

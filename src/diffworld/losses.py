@@ -2,14 +2,18 @@
 
 The multi-spectrogram loss compares Hann magnitude spectrograms at a ladder
 of resolutions (window ``2 ** (5 + s)`` for scale ``s``, 75% overlap), with an
-L1 term on magnitudes and an L1 term on floored log magnitudes.  The
-adversarial pieces operate on caller-supplied discriminator scores and
-feature maps; no discriminator network ships here.
+L1 term on magnitudes and an L1 term on floored log magnitudes.  When one
+side is a constant that is compared many times (the target of a fit), its
+magnitudes and floored logs can be computed once with :func:`msl_target` and
+passed in its place; the loss value is bit-identical.  The adversarial
+pieces operate on caller-supplied discriminator scores and feature maps; no
+discriminator network ships here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tensor as dt
 from .errors import ValidationError
@@ -45,29 +49,83 @@ def spectrogram_magnitude(x, window: int) -> dt.Tensor:
     return dt.complex_abs(stft(x, window, window // 4))
 
 
+def _floored_log(mag: dt.Tensor, log_floor: float) -> dt.Tensor:
+    return dt.log(dt.clamp_min(mag, log_floor))
+
+
+class ScaleTarget(NamedTuple):
+    """One side of a scale term, computed once: magnitudes and floored logs."""
+
+    window: int
+    log_floor: float
+    mag: dt.Tensor
+    log_mag: dt.Tensor
+
+
+def scale_target(x, window: int, log_floor: float = 1e-7) -> ScaleTarget:
+    """Magnitude spectrogram of ``x`` and its floored log at one scale."""
+    mag = spectrogram_magnitude(x, window)
+    return ScaleTarget(window, log_floor, mag, _floored_log(mag, log_floor))
+
+
 def scale_loss(x, y, window: int, kappa: float = 1.0,
                log_floor: float = 1e-7) -> dt.Tensor:
-    """Single-resolution term: L1 on magnitudes plus L1 on floored logs."""
-    mag_x = spectrogram_magnitude(x, window)
+    """Single-resolution term: L1 on magnitudes plus L1 on floored logs.
+
+    ``x`` is a signal or its :class:`ScaleTarget` at the same window and
+    floor.
+    """
+    if isinstance(x, ScaleTarget):
+        if (x.window, x.log_floor) != (window, log_floor):
+            raise ValidationError(
+                f"target computed at window {x.window}, floor {x.log_floor} "
+                f"but the loss asks for window {window}, floor {log_floor}")
+        mag_x, log_x = x.mag, x.log_mag
+    else:
+        mag_x, log_x = spectrogram_magnitude(x, window), None
     mag_y = spectrogram_magnitude(y, window)
     linear = dt.mean(dt.abs(dt.sub(mag_x, mag_y)))
-    log_x = dt.log(dt.clamp_min(mag_x, log_floor))
-    log_y = dt.log(dt.clamp_min(mag_y, log_floor))
-    logterm = dt.mean(dt.abs(dt.sub(log_x, log_y)))
+    if log_x is None:  # after mag_y: one spectrogram's workspace at a time
+        log_x = _floored_log(mag_x, log_floor)
+    logterm = dt.mean(dt.abs(dt.sub(log_x, _floored_log(mag_y, log_floor))))
     return dt.add(linear, dt.mul(kappa, logterm))
+
+
+class MslTarget(NamedTuple):
+    """A constant signal's shape and its :class:`ScaleTarget` per scale."""
+
+    shape: tuple[int, ...]
+    scales: tuple[ScaleTarget, ...]
+
+
+def msl_target(x, cfg: MslConfig = MslConfig()) -> MslTarget:
+    """Spectrograms of ``x`` for :func:`msl`, to reuse across many calls."""
+    x = dt.as_tensor(x)
+    return MslTarget(x.shape, tuple(scale_target(x, window, cfg.log_floor)
+                                    for window in cfg.window_sizes))
 
 
 def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
     """Multi-resolution spectrogram loss between two equal-length signals.
 
-    Differentiable with respect to ``y`` (and ``x``, if it is tracked).
+    Differentiable with respect to ``y`` (and ``x``, if it is tracked).  ``x``
+    may instead be an :class:`MslTarget` built with the same scales and
+    floor; :func:`scale_loss` checks each scale's window and floor.
     """
-    x, y = dt.as_tensor(x), dt.as_tensor(y)
-    if x.shape != y.shape:
-        raise ValidationError(f"signal lengths differ: {x.shape} vs {y.shape}")
+    y = dt.as_tensor(y)
+    if isinstance(x, MslTarget):
+        if len(x.scales) != cfg.scales:
+            raise ValidationError(f"target has {len(x.scales)} scales, "
+                                  f"loss uses {cfg.scales}")
+        x_shape, sides = x.shape, x.scales
+    else:
+        x = dt.as_tensor(x)
+        x_shape, sides = x.shape, (x,) * cfg.scales
+    if x_shape != y.shape:
+        raise ValidationError(f"signal lengths differ: {x_shape} vs {y.shape}")
     total = dt.Tensor(0.0)
-    for window in cfg.window_sizes:
-        total = dt.add(total, scale_loss(x, y, window, cfg.kappa, cfg.log_floor))
+    for side, window in zip(sides, cfg.window_sizes):
+        total = dt.add(total, scale_loss(side, y, window, cfg.kappa, cfg.log_floor))
     return total
 
 

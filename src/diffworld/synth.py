@@ -7,6 +7,14 @@ Gradients flow into ``sp`` and ``ap`` (and through the feature codec into
 their compressed forms); the pitch contour is a deterministic input and
 carries no gradient.
 
+Synthesis runs in two parts.  :func:`excitation_spectra` computes the STFTs
+of the pulse train and of the noise, which depend only on the pitch contour
+and the seed, so a caller that re-renders the same contour (``fit``, once
+per step) computes them once.  :func:`render` mixes the two shaped spectra,
+``g_h * (1 - ap) * sqrt(sp) * E_h + g_n * ap * sqrt(sp) * E_n``, in the STFT
+domain and runs a single inverse STFT; the inverse is linear, so this equals
+the sum of two separately inverted branches up to rounding.
+
 An optional trainable causal FIR (zero leading tap) and a pluggable residual
 post-processor can refine the raw output; gains for every stage are
 user-settable and default to one.
@@ -185,8 +193,17 @@ def noise_excitation(n_samples: int, seed: int) -> np.ndarray:
 # STFT / filtering
 # ---------------------------------------------------------------------------
 
+_HANN: dict[int, np.ndarray] = {}
+
+
 def hann_window(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    """Periodic Hann window of ``n`` samples, cached per size and read-only."""
+    win = _HANN.get(n)
+    if win is None:
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        win.flags.writeable = False
+        _HANN[n] = win
+    return win
 
 
 def n_frames_for(n_samples: int, hop: int) -> int:
@@ -208,12 +225,9 @@ def stft(x, fft_size: int, hop: int, n_frames: int | None = None) -> dt.Tensor:
 
 
 def _window_norm(fft_size: int, hop: int, n_frames: int, length: int) -> np.ndarray:
-    win_sq = hann_window(fft_size) ** 2
+    win_sq = np.broadcast_to(hann_window(fft_size) ** 2, (n_frames, fft_size))
     total = max((n_frames - 1) * hop + fft_size, fft_size // 2 + length)
-    buf = np.zeros(total)
-    for t in range(n_frames):
-        buf[t * hop: t * hop + fft_size] += win_sq
-    norm = buf[fft_size // 2: fft_size // 2 + length]
+    norm = dt._overlap_sum(win_sq, hop, total)[fft_size // 2: fft_size // 2 + length]
     return np.where(norm > 1e-12, norm, 1.0)
 
 
@@ -274,6 +288,53 @@ def synth_noise(sp, ap, cfg: SynthConfig, seed: int | None = None) -> dt.Tensor:
 # full synthesis
 # ---------------------------------------------------------------------------
 
+def excitation_spectra(f0: np.ndarray, cfg: SynthConfig,
+                       seed: int | None = None) -> tuple[dt.Tensor, dt.Tensor]:
+    """STFTs of the pulse train and of the noise for a frame-rate f0 contour.
+
+    Both are constants of the contour and the seed (``cfg.noise_seed`` when
+    ``seed`` is None), returned as untracked ``(T, 2, fft_size // 2 + 1)``
+    tensors for :func:`render`.  The excitations span ``T * hop`` samples.
+    """
+    f0 = np.asarray(f0, dtype=np.float64)
+    n_frames = f0.shape[0]
+    n_samples = n_frames * cfg.hop
+    freq, mask = interpolate_f0(f0, cfg.hop, n_samples)
+    e_h = pulse_train(freq, mask, cfg)
+    e_n = noise_excitation(n_samples, cfg.noise_seed if seed is None else seed)
+    return (stft(e_h, cfg.fft_size, cfg.hop, n_frames),
+            stft(e_n, cfg.fft_size, cfg.hop, n_frames))
+
+
+def render(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
+    """Shape both excitation spectra, mix them and invert once.
+
+    Computes ``istft(g_h * (1 - ap) * sqrt(sp) * E_h + g_n * ap * sqrt(sp) *
+    E_n)``, differentiable in ``sp`` and ``ap``.  Output length is
+    ``T * hop``.
+    """
+    spec_h, spec_n = dt.as_tensor(spec_h), dt.as_tensor(spec_n)
+    sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
+    if spec_n.shape != spec_h.shape:
+        raise ValidationError(
+            f"noise STFT shape {spec_n.shape} differs from the pulse-train "
+            f"STFT shape {spec_h.shape}")
+    n_frames = spec_h.shape[0]
+    _check_feature_frames("sp", sp, n_frames)
+    _check_feature_frames("ap", ap, n_frames)
+    return istft(_mix(spec_h, spec_n, sp, ap, cfg), cfg.fft_size, cfg.hop,
+                 n_frames * cfg.hop)
+
+
+def _mix(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
+    # a function of its own so that, untracked, the gains are freed before
+    # the inverse STFT allocates its frames
+    root = dt.sqrt(sp)
+    gain_h = dt.mul(cfg.gain_harmonic, dt.mul(dt.sub(1.0, ap), root))
+    gain_n = dt.mul(cfg.gain_noise, dt.mul(ap, root))
+    return dt.add(_spectral_shape(spec_h, gain_h), _spectral_shape(spec_n, gain_n))
+
+
 def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig,
                           seed: int | None = None) -> dt.Tensor:
     """Harmonic-plus-noise synthesis from frame-rate tensors.
@@ -281,14 +342,8 @@ def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig,
     ``sp`` and ``ap`` may be tensors with gradients attached; ``f0`` is a
     plain contour.  Output length is ``n_frames * hop``.
     """
-    f0 = np.asarray(f0, dtype=np.float64)
-    sp_t, ap_t = dt.as_tensor(sp), dt.as_tensor(ap)
-    n_samples = f0.shape[0] * cfg.hop
-    freq, mask = interpolate_f0(f0, cfg.hop, n_samples)
-    e_h = pulse_train(freq, mask, cfg)
-    h = synth_harmonic(e_h, sp_t, ap_t, cfg)
-    n = synth_noise(sp_t, ap_t, cfg, seed=seed)
-    return dt.add(dt.mul(cfg.gain_harmonic, h), dt.mul(cfg.gain_noise, n))
+    spec_h, spec_n = excitation_spectra(f0, cfg, seed)
+    return render(spec_h, spec_n, sp, ap, cfg)
 
 
 def synthesize(feats, cfg: SynthConfig | None = None,

@@ -11,6 +11,15 @@ appended in execution order.
 Tensors are immutable after creation and safe to share across threads; each
 thread owns its own tape, so independent pipelines (per clip, per spectrogram
 scale) may run concurrently without locking.
+
+The framing ops are vectorised.  :func:`frame` gathers through a strided
+view, and the scatter-add shared by :func:`overlap_add` and by ``frame``'s
+adjoint cuts each frame into hop-long chunks and adds them with
+``ceil(frame_len / hop)`` strided slice-adds, whatever the number of frames;
+a hop that does not divide the frame length zero-pads the last chunk.  The
+adjoint of :func:`rfft` is
+a half-spectrum inverse FFT, and a binary op's backward pass skips the
+gradient of an operand that is not tracked.
 """
 
 from __future__ import annotations
@@ -250,7 +259,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a._tracked else None,
+                _unbroadcast(g, b.shape) if b._tracked else None)
 
     return _record((a, b), out, bwd)
 
@@ -261,7 +271,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a._tracked else None,
+                _unbroadcast(-g, b.shape) if b._tracked else None)
 
     return _record((a, b), out, bwd)
 
@@ -272,8 +283,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a._tracked else None,
+                _unbroadcast(g * a.data, b.shape) if b._tracked else None)
 
     return _record((a, b), out, bwd)
 
@@ -284,8 +295,8 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data)
 
     def bwd(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * out.data / b.data, b.shape))
+        return (_unbroadcast(g / b.data, a.shape) if a._tracked else None,
+                _unbroadcast(-g * out.data / b.data, b.shape) if b._tracked else None)
 
     return _record((a, b), out, bwd)
 
@@ -300,8 +311,9 @@ def pow(a, b) -> Tensor:
     out = Tensor(a.data ** b.data)
 
     def bwd(g):
-        ga = _unbroadcast(g * b.data * a.data ** (b.data - 1.0), a.shape)
-        gb = None
+        ga = gb = None
+        if a._tracked:
+            ga = _unbroadcast(g * b.data * a.data ** (b.data - 1.0), a.shape)
         if b._tracked:
             gb = _unbroadcast(g * out.data * np.log(a.data), b.shape)
         return ga, gb
@@ -480,7 +492,8 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a._tracked else None,
+                a.data.T @ g if b._tracked else None)
 
     return _record((a, b), out, bwd)
 
@@ -492,6 +505,14 @@ def matmul(a, b) -> Tensor:
 def _require_pow2(n: int, op: str) -> None:
     if n < 2 or n & (n - 1):
         raise ShapeError(f"{op}: transform size {n} is not a power of two")
+
+
+def _to_complex(planes: np.ndarray) -> np.ndarray:
+    """``(..., 2, B)`` real/imag planes -> a new ``(..., B)`` complex array."""
+    out = np.empty(planes.shape[:-2] + planes.shape[-1:], dtype=complex)
+    out.real = planes[..., 0, :]
+    out.imag = planes[..., 1, :]
+    return out
 
 
 def rfft(a, n: int) -> Tensor:
@@ -507,13 +528,18 @@ def rfft(a, n: int) -> Tensor:
     if length > n:
         raise ShapeError(f"rfft: input length {length} exceeds transform size {n}")
     spec = np.fft.rfft(a.data, n=n, axis=-1)
-    out = Tensor(np.stack([spec.real, spec.imag], axis=-2))
+    planes = np.empty(spec.shape[:-1] + (2, spec.shape[-1]), dtype=spec.real.dtype)
+    planes[..., 0, :] = spec.real
+    planes[..., 1, :] = spec.imag
+    out = Tensor(planes)
 
     def bwd(g):
-        gc = g[..., 0, :] + 1j * g[..., 1, :]
-        full = np.zeros(gc.shape[:-1] + (n,), dtype=complex)
-        full[..., : n // 2 + 1] = gc
-        grad = n * np.fft.ifft(full, axis=-1).real
+        # the adjoint of the half-spectrum DFT is an unnormalized inverse of
+        # the full spectrum with the mirrored half left out; irfft counts
+        # each interior bin twice, so those are halved going in
+        gc = _to_complex(g)
+        gc[..., 1:-1] *= 0.5
+        grad = np.fft.irfft(gc, n=n, axis=-1, norm="forward")
         return (grad[..., :length],)
 
     return _record((a,), out, bwd)
@@ -526,15 +552,16 @@ def irfft(z, n: int) -> Tensor:
     _require_pow2(n, "irfft")
     if z.shape[-2] != 2 or z.shape[-1] != n // 2 + 1:
         raise ShapeError(f"irfft: expected (..., 2, {n // 2 + 1}) planes, got {z.shape}")
-    spec = z.data[..., 0, :] + 1j * z.data[..., 1, :]
-    out = Tensor(np.fft.irfft(spec, n=n, axis=-1))
+    out = Tensor(np.fft.irfft(_to_complex(z.data), n=n, axis=-1))
 
     def bwd(g):
         gspec = np.fft.rfft(g, n=n, axis=-1)
         scale = np.full(n // 2 + 1, 2.0 / n)
         scale[0] = 1.0 / n
         scale[-1] = 1.0 / n
-        gz = np.stack([gspec.real * scale, gspec.imag * scale], axis=-2)
+        gz = np.empty(gspec.shape[:-1] + (2, n // 2 + 1))
+        np.multiply(gspec.real, scale, out=gz[..., 0, :])
+        np.multiply(gspec.imag, scale, out=gz[..., 1, :])
         return (gz,)
 
     return _record((z,), out, bwd)
@@ -550,13 +577,14 @@ def complex_abs(z) -> Tensor:
     if z.ndim < 2 or z.shape[-2] != 2:
         raise ShapeError(f"complex_abs: expected (..., 2, B) planes, got {z.shape}")
     re, im = z.data[..., 0, :], z.data[..., 1, :]
-    mag = np.hypot(re, im)
+    mag = re * re
+    mag += im * im
+    np.sqrt(mag, out=mag)
     out = Tensor(mag)
 
     def bwd(g):
-        safe = np.where(mag > 0, mag, 1.0)
-        scale = np.where(mag > 0, g / safe, 0.0)
-        return (np.stack([re * scale, im * scale], axis=-2),)
+        scale = np.divide(g, mag, out=np.zeros_like(mag), where=mag > 0)
+        return (z.data * scale[..., None, :],)
 
     return _record((z,), out, bwd)
 
@@ -564,6 +592,40 @@ def complex_abs(z) -> Tensor:
 # ---------------------------------------------------------------------------
 # framing, overlap-add, delay, causal FIR
 # ---------------------------------------------------------------------------
+
+def _require_hop(hop: int, op: str) -> None:
+    if hop < 1:
+        raise ShapeError(f"{op}: hop must be at least 1, got {hop}")
+
+
+def _overlap_sum(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
+    """Sum ``(T, frame_len)`` frames placed at ``t * hop`` into ``total`` samples.
+
+    Each frame is cut into ``ceil(frame_len / hop)`` hop-long chunks (the
+    last one zero-padded), so chunk ``j`` of every frame lands on block
+    ``t + j`` of a ``(T + k - 1, hop)`` buffer: ``k`` strided slice-adds
+    instead of a loop over frames.  Chunks go in from the last to the first,
+    which gives every sample its terms in frame order, as a frame loop would.
+    """
+    n_frames, frame_len = frames.shape
+    k = -(-frame_len // hop)
+    if k * hop != frame_len:
+        frames = np.pad(frames, ((0, 0), (0, k * hop - frame_len)))
+    n_blocks = n_frames + k - 1
+    buf = np.zeros(max(total, n_blocks * hop), dtype=frames.dtype)
+    blocks = buf[: n_blocks * hop].reshape(n_blocks, hop)
+    chunks = frames.reshape(n_frames, k, hop)
+    for j in reversed(range(k)):
+        blocks[j: j + n_frames] += chunks[:, j]
+    return buf[:total]
+
+
+def _frames_view(signal: np.ndarray, frame_len: int, hop: int,
+                 n_frames: int) -> np.ndarray:
+    """Read-only ``(n_frames, frame_len)`` view of a long enough signal."""
+    view = np.lib.stride_tricks.sliding_window_view(signal, frame_len)[::hop]
+    return view[:n_frames]
+
 
 def frame(a, frame_len: int, hop: int, n_frames: int, pad_left: int) -> Tensor:
     """Gather ``n_frames`` windows of ``frame_len`` samples at ``hop`` spacing.
@@ -575,6 +637,7 @@ def frame(a, frame_len: int, hop: int, n_frames: int, pad_left: int) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 1:
         raise ShapeError(f"frame: expected a 1-D signal, got shape {a.shape}")
+    _require_hop(hop, "frame")
     length = a.shape[0]
     total = (n_frames - 1) * hop + frame_len
     padded = np.zeros(total, dtype=a.data.dtype)
@@ -582,13 +645,11 @@ def frame(a, frame_len: int, hop: int, n_frames: int, pad_left: int) -> Tensor:
     hi = min(total, pad_left + length)
     if hi > lo:
         padded[lo:hi] = a.data[: hi - lo]
-    view = np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop]
-    out = Tensor(view[:n_frames].copy())
+    view = _frames_view(padded, frame_len, hop, n_frames)
+    out = Tensor(view.copy())
 
     def bwd(g):
-        buf = np.zeros(total)
-        for t in range(n_frames):
-            buf[t * hop: t * hop + frame_len] += g[t]
+        buf = _overlap_sum(g, hop, total)
         grad = np.zeros(length)
         if hi > lo:
             grad[: hi - lo] = buf[lo:hi]
@@ -605,20 +666,17 @@ def overlap_add(frames_t, hop: int, out_len: int, pad_left: int) -> Tensor:
     frames_t = as_tensor(frames_t)
     if frames_t.ndim != 2:
         raise ShapeError(f"overlap_add: expected (T, frame_len), got {frames_t.shape}")
+    _require_hop(hop, "overlap_add")
     n_frames, frame_len = frames_t.shape
     total = max((n_frames - 1) * hop + frame_len, pad_left + out_len)
-    buf = np.zeros(total, dtype=frames_t.data.dtype)
-    for t in range(n_frames):
-        buf[t * hop: t * hop + frame_len] += frames_t.data[t]
+    buf = _overlap_sum(frames_t.data, hop, total)
     out = Tensor(buf[pad_left: pad_left + out_len])
 
     def bwd(g):
         gpad = np.zeros(total)
         gpad[pad_left: pad_left + out_len] = g
-        grad = np.empty((n_frames, frame_len))
-        for t in range(n_frames):
-            grad[t] = gpad[t * hop: t * hop + frame_len]
-        return (grad,)
+        view = _frames_view(gpad, frame_len, hop, n_frames)
+        return (view.copy(),)
 
     return _record((frames_t,), out, bwd)
 

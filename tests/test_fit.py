@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from diffworld import fit as fi
+from diffworld import losses as ls
 from diffworld import melcodec as mc
 from diffworld import synth as sy
+from diffworld import tensor as dt
 from diffworld.errors import ValidationError
 from diffworld.features import WorldFeatures
 from diffworld.losses import MslConfig
@@ -176,8 +178,66 @@ class TestFit:
         target, f0 = desk_problem(t=40)
         cfg = fi.FitConfig(steps=30, learning_rate=1e5, msl=MslConfig(scales=2))
         with np.errstate(all="ignore"):
-            with pytest.raises(fi.FitDivergence, match=r"step \d+"):
+            with pytest.raises(fi.FitDivergence,
+                               match=r"step \d+: .*gradient of (log_mel|ap_logit) "
+                                     r"at index \(\d+, \d+\)"):
                 fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, n_mels=16, ap_bands=4)
+
+    @pytest.mark.parametrize("name,shape,index", [
+        ("log_mel", (40, 16), (2, 7)),
+        ("ap_logit", (40, 4), (5, 1)),
+        ("fir_free", (31,), (9,)),
+    ])
+    def test_non_finite_gradient_with_finite_loss_aborts(self, monkeypatch, name,
+                                                         shape, index):
+        # the loss stays finite; only one gradient entry is poisoned, and the
+        # fit must stop at that step instead of handing NaN to Adam
+        real_backward = fi.dt.backward
+
+        def poisoned(loss):
+            grads = real_backward(loss)
+            for tensor, grad in grads.items():
+                if tensor.shape == shape:
+                    grad[index] = np.nan
+            return grads
+
+        monkeypatch.setattr(fi.dt, "backward", poisoned)
+        target, f0 = desk_problem(t=40)
+        cfg = fi.FitConfig(steps=3, learning_rate=0.01, msl=MslConfig(scales=2))
+        fir = sy.FirPostFilter(length=32)
+        pattern = rf"at step 0: non-finite gradient of {name} at index \({index[0]},"
+        with pytest.raises(fi.FitDivergence, match=pattern) as err:
+            fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, n_mels=16, ap_bands=4,
+                   fir=fir)
+        assert "loss" not in str(err.value)
+
+    def test_target_spectrograms_are_computed_once(self, monkeypatch):
+        calls = []
+        real = ls.spectrogram_magnitude
+
+        def counting(x, window):
+            calls.append(window)
+            return real(x, window)
+
+        monkeypatch.setattr(ls, "spectrogram_magnitude", counting)
+        target, f0 = desk_problem(t=40)
+        scales = 3
+        cfg = fi.FitConfig(steps=3, learning_rate=0.01, msl=MslConfig(scales=scales))
+        fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, n_mels=16, ap_bands=4)
+        assert len(calls) == scales + 3 * scales
+
+    def test_first_loss_equals_msl_of_initial_synthesis(self):
+        target, f0 = desk_problem(t=40)
+        cfg = fi.FitConfig(steps=1, learning_rate=0.01, seed=4,
+                           msl=MslConfig(scales=4))
+        _, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, n_mels=16, ap_bands=4)
+        s0, a0 = fi._default_init(40, 16, 4, mc.DEFAULT_EPSILON)
+        basis = mc.MelBasis.build(DESK.sample_rate, DESK.fft_size, 16)
+        sp = mc.decompress_sp(s0, basis)
+        ap = mc.decompress_ap(dt.sigmoid(fi._logit(a0)), DESK.fft_size // 2 + 1)
+        y0 = sy.synthesize_components(f0, sp, ap, DESK, seed=cfg.seed)
+        expected = ls.msl(target, y0, cfg.msl).item()
+        assert abs(trace[0] - expected) <= 1e-12 * abs(expected)
 
 
 class TestSmoothedTrace:

@@ -70,6 +70,41 @@ class TestMsl:
         assert rel_grad_err(grads[t], central_diff(f, y0)) < 1e-4
 
 
+class TestMslTarget:
+    def test_cached_target_is_bit_identical(self):
+        rs = np.random.default_rng(14)
+        x, y0 = rs.normal(size=700), rs.normal(size=700)
+        cfg = ls.MslConfig(scales=4, kappa=0.5)
+        # kappa weighs the terms but does not enter the cached spectrograms
+        target = ls.msl_target(x, ls.MslConfig(scales=4))
+        for _ in range(2):  # the target is reusable
+            yt = dt.Tensor(y0, requires_grad=True)
+            cached = ls.msl(target, yt, cfg)
+            g_cached = dt.backward(cached)[yt]
+            yr = dt.Tensor(y0, requires_grad=True)
+            direct = ls.msl(x, yr, cfg)
+            assert cached.item() == direct.item()
+            np.testing.assert_array_equal(g_cached, dt.backward(direct)[yr])
+
+    def test_config_mismatch_rejected(self):
+        x = np.random.default_rng(15).normal(size=300)
+        target = ls.msl_target(x, ls.MslConfig(scales=2))
+        with pytest.raises(ValidationError, match="target has 2 scales, loss uses 3"):
+            ls.msl(target, x, ls.MslConfig(scales=3))
+        with pytest.raises(ValidationError, match="floor 1e-07 .* floor 1e-05"):
+            ls.msl(target, x, ls.MslConfig(scales=2, log_floor=1e-5))
+
+    def test_length_mismatch_rejected(self):
+        target = ls.msl_target(np.zeros(300), ls.MslConfig(scales=1))
+        with pytest.raises(ValidationError, match="lengths"):
+            ls.msl(target, np.zeros(301), ls.MslConfig(scales=1))
+
+    def test_scale_target_window_mismatch_rejected(self):
+        x = np.random.default_rng(16).normal(size=300)
+        with pytest.raises(ValidationError, match="window 64"):
+            ls.scale_loss(ls.scale_target(x, 64), x, 128)
+
+
 class TestNll:
     def test_reduces_to_parts(self):
         rs = np.random.default_rng(5)

@@ -117,6 +117,26 @@ class TestStft:
         n = 1024
         assert rel_l2(back[n:-n], x[n:-n]) < 1e-10
 
+    def test_hann_window_is_cached_and_read_only(self):
+        win = sy.hann_window(64)
+        assert sy.hann_window(64) is win
+        assert not win.flags.writeable
+        with pytest.raises(ValueError):
+            win[0] = 1.0
+        np.testing.assert_array_equal(
+            win, 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(64) / 64))
+
+    def test_window_norm_matches_frame_loop(self):
+        for fft_size, hop, n_frames, length in ((1024, 256, 20, 5000),
+                                                (64, 16, 9, 100), (16, 5, 7, 30)):
+            buf = np.zeros((n_frames - 1) * hop + fft_size + length)
+            for t in range(n_frames):
+                buf[t * hop: t * hop + fft_size] += sy.hann_window(fft_size) ** 2
+            norm = buf[fft_size // 2: fft_size // 2 + length]
+            want = np.where(norm > 1e-12, norm, 1.0)
+            np.testing.assert_array_equal(
+                sy._window_norm(fft_size, hop, n_frames, length), want)
+
     def test_sine_concentrates_with_hann_leakage(self):
         n = 1024
         k0 = 100
@@ -210,10 +230,60 @@ class TestSynthesize:
         feats = desk_features()
         cfg = sy.SynthConfig.for_features(feats)
         y = sy.synthesize(feats, cfg)
+        # no post stage touches the mix
+        np.testing.assert_array_equal(
+            y.data, sy.synthesize_components(feats.f0, feats.sp, feats.ap, cfg).data)
+        # one inverse STFT of the mixed spectra equals the sum of the two
+        # separately inverted branches up to rounding
         h = sy.synth_harmonic(sy.pulse_train(*sy.interpolate_f0(feats.f0, cfg.hop), cfg),
                               feats.sp, feats.ap, cfg)
         n = sy.synth_noise(feats.sp, feats.ap, cfg)
-        np.testing.assert_array_equal(y.data, h.data + n.data)
+        assert rel_l2(y.data, h.data + n.data) <= 1e-12
+
+    @pytest.mark.parametrize("cfg", [
+        sy.SynthConfig(sample_rate=8000, fft_size=64),
+        sy.SynthConfig(sample_rate=8000, fft_size=64, gain_harmonic=0.7,
+                       gain_noise=1.9),
+        sy.SynthConfig(),
+    ])
+    def test_single_istft_matches_two_istft_sum(self, cfg):
+        rs = np.random.default_rng(12)
+        t, bins = 40, cfg.fft_size // 2 + 1
+        f0 = 150.0 + 40.0 * rs.uniform(size=t)
+        f0[10:14] = 0.0
+        sp = rs.uniform(0.01, 2.0, size=(t, bins))
+        ap = rs.uniform(0.0, 1.0, size=(t, bins))
+        y = sy.synthesize_components(f0, sp, ap, cfg, seed=5).data
+
+        # reference: each branch shaped and inverted on its own
+        n_samples = t * cfg.hop
+        e_h = sy.pulse_train(*sy.interpolate_f0(f0, cfg.hop, n_samples), cfg)
+        e_n = sy.noise_excitation(n_samples, 5)
+        branches = []
+        for excitation, gain in ((e_h, cfg.gain_harmonic * (1.0 - ap) * np.sqrt(sp)),
+                                 (e_n, cfg.gain_noise * ap * np.sqrt(sp))):
+            spec = sy.stft(excitation, cfg.fft_size, cfg.hop, t).data
+            branches.append(sy.istft(spec * gain[:, None, :], cfg.fft_size,
+                                     cfg.hop, n_samples).data)
+        assert rel_l2(y, branches[0] + branches[1]) <= 1e-12
+
+    def test_render_rejects_mismatched_spectra(self):
+        feats = desk_features(t=10)
+        spec_h, spec_n = sy.excitation_spectra(feats.f0, DESK)
+        with pytest.raises(ValidationError, match="noise STFT"):
+            sy.render(spec_h, spec_n.data[:9], feats.sp, feats.ap, DESK)
+        with pytest.raises(ValidationError, match="ap has 9 frames"):
+            sy.render(spec_h, spec_n, feats.sp, feats.ap[:9], DESK)
+
+    def test_excitation_spectra_are_constants(self):
+        feats = desk_features(t=10)
+        spec_h, spec_n = sy.excitation_spectra(feats.f0, DESK, seed=2)
+        assert spec_h.shape == spec_n.shape == (10, 2, DESK.fft_size // 2 + 1)
+        assert not spec_h._tracked and not spec_n._tracked
+        again = sy.excitation_spectra(feats.f0, DESK, seed=2)
+        np.testing.assert_array_equal(again[1].data, spec_n.data)
+        other = sy.excitation_spectra(feats.f0, DESK, seed=3)
+        assert np.any(other[1].data != spec_n.data)
 
     def test_gain_routing_noise_off(self):
         feats = desk_features()
