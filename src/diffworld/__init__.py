@@ -22,17 +22,17 @@ from .synth import (FirPostFilter, SynthConfig, excitation_spectra,
                     stft, synth_harmonic, synth_noise, synthesize,
                     synthesize_components)
 from .excite import extract_excitation, reconstruct, transform_formants
-from .tensor import GraphTape, Tensor, backward, elementwise
+from .tensor import Tensor, backward
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "CompressedFeatures", "DiffworldError", "DomainError",
-    "FirPostFilter", "FitConfig", "FitDivergence", "FormatError", "GraphTape",
+    "FirPostFilter", "FitConfig", "FitDivergence", "FormatError",
     "MelBasis", "MslConfig", "ShapeError", "SynthConfig", "Tensor",
     "ValidationError", "Waveform", "WorldFeatures", "adam_step", "backward",
     "compress", "compress_ap", "compress_sp", "decompress",
-    "decompress_ap", "decompress_sp", "downsample_audio", "elementwise",
+    "decompress_ap", "decompress_sp", "downsample_audio",
     "excitation_spectra", "extract_excitation", "feature_matching",
     "frames_for_samples", "hinge_discriminator", "hinge_generator",
     "interpolate_f0", "istft", "mse_features", "msl", "msl_target", "nll_loss",

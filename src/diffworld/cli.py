@@ -127,7 +127,7 @@ def cmd_loss(args) -> int:
     if len(a) != len(b):
         raise ValidationError(f"signal lengths differ: {len(a)} vs {len(b)}")
     cfg = losses.MslConfig(scales=args.scales)
-    # scales are independent tapes; evaluate them on a capped worker pool and
+    # the scales share no state; evaluate them on a capped worker pool and
     # sum in scale order so the result is thread-count invariant
     with ThreadPoolExecutor(max_workers=min(worker_count(), args.scales)) as pool:
         futures = [pool.submit(lambda w=w: losses.scale_loss(

@@ -1,16 +1,19 @@
-"""Dense real tensors with a reverse-mode differentiation tape.
+"""Dense real tensors with reverse-mode differentiation.
 
 Every differentiable operation in the package bottoms out in the primitives
-defined here: broadcast elementwise arithmetic, matrix products, real-input
+defined here: broadcast pointwise arithmetic, matrix products, real-input
 FFTs, framing/overlap-add, and 1-D causal convolution.  Operations execute
-eagerly on numpy arrays and, whenever an input is being tracked, append a
-record to the calling thread's tape.  ``backward`` replays that tape in
-reverse, which visits nodes in reverse topological order because records are
-appended in execution order.
+eagerly on numpy arrays and, whenever an input is being tracked, store their
+inputs and backward function on the output tensor, so each graph is owned by
+its tensors and is freed with them.  ``backward`` collects the nodes that
+the loss reaches and visits them in reverse creation order: a node's inputs
+are always created before it, so this is a reverse topological order.  It
+consumes the graph as it goes; a second ``backward`` that reaches a consumed
+node raises instead of treating it as a constant.
 
-Tensors are immutable after creation and safe to share across threads; each
-thread owns its own tape, so independent pipelines (per clip, per spectrogram
-scale) may run concurrently without locking.
+Tensor data is immutable after creation and graphs share no state but a
+creation counter, so independent pipelines (per clip, per spectrogram
+scale) may run on separate threads without locking.
 
 The framing ops are vectorised.  :func:`frame` gathers through a strided
 view, and the scatter-add shared by :func:`overlap_add` and by ``frame``'s
@@ -24,76 +27,20 @@ gradient of an operand that is not tracked.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, ValidationError
 
 _LN10 = math.log(10.0)
 
-_DEFAULT_DTYPE = np.float64
+_SEQ = itertools.count()
 
-
-def set_default_dtype(dtype) -> None:
-    """Set the scalar type used for new tensors (float64 unless opted out).
-
-    Gradient checks are only reliable in double precision; float32 is an
-    opt-in mode for synthesis-only workloads.
-    """
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported scalar type: {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-class GraphTape:
-    """Ordered record of executed primitives for one pipeline evaluation.
-
-    Each record holds the operation's input tensors, its output tensor and a
-    closure mapping the output gradient to input gradients.  Replaying the
-    records in reverse visits every node exactly once, in reverse topological
-    order, because the forward pass appended them in execution order.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
-
-    def record(self, inputs: tuple["Tensor", ...], output: "Tensor",
-               backward: Callable) -> None:
-        output._tracked = True
-        self.records.append((inputs, output, backward))
-
-    def reset(self) -> None:
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-_local = threading.local()
-
-
-def _tape() -> GraphTape:
-    tape = getattr(_local, "tape", None)
-    if tape is None:
-        tape = GraphTape()
-        _local.tape = tape
-    return tape
-
-
-def current_tape() -> GraphTape:
-    """The calling thread's tape (created on first use)."""
-    return _tape()
+# stands in for a node's (inputs, backward_fn) once backward has visited it
+_CONSUMED = object()
 
 
 class Tensor:
@@ -101,22 +48,24 @@ class Tensor:
 
     A tensor participates in the computation graph only if it was created
     with ``requires_grad=True`` or produced by an operation on a tracked
-    tensor; untracked tensors are plain array wrappers and never incur tape
-    overhead.
+    tensor; untracked tensors are plain array wrappers and own no graph.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked")
+    __slots__ = ("data", "requires_grad", "grad", "_tracked", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None:
             if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
                 dtype = data.dtype  # keep an explicit float32 opt-in intact
             else:
-                dtype = _DEFAULT_DTYPE
+                dtype = np.float64
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._tracked = self.requires_grad
+        # (creation sequence number, inputs, backward_fn) of the op that
+        # produced this tensor, or _CONSUMED after backward visited it
+        self._node = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -220,8 +169,14 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:
+    """Make ``out`` own its graph node if any input is tracked.
+
+    ``backward_fn`` must capture arrays, not ``out`` itself, so that a graph
+    that never reaches ``backward`` holds no reference cycle.
+    """
     if any(t._tracked for t in inputs):
-        _tape().record(tuple(inputs), out, backward_fn)
+        out._tracked = True
+        out._node = (next(_SEQ), tuple(inputs), backward_fn)
     return out
 
 
@@ -250,7 +205,7 @@ def _first_offender(mask: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# elementwise primitives
+# pointwise primitives
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
@@ -293,10 +248,11 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "div")
     out = Tensor(a.data / b.data)
+    y = out.data
 
     def bwd(g):
         return (_unbroadcast(g / b.data, a.shape) if a._tracked else None,
-                _unbroadcast(-g * out.data / b.data, b.shape) if b._tracked else None)
+                _unbroadcast(-g * y / b.data, b.shape) if b._tracked else None)
 
     return _record((a, b), out, bwd)
 
@@ -309,13 +265,14 @@ def pow(a, b) -> Tensor:
             f"pow: non-positive base at index {_first_offender(a.data <= 0)} "
             "with differentiable exponent")
     out = Tensor(a.data ** b.data)
+    y = out.data
 
     def bwd(g):
         ga = gb = None
         if a._tracked:
             ga = _unbroadcast(g * b.data * a.data ** (b.data - 1.0), a.shape)
         if b._tracked:
-            gb = _unbroadcast(g * out.data * np.log(a.data), b.shape)
+            gb = _unbroadcast(g * y * np.log(a.data), b.shape)
         return ga, gb
 
     return _record((a, b), out, bwd)
@@ -330,21 +287,24 @@ def neg(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.exp(a.data))
-    return _record((a,), out, lambda g: (g * out.data,))
+    y = out.data
+    return _record((a,), out, lambda g: (g * y,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    if np.any(a.data < 0):
-        raise DomainError(f"log: negative value at index {_first_offender(a.data < 0)}")
+    if np.any(a.data <= 0):
+        raise DomainError(
+            f"log: non-positive value at index {_first_offender(a.data <= 0)}")
     out = Tensor(np.log(a.data))
     return _record((a,), out, lambda g: (g / a.data,))
 
 
 def log10(a) -> Tensor:
     a = as_tensor(a)
-    if np.any(a.data < 0):
-        raise DomainError(f"log10: negative value at index {_first_offender(a.data < 0)}")
+    if np.any(a.data <= 0):
+        raise DomainError(
+            f"log10: non-positive value at index {_first_offender(a.data <= 0)}")
     out = Tensor(np.log10(a.data))
     return _record((a,), out, lambda g: (g / (a.data * _LN10),))
 
@@ -354,16 +314,17 @@ def sqrt(a) -> Tensor:
     if np.any(a.data < 0):
         raise DomainError(f"sqrt: negative value at index {_first_offender(a.data < 0)}")
     out = Tensor(np.sqrt(a.data))
+    y = out.data
 
     def bwd(g):
         # subgradient 0 at the origin keeps silent signals NaN-free
-        denom = np.where(out.data > 0, 2.0 * out.data, 1.0)
-        return (np.where(out.data > 0, g / denom, 0.0),)
+        denom = np.where(y > 0, 2.0 * y, 1.0)
+        return (np.where(y > 0, g / denom, 0.0),)
 
     return _record((a,), out, bwd)
 
 
-def abs(a) -> Tensor:  # noqa: A001 - mirrors the op-kind name
+def abs(a) -> Tensor:  # noqa: A001
     a = as_tensor(a)
     out = Tensor(np.abs(a.data))
     return _record((a,), out, lambda g: (g * np.sign(a.data),))
@@ -375,7 +336,8 @@ def sigmoid(a) -> Tensor:
     out_val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     out = Tensor(out_val)
-    return _record((a,), out, lambda g: (g * out.data * (1.0 - out.data),))
+    y = out.data
+    return _record((a,), out, lambda g: (g * y * (1.0 - y),))
 
 
 def clamp_min(a, floor: float) -> Tensor:
@@ -401,44 +363,6 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 def minimum_with_zero(a) -> Tensor:
     """min(0, a), differentiable; used by the hinge losses."""
     return neg(clamp_min(neg(a), 0.0))
-
-
-_UNARY_KINDS = {
-    "exp": exp,
-    "log": log,
-    "log10": log10,
-    "sqrt": sqrt,
-    "sigmoid": sigmoid,
-    "abs": abs,
-}
-_BINARY_KINDS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "pow": pow,
-}
-
-
-def elementwise(kind: str, a, b=None) -> Tensor:
-    """Dispatch an elementwise primitive by name.
-
-    ``kind`` is one of add, sub, mul, div, pow, exp, log, log10, sqrt,
-    clamp-min, sigmoid, abs.  Binary kinds and clamp-min require ``b``.
-    """
-    if kind in _BINARY_KINDS:
-        if b is None:
-            raise ValueError(f"elementwise {kind!r} needs two operands")
-        return _BINARY_KINDS[kind](a, b)
-    if kind == "clamp-min" or kind == "clamp_min":
-        if b is None:
-            raise ValueError("elementwise clamp-min needs a floor")
-        return clamp_min(a, float(b.data) if isinstance(b, Tensor) else float(b))
-    if kind in _UNARY_KINDS:
-        if b is not None:
-            raise ValueError(f"elementwise {kind!r} takes one operand")
-        return _UNARY_KINDS[kind](a)
-    raise ValueError(f"unknown elementwise kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -730,46 +654,64 @@ def causal_fir(a, taps) -> Tensor:
 # backward
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Reverse-replay the calling thread's tape from a scalar loss.
+def _graph_nodes(loss: Tensor) -> list[Tensor]:
+    """The op outputs that ``loss`` reaches, oldest first."""
+    nodes: list[Tensor] = []
+    seen: set[Tensor] = set()
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if t._node is None or t in seen:
+            continue
+        if t._node is _CONSUMED:
+            raise ValidationError(
+                f"backward: reached a node of shape {t.shape} whose graph an "
+                "earlier backward already consumed; run the forward pass again")
+        seen.add(t)
+        nodes.append(t)
+        stack.extend(t._node[1])
+    nodes.sort(key=lambda t: t._node[0])
+    return nodes
 
-    Returns a map from every gradient-requiring tensor reached by the walk to
-    its gradient (also accumulated into ``tensor.grad``).  The tape is reset
-    afterwards; tensors that never joined the graph simply do not appear in
-    the map.
+
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """Propagate gradients from a scalar loss back through its graph.
+
+    Visits the nodes the loss reaches in reverse creation order, so every
+    node's gradient is complete when it is visited, and consumes them: each
+    node drops its inputs and backward function, which frees the graph's
+    intermediates.  Returns a map from every gradient-requiring tensor
+    reached to its gradient (also accumulated into ``tensor.grad``);
+    tensors that never joined the graph do not appear in the map.  Raises
+    ``ValidationError`` if the loss reaches a node that an earlier
+    ``backward`` consumed.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor loss")
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    tape = _tape()
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {id(loss): loss} if loss.requires_grad else {}
-    result: dict[Tensor, np.ndarray] = {}
-    for inputs, output, bwd in reversed(tape.records):
-        g = grads.pop(id(output), None)
+    nodes = _graph_nodes(loss)
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    leaves = [loss] if loss.requires_grad else []
+    while nodes:
+        node = nodes.pop()
+        _, inputs, bwd = node._node
+        node._node = _CONSUMED
+        g = grads.pop(node, None)
         if g is None:
             continue
-        # a popped output is fully accumulated: all of its consumers sit
-        # later on the tape and were already visited
-        if output.requires_grad:
-            result[output] = g
-        leaves.pop(id(output), None)
         for tensor, grad in zip(inputs, bwd(g)):
             if grad is None or not tensor._tracked:
                 continue
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + grad
+            if tensor in grads:
+                grads[tensor] = grads[tensor] + grad
             else:
-                grads[key] = grad
+                grads[tensor] = grad
                 if tensor.requires_grad:
-                    leaves[key] = tensor
-    for key, tensor in leaves.items():
-        result[tensor] = grads[key]
-    for tensor, grad in result.items():
-        grad = np.asarray(grad, dtype=tensor.data.dtype).reshape(tensor.shape)
+                    leaves.append(tensor)
+    result: dict[Tensor, np.ndarray] = {}
+    for tensor in leaves:
+        grad = np.asarray(grads[tensor], dtype=tensor.data.dtype).reshape(tensor.shape)
         result[tensor] = grad
         tensor.grad = grad if tensor.grad is None else tensor.grad + grad
-    tape.reset()
     return result

@@ -279,7 +279,9 @@ class TestSynthesize:
         feats = desk_features(t=10)
         spec_h, spec_n = sy.excitation_spectra(feats.f0, DESK, seed=2)
         assert spec_h.shape == spec_n.shape == (10, 2, DESK.fft_size // 2 + 1)
-        assert not spec_h._tracked and not spec_n._tracked
+        # no gradient reaches a parameter from either spectrum
+        assert dt.backward(dt.sum(spec_h)) == {}
+        assert dt.backward(dt.sum(spec_n)) == {}
         again = sy.excitation_spectra(feats.f0, DESK, seed=2)
         np.testing.assert_array_equal(again[1].data, spec_n.data)
         other = sy.excitation_spectra(feats.f0, DESK, seed=3)

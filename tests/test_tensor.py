@@ -1,10 +1,12 @@
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from diffworld import tensor as dt
-from diffworld.errors import DomainError, ShapeError
+from diffworld.errors import DomainError, ShapeError, ValidationError
 from helpers import central_diff, rel_grad_err, rel_l2
 
 
@@ -53,27 +55,11 @@ class TestElementwise:
         with pytest.raises(DomainError, match=r"\(0, 2\)"):
             dt.sqrt(dt.Tensor([[1.0, 1.0, -3.0]]))
 
-    def test_dispatcher_kinds(self):
-        a = dt.Tensor([0.3, 1.4])
-        b = dt.Tensor([2.0, 0.5])
-        binary = {"add": a.data + b.data, "sub": a.data - b.data,
-                  "mul": a.data * b.data, "div": a.data / b.data,
-                  "pow": a.data ** b.data}
-        for kind, expected in binary.items():
-            np.testing.assert_allclose(dt.elementwise(kind, a, b).data, expected)
-        unary = {"exp": np.exp(a.data), "log": np.log(a.data),
-                 "log10": np.log10(a.data), "sqrt": np.sqrt(a.data),
-                 "sigmoid": 1.0 / (1.0 + np.exp(-a.data)), "abs": np.abs(a.data)}
-        for kind, expected in unary.items():
-            np.testing.assert_allclose(dt.elementwise(kind, a).data, expected)
-        np.testing.assert_allclose(
-            dt.elementwise("clamp-min", a, 1.0).data, np.maximum(a.data, 1.0))
-        with pytest.raises(ValueError):
-            dt.elementwise("tanh", a)
-        with pytest.raises(ValueError):
-            dt.elementwise("mul", a)
-        with pytest.raises(ValueError):
-            dt.elementwise("exp", a, b)
+    @pytest.mark.parametrize("op", [dt.log, dt.log10])
+    def test_log_of_zero_reports_index(self, op):
+        # checked before np.log runs, so no -inf value or gradient escapes
+        with pytest.raises(DomainError, match=r"non-positive value at index \(1,\)"):
+            op(dt.Tensor([2.0, 0.0, -1.0]))
 
 
 UNARY_CASES = [
@@ -350,29 +336,21 @@ class TestBackward:
         assert bystander not in grads
         assert bystander.grad is None
 
-    def test_constant_math_stays_off_tape(self):
-        dt.current_tape().reset()
+    def test_constant_math_owns_no_graph(self):
         a = dt.Tensor([1.0, 2.0])
-        _ = dt.exp(dt.mul(a, a))
-        assert len(dt.current_tape()) == 0
+        loss = dt.sum(dt.exp(dt.mul(a, a)))
+        assert dt.backward(loss) == {}
+        assert a.grad is None
 
-    def test_tape_records_are_topologically_ordered(self):
-        dt.current_tape().reset()
-        x = dt.Tensor([1.0, 2.0], requires_grad=True)
+    def test_diamond_graph_gets_exact_gradients(self):
+        # y reaches the loss twice; it must be visited once, after both paths
+        x0 = np.array([0.3, -1.2])
+        x = dt.Tensor(x0, requires_grad=True)
         y = dt.mul(x, x)
-        z = dt.add(y, dt.exp(y))
-        loss = dt.sum(z)
-        records = dt.current_tape().records
-        seen = {id(x)}
-        for inputs, output, _ in records:
-            for t in inputs:
-                if t._tracked:
-                    assert id(t) in seen
-            seen.add(id(output))
-        outputs = [id(r[1]) for r in records]
-        assert len(outputs) == len(set(outputs))  # each node produced once
-        dt.backward(loss)
-        assert len(dt.current_tape()) == 0  # consumed
+        loss = dt.sum(dt.add(y, dt.exp(y)))
+        grads = dt.backward(loss)
+        g_y = 1.0 + np.exp(x0 * x0)
+        np.testing.assert_allclose(grads[x], 2.0 * g_y * x0, rtol=1e-15)
 
     def test_reused_node_accumulates_before_visit(self):
         # y feeds two consumers; its gradient must be complete when popped
@@ -383,7 +361,7 @@ class TestBackward:
         # d/dx (x^4 + x^2) = 4x^3 + 2x
         np.testing.assert_allclose(grads[x], [4 * 0.7 ** 3 + 2 * 0.7], rtol=1e-12)
 
-    def test_threads_use_independent_tapes(self):
+    def test_threads_build_independent_graphs(self):
         results = {}
 
         def work(name, value):
@@ -405,6 +383,68 @@ class TestBackward:
         dt.backward(dt.sum(dt.mul(x, x)))
         dt.backward(dt.sum(dt.mul(x, x)))
         np.testing.assert_allclose(x.grad, [12.0])
+
+
+class TestGraphOwnership:
+    def test_interleaved_forwards_backward_independently(self):
+        x0 = np.array([0.5, -1.5])
+        x = dt.Tensor(x0, requires_grad=True)
+        la = dt.sum(dt.mul(x, x))
+        lb = dt.sum(dt.exp(x))
+        ga = dt.backward(la)
+        gb = dt.backward(lb)
+        np.testing.assert_allclose(ga[x], 2.0 * x0, rtol=1e-15)
+        np.testing.assert_allclose(gb[x], np.exp(x0), rtol=1e-15)
+        np.testing.assert_allclose(x.grad, 2.0 * x0 + np.exp(x0), rtol=1e-15)
+
+    def test_second_backward_on_same_loss_raises(self):
+        x = dt.Tensor([1.0, 2.0], requires_grad=True)
+        loss = dt.sum(dt.mul(x, x))
+        dt.backward(loss)
+        with pytest.raises(ValidationError, match=r"backward: .* shape \(\)"):
+            dt.backward(loss)
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_loss_from_consumed_intermediate_raises(self):
+        x = dt.Tensor([1.0, 2.0], requires_grad=True)
+        h = dt.exp(x)
+        dt.backward(dt.sum(h))
+        with pytest.raises(ValidationError, match=r"backward: .* shape \(2,\)"):
+            dt.backward(dt.sum(dt.mul(h, h)))
+        np.testing.assert_allclose(x.grad, np.exp([1.0, 2.0]))
+
+    def test_graph_without_backward_is_freed(self, refcount_only):
+        x = dt.Tensor(np.ones(3), requires_grad=True)
+        h = dt.exp(x)
+        loss = dt.sum(dt.mul(h, h))
+        ref = weakref.ref(h.data)
+        del h, loss
+        assert ref() is None
+
+    def test_forward_stopped_by_domain_error_is_freed(self, refcount_only):
+        x = dt.Tensor(np.ones(3), requires_grad=True)
+        h = dt.neg(dt.exp(x))
+        ref = weakref.ref(h.data)
+        try:
+            dt.log(h)
+        except DomainError:
+            pass
+        else:
+            pytest.fail("log of a negative tensor did not raise")
+        del h
+        assert ref() is None
+
+
+@pytest.fixture
+def refcount_only():
+    """Turn the cycle collector off, so only refcounting can free a graph."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_float32_optin_preserved():
