@@ -8,8 +8,8 @@ compressed features, all running on a small reverse-mode tensor engine.
 from .errors import (DiffworldError, DomainError, FormatError, ShapeError,
                      ValidationError)
 from .features import (CompressedFeatures, Waveform, WorldFeatures,
-                       frames_for_samples, read_features, read_wav,
-                       validate_features, write_features, write_wav)
+                       read_features, read_wav, validate_features,
+                       write_features, write_wav)
 from .fit import (AdamState, FitConfig, FitDivergence, adam_step,
                   smoothed_trace)
 from .losses import (MslConfig, downsample_audio, feature_matching,
@@ -34,7 +34,7 @@ __all__ = [
     "compress", "compress_ap", "compress_sp", "decompress",
     "decompress_ap", "decompress_sp", "downsample_audio",
     "excitation_spectra", "extract_excitation", "feature_matching",
-    "frames_for_samples", "hinge_discriminator", "hinge_generator",
+    "hinge_discriminator", "hinge_generator",
     "interpolate_f0", "istft", "mse_features", "msl", "msl_target", "nll_loss",
     "oracle_target", "pulse_train", "read_features", "read_wav", "reconstruct",
     "render", "smoothed_trace", "stft", "synth_harmonic", "synth_noise",

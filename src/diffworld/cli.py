@@ -22,7 +22,8 @@ from . import synth as synthmod
 from .errors import (DiffworldError, DomainError, FormatError, ShapeError,
                      ValidationError)
 from .features import (CompressedFeatures, Waveform, WorldFeatures,
-                       read_features, read_wav, write_features, write_wav)
+                       check_wav_rate, read_features, read_wav, write_features,
+                       write_wav)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,6 +57,8 @@ def cmd_synth(args) -> int:
     cfg = synthmod.SynthConfig.for_features(
         feats, gain_harmonic=args.gain_harmonic, gain_noise=args.gain_noise,
         gain_dry=args.gain_dry, gain_fir=args.gain_fir, noise_seed=args.seed)
+    # synthesis costs O(sample_rate) per sample: refuse an unwritable rate first
+    check_wav_rate(cfg.sample_rate)
     fir = _load_fir(args.fir) if args.fir else None
     y = synthmod.synthesize(feats, cfg, fir=fir)
     write_wav(args.output, Waveform(y.data, cfg.sample_rate))
@@ -105,7 +108,7 @@ def cmd_fit(args) -> int:
     f0_feats = read_features(args.f0)
     wave = read_wav(args.target, expect_sample_rate=f0_feats.sample_rate)
     synth_cfg = synthmod.SynthConfig.for_features(f0_feats, noise_seed=args.seed)
-    cfg = fitmod.FitConfig(steps=args.steps, learning_rate=args.lr, seed=args.seed)
+    cfg = fitmod.FitConfig(steps=args.steps, learning_rate=args.lr)
     fitted, trace = fitmod.fit(wave.samples, f0_feats.f0, cfg=cfg,
                                synth_cfg=synth_cfg, n_mels=args.mels,
                                ap_bands=args.ap_bands)

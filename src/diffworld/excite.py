@@ -14,18 +14,11 @@ from __future__ import annotations
 
 from . import melcodec
 from . import tensor as dt
-from .errors import ValidationError
-from .synth import SynthConfig, istft, n_frames_for, stft
+from .synth import SynthConfig, _check_feature_frames, istft, stft
 
 ENVELOPE_FLOOR = 1e-10
 RATIO_LO = 1e-6
 RATIO_HI = 1e6
-
-
-def _check_frames(name: str, env, n_frames: int) -> None:
-    if env.shape[0] != n_frames:
-        raise ValidationError(
-            f"{name} has {env.shape[0]} frames but the signal STFT has {n_frames}")
 
 
 def extract_excitation(x, sp, cfg: SynthConfig) -> dt.Tensor:
@@ -36,18 +29,17 @@ def extract_excitation(x, sp, cfg: SynthConfig) -> dt.Tensor:
     """
     x = dt.as_tensor(x)
     sp = dt.as_tensor(sp)
-    n_frames = n_frames_for(x.shape[0], cfg.hop)
-    _check_frames("sp", sp, n_frames)
+    _check_feature_frames("sp", sp, x.shape[0], cfg.hop)
     inv_root = dt.div(1.0, dt.sqrt(dt.clamp_min(sp, ENVELOPE_FLOOR)))
-    spec = stft(x, cfg.fft_size, cfg.hop, n_frames)
-    return dt.mul(spec, dt.reshape(inv_root, (n_frames, 1, sp.shape[1])))
+    spec = stft(x, cfg.fft_size, cfg.hop)
+    return dt.mul(spec, dt.reshape(inv_root, (sp.shape[0], 1, sp.shape[1])))
 
 
 def reconstruct(excitation, sp, cfg: SynthConfig, length: int) -> dt.Tensor:
     """Impose an envelope on an excitation spectrum: ``istft(sqrt(sp) * E)``."""
     excitation = dt.as_tensor(excitation)
     sp = dt.as_tensor(sp)
-    _check_frames("sp", sp, excitation.shape[0])
+    _check_feature_frames("sp", sp, excitation.shape[0] * cfg.hop, cfg.hop)
     root = dt.sqrt(dt.clamp_min(sp, 0.0))
     shaped = dt.mul(excitation, dt.reshape(root, (sp.shape[0], 1, sp.shape[1])))
     return istft(shaped, cfg.fft_size, cfg.hop, length)
@@ -64,7 +56,6 @@ def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
     compressed-domain behavior.
     """
     x = dt.as_tensor(x)
-    n_frames = n_frames_for(x.shape[0], cfg.hop)
     if use_decompressed:
         basis = melcodec.MelBasis.build(cfg.sample_rate, cfg.fft_size, n_mels)
         sp_src = melcodec.decompress_sp(
@@ -73,12 +64,12 @@ def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
             melcodec.compress_sp(dt.as_tensor(sp_tgt), basis), basis)
     sp_src = dt.as_tensor(sp_src)
     sp_tgt = dt.as_tensor(sp_tgt)
-    _check_frames("sp_src", sp_src, n_frames)
-    _check_frames("sp_tgt", sp_tgt, n_frames)
+    _check_feature_frames("sp_src", sp_src, x.shape[0], cfg.hop)
+    _check_feature_frames("sp_tgt", sp_tgt, x.shape[0], cfg.hop)
     ratio = dt.clamp(dt.div(dt.clamp_min(sp_tgt, ENVELOPE_FLOOR),
                             dt.clamp_min(sp_src, ENVELOPE_FLOOR)),
                      RATIO_LO, RATIO_HI)
     gain = dt.sqrt(ratio)
-    spec = stft(x, cfg.fft_size, cfg.hop, n_frames)
-    shaped = dt.mul(spec, dt.reshape(gain, (n_frames, 1, sp_src.shape[1])))
+    spec = stft(x, cfg.fft_size, cfg.hop)
+    shaped = dt.mul(spec, dt.reshape(gain, (sp_src.shape[0], 1, sp_src.shape[1])))
     return istft(shaped, cfg.fft_size, cfg.hop, x.shape[0])

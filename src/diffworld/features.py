@@ -6,9 +6,11 @@ envelope ``sp`` and aperiodicity ratio ``ap`` over ``fft_size // 2 + 1``
 linear-frequency bins.  Compressed features hold the log mel form of the
 envelope plus a coarse aperiodicity, together with the same clock metadata.
 
-Framing convention: frame ``t`` is centered on sample ``t * hop``; a clip of
-``n`` samples therefore spans ``n // hop + 1`` frames.  Files carry ``hop``
-explicitly so any analyzer setting is honored.
+Framing convention (one rule, :func:`diffworld.synth.n_frames_for`): frame
+``t`` is centered on sample ``t * hop``, and a clip of ``n`` samples spans
+``ceil(n / hop)`` frames.  ``T`` frames synthesize to ``T * hop`` samples;
+``excite-transform``, ``loss`` and ``spectrogram`` keep their input's length.
+Files carry ``hop`` explicitly so any analyzer setting is honored.
 """
 
 from __future__ import annotations
@@ -28,11 +30,7 @@ KIND_RAW = 0
 KIND_COMPRESSED = 1
 
 _HEADER = struct.Struct("<4sIIIIIIII")
-
-
-def frames_for_samples(num_samples: int, hop: int) -> int:
-    """Frame count of a clip under the centered framing convention."""
-    return num_samples // hop + 1
+MAX_FFT_SIZE = 1 << 16  # bounds the (mels x bins) codec basis a header can ask for
 
 
 @dataclass(frozen=True)
@@ -162,11 +160,16 @@ def _validated_compressed(feats: CompressedFeatures) -> CompressedFeatures:
 
 def validate_features(feats):
     """Enforce the type invariants (including unvoiced ap coercion for raw)."""
+    if not isinstance(feats, (WorldFeatures, CompressedFeatures)):
+        raise TypeError(f"not a feature container: {type(feats).__name__}")
+    if feats.hop < 1:
+        raise ValidationError(f"hop must be >= 1, got {feats.hop}")
+    if not 1 <= feats.fft_size <= MAX_FFT_SIZE:
+        raise ValidationError(
+            f"fft_size must be in [1, {MAX_FFT_SIZE}], got {feats.fft_size}")
     if isinstance(feats, WorldFeatures):
         return _validated_raw(feats)
-    if isinstance(feats, CompressedFeatures):
-        return _validated_compressed(feats)
-    raise TypeError(f"not a feature container: {type(feats).__name__}")
+    return _validated_compressed(feats)
 
 
 # ---------------------------------------------------------------------------
@@ -209,35 +212,25 @@ def read_features(path, expect_sample_rate: int | None = None):
         raise ValidationError(
             f"{path}: sample rate {sample_rate} does not match expected "
             f"{expect_sample_rate}")
-    payload = blob[_HEADER.size:]
-
-    def take(count, offset):
-        end = offset + count * 8
-        if end > len(payload):
-            raise FormatError(f"{path}: truncated payload "
-                              f"(need {end} bytes, have {len(payload)})")
-        return np.frombuffer(payload, dtype="<f8", count=count, offset=offset), end
-
     if kind == KIND_RAW:
         bins = fft_size // 2 + 1
         if m_or_bins != bins:
             raise FormatError(f"{path}: bin count {m_or_bins} disagrees with "
                               f"fft_size {fft_size}")
-        f0, off = take(t, 0)
-        sp, off = take(t * bins, off)
-        ap, off = take(t * bins, off)
-        feats = WorldFeatures(f0=f0.copy(), sp=sp.reshape(t, bins).copy(),
-                              ap=ap.reshape(t, bins).copy(),
-                              sample_rate=sample_rate, hop=hop, fft_size=fft_size)
+        container, widths = WorldFeatures, (bins, bins)
     elif kind == KIND_COMPRESSED:
-        f0, off = take(t, 0)
-        s, off = take(t * m_or_bins, off)
-        a, off = take(t * a_bands, off)
-        feats = CompressedFeatures(f0=f0.copy(), log_mel=s.reshape(t, m_or_bins).copy(),
-                                   coded_ap=a.reshape(t, a_bands).copy(),
-                                   sample_rate=sample_rate, hop=hop, fft_size=fft_size)
+        container, widths = CompressedFeatures, (m_or_bins, a_bands)
     else:
         raise FormatError(f"{path}: unknown feature kind {kind}")
+    # f0, then two (t, width) arrays, as float64; no byte more or less
+    need, have = 8 * t * (1 + sum(widths)), len(blob) - _HEADER.size
+    if have != need:
+        raise FormatError(f"{path}: {'truncated' if have < need else 'overlong'} "
+                          f"payload (header describes {need} bytes, have {have})")
+    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    f0, first, second = (part.copy() for part in np.split(flat, [t, t * (1 + widths[0])]))
+    feats = container(f0, first.reshape(t, widths[0]), second.reshape(t, widths[1]),
+                      sample_rate=sample_rate, hop=hop, fft_size=fft_size)
     return validate_features(feats)
 
 
@@ -272,6 +265,18 @@ def read_wav(path, expect_sample_rate: int | None = None) -> Waveform:
     return Waveform(samples=samples, sample_rate=int(rate))
 
 
+def check_wav_rate(sample_rate: int, codec: str = "float32") -> None:
+    """Reject a codec or a rate that a WAV header cannot hold: the header
+    stores the byte rate, ``sample_rate * sample bytes``, as a u32."""
+    sample_bytes = {"float32": 4, "pcm16": 2}.get(codec)
+    if sample_bytes is None:
+        raise FormatError(f"unsupported codec {codec!r}; use 'float32' or 'pcm16'")
+    max_rate = 0xFFFFFFFF // sample_bytes
+    if not 1 <= sample_rate <= max_rate:
+        raise ValidationError(f"sample rate {sample_rate} cannot be written as "
+                              f"{codec} WAV (must be in [1, {max_rate}])")
+
+
 def write_wav(path, wave: Waveform, codec: str = "float32") -> None:
     samples = np.asarray(wave.samples, dtype=np.float64)
     if samples.ndim != 1:
@@ -279,11 +284,9 @@ def write_wav(path, wave: Waveform, codec: str = "float32") -> None:
     if not np.all(np.isfinite(samples)):
         raise ValidationError(f"non-finite sample at index "
                               f"{_first_bad(~np.isfinite(samples))[0]}")
+    check_wav_rate(wave.sample_rate, codec)
     if codec == "float32":
-        wavfile.write(path, wave.sample_rate, samples.astype(np.float32))
-    elif codec == "pcm16":
-        clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, wave.sample_rate,
-                      np.round(clipped * 32768.0).astype(np.int16))
+        data = samples.astype(np.float32)
     else:
-        raise FormatError(f"unsupported codec {codec!r}; use 'float32' or 'pcm16'")
+        data = np.round(np.clip(samples, -1.0, 32767.0 / 32768.0) * 32768.0).astype(np.int16)
+    wavfile.write(path, wave.sample_rate, data)

@@ -2,9 +2,9 @@
 
 The compressed envelope is optimized directly; aperiodicity is parameterized
 through a sigmoid so its decompressed form stays inside [0, 1].  The noise
-excitation is drawn once from the configured seed and held fixed across
-steps, which makes the objective deterministic and lets a fit with a matched
-seed drive the loss to the noise-realization floor.
+excitation is drawn once from the synth config's ``noise_seed`` and held
+fixed across steps, which makes the objective deterministic and lets a fit
+with a matched seed drive the loss to the noise-realization floor.
 
 Everything that does not depend on the parameters is computed once per fit:
 the excitation spectra of the fixed pitch contour and noise
@@ -28,7 +28,7 @@ from . import tensor as dt
 from .errors import DiffworldError, ValidationError
 from .features import CompressedFeatures, Waveform
 from .losses import MslConfig, mse_features, msl, msl_target
-from .synth import FirPostFilter, SynthConfig, excitation_spectra, render
+from .synth import FirPostFilter, SynthConfig, excitation_spectra, n_frames_for, render
 # stages that excitation_spectra and render run for fit; perfbench's tracer
 # and its smoke test expect to find them bound in this module too
 from .synth import interpolate_f0, istft, noise_excitation, pulse_train, stft  # noqa: F401
@@ -45,7 +45,6 @@ class FitConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    seed: int = 0
     alpha: float = 0.0          # weight of the feature loss against a reference
     msl: MslConfig = field(default_factory=MslConfig)
 
@@ -131,9 +130,10 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
         ) -> tuple[CompressedFeatures, np.ndarray]:
     """Gradient-descent recovery of compressed features from ``target``.
 
-    ``f0`` is the oracle pitch contour (one value per frame).  Returns the
-    fitted features and the per-step loss trace.  If ``fir`` is given its
-    free taps are optimized jointly and updated in place.
+    ``f0`` is the oracle pitch contour, one value per frame of the target
+    (``n_frames_for(len(target), hop)``).  Returns the fitted features and
+    the per-step loss trace.  If ``fir`` is given its free taps are
+    optimized jointly and updated in place.
     """
     if isinstance(target, Waveform):
         if synth_cfg is None:
@@ -152,7 +152,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     n_frames = f0.shape[0]
     hop = synth_cfg.hop
     n_samples = n_frames * hop
-    if not ((n_frames - 1) * hop <= target.shape[0] <= n_samples):
+    if n_frames_for(target.shape[0], hop) != n_frames:
         raise ValidationError(
             f"target length {target.shape[0]} does not match {n_frames} frames "
             f"at hop {hop} (expected ({n_frames - 1} * hop, {n_frames} * hop])")
@@ -168,7 +168,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     n_bins = synth_cfg.fft_size // 2 + 1
 
     # constant across steps: computed once
-    spec_h, spec_n = excitation_spectra(f0, synth_cfg, cfg.seed)
+    spec_h, spec_n = excitation_spectra(f0, synth_cfg)
     target_spec = msl_target(target, cfg.msl)
 
     params = {"log_mel": s0, "ap_logit": _logit(a0)}

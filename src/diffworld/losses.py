@@ -29,6 +29,8 @@ class MslConfig:
     def __post_init__(self):
         if self.scales < 1:
             raise ValidationError("need at least one spectrogram scale")
+        if not self.log_floor > 0:
+            raise ValidationError(f"MslConfig.log_floor must be > 0, got {self.log_floor}")
 
     @property
     def window_sizes(self) -> tuple[int, ...]:

@@ -56,6 +56,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.hop is None:
             object.__setattr__(self, "hop", self.fft_size // 4)
+        if self.hop < 1:
+            raise ValidationError(f"hop must be >= 1, got {self.hop}")
         if self.fft_size % self.hop != 0:
             raise ValidationError(
                 f"hop {self.hop} must divide fft_size {self.fft_size}")
@@ -108,9 +110,8 @@ class FirPostFilter:
 # pitch contour and excitation
 # ---------------------------------------------------------------------------
 
-def interpolate_f0(f0: np.ndarray, hop: int,
-                   n_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Frame-rate f0 -> audio-rate contour plus voicing mask.
+def interpolate_f0(f0: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frame-rate f0 -> ``T * hop``-sample contour plus voicing mask.
 
     Frame ``t`` is centered on sample ``t * hop``.  Between two voiced frames
     the frequency is interpolated linearly; across a voiced/unvoiced boundary
@@ -120,14 +121,12 @@ def interpolate_f0(f0: np.ndarray, hop: int,
     measure, not part of the synthesis contract.)
     """
     f0 = np.asarray(f0, dtype=np.float64)
-    if f0.ndim != 1:
-        raise ValidationError("f0 must be 1-D")
+    if f0.ndim != 1 or f0.shape[0] == 0:
+        raise ValidationError("f0 must be 1-D with at least one frame")
     if np.any(f0 < 0):
         raise ValidationError("f0 must be non-negative")
     n_frames = f0.shape[0]
-    if n_samples is None:
-        n_samples = n_frames * hop
-    t = np.arange(n_samples)
+    t = np.arange(n_frames * hop)
     left = np.minimum(t // hop, n_frames - 1)
     right = np.minimum(left + 1, n_frames - 1)
     frac = np.where(right > left, (t - left * hop) / hop, 0.0)
@@ -207,19 +206,18 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def n_frames_for(n_samples: int, hop: int) -> int:
-    """STFT frame count: frames at t*hop covering every sample (ceil)."""
+    """The one framing rule: ``n`` samples span ``ceil(n / hop)`` frames."""
     return -(-n_samples // hop)
 
 
-def stft(x, fft_size: int, hop: int, n_frames: int | None = None) -> dt.Tensor:
+def stft(x, fft_size: int, hop: int) -> dt.Tensor:
     """Hann-windowed STFT, frames centered at ``t * hop``.
 
-    Returns a ``(T, 2, fft_size // 2 + 1)`` tensor of real/imag planes.
+    Returns a ``(T, 2, fft_size // 2 + 1)`` tensor of real/imag planes with
+    ``T = n_frames_for(len(x), hop)``.
     """
     x = dt.as_tensor(x)
-    if n_frames is None:
-        n_frames = n_frames_for(x.shape[0], hop)
-    frames = dt.frame(x, fft_size, hop, n_frames, fft_size // 2)
+    frames = dt.frame(x, fft_size, hop, n_frames_for(x.shape[0], hop), fft_size // 2)
     windowed = dt.mul(frames, dt.Tensor(hann_window(fft_size)))
     return dt.rfft(windowed, fft_size)
 
@@ -245,11 +243,12 @@ def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
     return dt.mul(summed, dt.Tensor(1.0 / _window_norm(fft_size, hop, n_frames, length)))
 
 
-def _check_feature_frames(name: str, arr, n_frames: int) -> None:
+def _check_feature_frames(name: str, arr, n_samples: int, hop: int) -> None:
+    n_frames = n_frames_for(n_samples, hop)
     if arr.shape[0] != n_frames:
         raise ValidationError(
-            f"{name} has {arr.shape[0]} frames but the excitation STFT has "
-            f"{n_frames}; feature hop must equal the synthesis hop")
+            f"{name} has {arr.shape[0]} frames but a {n_samples}-sample signal "
+            f"at hop {hop} has {n_frames} (ceil(n / hop))")
 
 
 def _spectral_shape(spec: dt.Tensor, gain) -> dt.Tensor:
@@ -263,24 +262,21 @@ def synth_harmonic(e_h, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     """Filter the pulse train by ``(1 - ap) * sqrt(sp)`` in the STFT domain."""
     e_h = dt.as_tensor(e_h)
     sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
-    n_frames = n_frames_for(e_h.shape[0], cfg.hop)
-    _check_feature_frames("sp", sp, n_frames)
-    _check_feature_frames("ap", ap, n_frames)
+    _check_feature_frames("sp", sp, e_h.shape[0], cfg.hop)
+    _check_feature_frames("ap", ap, e_h.shape[0], cfg.hop)
     gain = dt.mul(dt.sub(1.0, ap), dt.sqrt(sp))
-    spec = _spectral_shape(stft(e_h, cfg.fft_size, cfg.hop, n_frames), gain)
+    spec = _spectral_shape(stft(e_h, cfg.fft_size, cfg.hop), gain)
     return istft(spec, cfg.fft_size, cfg.hop, e_h.shape[0])
 
 
-def synth_noise(sp, ap, cfg: SynthConfig, seed: int | None = None) -> dt.Tensor:
-    """Shape seeded white noise by ``ap * sqrt(sp)`` in the STFT domain."""
+def synth_noise(sp, ap, cfg: SynthConfig) -> dt.Tensor:
+    """Shape ``cfg.noise_seed``'s white noise by ``ap * sqrt(sp)`` in the STFT domain."""
     sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
-    if sp.shape[0] != ap.shape[0]:
-        raise ValidationError(
-            f"sp has {sp.shape[0]} frames but ap has {ap.shape[0]}")
     n_samples = sp.shape[0] * cfg.hop
-    e_n = noise_excitation(n_samples, cfg.noise_seed if seed is None else seed)
+    _check_feature_frames("ap", ap, n_samples, cfg.hop)
+    e_n = noise_excitation(n_samples, cfg.noise_seed)
     gain = dt.mul(ap, dt.sqrt(sp))
-    spec = _spectral_shape(stft(e_n, cfg.fft_size, cfg.hop, sp.shape[0]), gain)
+    spec = _spectral_shape(stft(e_n, cfg.fft_size, cfg.hop), gain)
     return istft(spec, cfg.fft_size, cfg.hop, n_samples)
 
 
@@ -288,22 +284,17 @@ def synth_noise(sp, ap, cfg: SynthConfig, seed: int | None = None) -> dt.Tensor:
 # full synthesis
 # ---------------------------------------------------------------------------
 
-def excitation_spectra(f0: np.ndarray, cfg: SynthConfig,
-                       seed: int | None = None) -> tuple[dt.Tensor, dt.Tensor]:
+def excitation_spectra(f0: np.ndarray, cfg: SynthConfig) -> tuple[dt.Tensor, dt.Tensor]:
     """STFTs of the pulse train and of the noise for a frame-rate f0 contour.
 
-    Both are constants of the contour and the seed (``cfg.noise_seed`` when
-    ``seed`` is None), returned as untracked ``(T, 2, fft_size // 2 + 1)``
-    tensors for :func:`render`.  The excitations span ``T * hop`` samples.
+    Both are constants of the contour and ``cfg.noise_seed``, returned as
+    untracked ``(T, 2, fft_size // 2 + 1)`` tensors for :func:`render`.  The
+    excitations span ``T * hop`` samples.
     """
-    f0 = np.asarray(f0, dtype=np.float64)
-    n_frames = f0.shape[0]
-    n_samples = n_frames * cfg.hop
-    freq, mask = interpolate_f0(f0, cfg.hop, n_samples)
+    freq, mask = interpolate_f0(f0, cfg.hop)
     e_h = pulse_train(freq, mask, cfg)
-    e_n = noise_excitation(n_samples, cfg.noise_seed if seed is None else seed)
-    return (stft(e_h, cfg.fft_size, cfg.hop, n_frames),
-            stft(e_n, cfg.fft_size, cfg.hop, n_frames))
+    e_n = noise_excitation(freq.shape[0], cfg.noise_seed)
+    return stft(e_h, cfg.fft_size, cfg.hop), stft(e_n, cfg.fft_size, cfg.hop)
 
 
 def render(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
@@ -319,11 +310,10 @@ def render(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
         raise ValidationError(
             f"noise STFT shape {spec_n.shape} differs from the pulse-train "
             f"STFT shape {spec_h.shape}")
-    n_frames = spec_h.shape[0]
-    _check_feature_frames("sp", sp, n_frames)
-    _check_feature_frames("ap", ap, n_frames)
-    return istft(_mix(spec_h, spec_n, sp, ap, cfg), cfg.fft_size, cfg.hop,
-                 n_frames * cfg.hop)
+    n_samples = spec_h.shape[0] * cfg.hop
+    _check_feature_frames("sp", sp, n_samples, cfg.hop)
+    _check_feature_frames("ap", ap, n_samples, cfg.hop)
+    return istft(_mix(spec_h, spec_n, sp, ap, cfg), cfg.fft_size, cfg.hop, n_samples)
 
 
 def _mix(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
@@ -335,14 +325,13 @@ def _mix(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     return dt.add(_spectral_shape(spec_h, gain_h), _spectral_shape(spec_n, gain_n))
 
 
-def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig,
-                          seed: int | None = None) -> dt.Tensor:
+def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     """Harmonic-plus-noise synthesis from frame-rate tensors.
 
     ``sp`` and ``ap`` may be tensors with gradients attached; ``f0`` is a
     plain contour.  Output length is ``n_frames * hop``.
     """
-    spec_h, spec_n = excitation_spectra(f0, cfg, seed)
+    spec_h, spec_n = excitation_spectra(f0, cfg)
     return render(spec_h, spec_n, sp, ap, cfg)
 
 

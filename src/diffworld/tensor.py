@@ -53,12 +53,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_tracked", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is None:
-            if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
-                dtype = data.dtype  # keep an explicit float32 opt-in intact
-            else:
-                dtype = np.float64
+    def __init__(self, data, requires_grad: bool = False):
+        if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
+            dtype = data.dtype  # keep an explicit float32 opt-in intact
+        else:
+            dtype = np.float64
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -161,11 +160,11 @@ class Tensor:
         return backward(self)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     """Wrap array-likes as constant tensors; pass tensors through."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:

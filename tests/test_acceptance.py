@@ -80,7 +80,7 @@ def test_criterion_2_gradient_correctness():
         a_t = dt.Tensor(a, requires_grad=True)
         sp = mc.decompress_sp(s_t, basis)
         ap = mc.decompress_ap(a_t, bins)
-        y = sy.synthesize_components(f0, sp, ap, DESK, seed=0)
+        y = sy.synthesize_components(f0, sp, ap, DESK)
         return ls.msl(target, y, msl_cfg), s_t, a_t
 
     loss, s_t, a_t = objective(s0, a0)
@@ -180,7 +180,7 @@ def test_criterion_6_self_consistency_fit():
     feats = random_features(FULL, 1.0, rng)
     comp = mc.compress(feats)
     target = sy.synthesize(comp, sy.SynthConfig.for_features(comp)).data
-    cfg = fi.FitConfig(steps=500, learning_rate=0.03, seed=0)
+    cfg = fi.FitConfig(steps=500, learning_rate=0.03)
     fitted, trace = fi.fit(target, feats.f0, cfg=cfg, synth_cfg=FULL)
     elapsed = time.time() - t0
     reduction = 1.0 - trace[-1] / trace[0]

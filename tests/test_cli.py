@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from diffworld import cli
+from diffworld import losses as ls
 from diffworld import melcodec as mc
 from diffworld import synth as sy
 from diffworld.features import (Waveform, WorldFeatures, read_features,
@@ -229,6 +231,60 @@ class TestFit:
         code = cli.main(["fit", str(wav_path), "--f0", str(feat_path),
                          "-o", str(tmp_path / "o.wfeat"), "--steps", "2"])
         assert code == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("n", [12 * HOP - 1, 12 * HOP, 12 * HOP + 1])
+class TestBoundaryLengths:
+    """Every subcommand that reads audio frames ``n`` samples into
+    ``n_frames_for(n)`` frames and keeps ``n`` samples."""
+
+    def _wav(self, path, n, seed=0):
+        write_wav(path, Waveform(0.1 * np.random.default_rng(seed).normal(size=n), SR))
+        return read_wav(path).samples
+
+    def test_excite_transform_keeps_length(self, tmp_path, n):
+        t = sy.n_frames_for(n, HOP)
+        wav, env, out = tmp_path / "x.wav", tmp_path / "env.wfeat", tmp_path / "y.wav"
+        x = self._wav(wav, n)
+        argv = ["excite-transform", str(wav), "--src-env", str(env),
+                "--tgt-env", str(env), "-o", str(out)]
+        make_raw_file(env, t=t)
+        assert cli.main(argv) == 0
+        y = read_wav(out).samples
+        assert len(y) == n
+        err = np.linalg.norm(y[FFT:-FFT] - x[FFT:-FFT]) / np.linalg.norm(x[FFT:-FFT])
+        assert err < 1e-6
+        for wrong in (t - 1, t + 1):
+            make_raw_file(env, t=wrong)
+            assert cli.main(argv) == cli.EXIT_VALIDATION
+
+    def test_loss_compares_every_sample(self, tmp_path, capsys, n):
+        pa, pb = tmp_path / "a.wav", tmp_path / "b.wav"
+        a, b = self._wav(pa, n, seed=1), self._wav(pb, n, seed=2)
+        assert cli.main(["loss", str(pa), str(pb), "--scales", "3"]) == 0
+        cfg = ls.MslConfig(scales=3)
+        expected = sum(ls.scale_loss(a, b, w, cfg.kappa, cfg.log_floor).item()
+                       for w in cfg.window_sizes)
+        assert capsys.readouterr().out.strip() == f"{expected:.6f}"
+
+    def test_spectrogram_has_one_row_per_frame(self, tmp_path, n):
+        wav, out = tmp_path / "x.wav", tmp_path / "s.csv"
+        self._wav(wav, n)
+        assert cli.main(["spectrogram", str(wav), "-o", str(out), "--mels", "16",
+                         "--fft-size", str(FFT)]) == 0
+        rows = out.read_text().strip().split("\n")
+        assert len(rows) == sy.n_frames_for(n, HOP)
+
+    def test_fit_accepts_exactly_the_matching_frame_count(self, tmp_path, n):
+        t = sy.n_frames_for(n, HOP)
+        wav, f0_path = tmp_path / "x.wav", tmp_path / "f0.wfeat"
+        self._wav(wav, n)
+        for frames, code in ((t - 1, cli.EXIT_VALIDATION), (t, cli.EXIT_OK),
+                             (t + 1, cli.EXIT_VALIDATION)):
+            make_raw_file(f0_path, t=frames)
+            assert cli.main(["fit", str(wav), "--f0", str(f0_path),
+                             "-o", str(tmp_path / "o.wfeat"), "--steps", "1",
+                             "--mels", "16", "--ap-bands", "4"]) == code, frames
 
 
 class TestLossAndSpectrogram:

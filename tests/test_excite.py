@@ -64,6 +64,13 @@ class TestExtract:
         with pytest.raises(ValidationError):
             ex.extract_excitation(np.zeros(8 * DESK.hop), np.ones((7, 33)), DESK)
 
+    def test_frame_mismatch_states_the_framing_rule(self):
+        sp = np.ones((101, CFG.fft_size // 2 + 1))
+        with pytest.raises(ValidationError) as err:
+            ex.transform_formants(np.zeros(25600), sp, sp, CFG)
+        assert str(err.value) == ("sp_src has 101 frames but a 25600-sample signal "
+                                  "at hop 256 has 100 (ceil(n / hop))")
+
 
 class TestReconstruct:
     def test_roundtrip_identity(self):

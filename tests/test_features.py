@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,6 @@ def make_compressed(t=9, n_mels=16, a_bands=4, seed=1):
         log_mel=rs.normal(size=(t, n_mels)),
         coded_ap=rs.uniform(0.0, 1.0, size=(t, a_bands)),
         sample_rate=8000, hop=16, fft_size=64)
-
-
-class TestFraming:
-    def test_three_second_clip_frame_count(self):
-        assert ft.frames_for_samples(3 * 22050, 256) == 259
 
 
 class TestWfeat:
@@ -84,6 +81,20 @@ class TestWfeat:
         with pytest.raises(FormatError, match="truncated"):
             ft.read_features(path)
 
+    def test_payload_longer_than_header_rejected(self, tmp_path):
+        # one frame fewer in the header (bytes 20:24) would misalign every
+        # array after f0
+        for feats in (make_raw(), make_compressed()):
+            path = tmp_path / "long.wfeat"
+            ft.write_features(path, feats)
+            blob = path.read_bytes()
+            for data in (blob + bytes(8),
+                         blob[:20] + (feats.n_frames - 1).to_bytes(4, "little")
+                         + blob[24:]):
+                path.write_bytes(data)
+                with pytest.raises(FormatError, match="overlong payload"):
+                    ft.read_features(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.wfeat"
         ft.write_features(path, make_raw())
@@ -113,6 +124,16 @@ class TestWfeat:
         feats.sp[0, 0] = -0.1
         with pytest.raises(ValidationError, match="sp is negative"):
             ft.write_features(tmp_path / "bad.wfeat", feats)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("hop", 0, "hop must be >= 1"),
+        ("fft_size", 0, "fft_size must be in"),
+        ("fft_size", ft.MAX_FFT_SIZE + 2, "fft_size must be in"),
+    ])
+    def test_clock_fields_out_of_range_rejected(self, field, value, message):
+        for feats in (make_raw(), make_compressed()):
+            with pytest.raises(ValidationError, match=message):
+                ft.validate_features(replace(feats, **{field: value}))
 
     def test_loaded_features_are_finite(self, tmp_path):
         path = tmp_path / "raw.wfeat"
@@ -152,6 +173,18 @@ class TestWav:
         wavfile.write(path, 8000, np.zeros(100, dtype=np.int32))
         with pytest.raises(FormatError, match="codec"):
             ft.read_wav(path)
+
+    @pytest.mark.parametrize("codec, max_rate", [("float32", 2 ** 30 - 1),
+                                                  ("pcm16", 2 ** 31 - 1)])
+    def test_rate_beyond_header_byte_rate_rejected(self, tmp_path, codec, max_rate):
+        # the header's byte rate, rate * sample bytes, is a u32
+        path = tmp_path / "x.wav"
+        for rate in (0, max_rate + 1, 2 ** 32):
+            with pytest.raises(ValidationError, match=f"sample rate {rate} cannot"):
+                ft.write_wav(path, ft.Waveform(np.zeros(8), rate), codec)
+        assert not path.exists()
+        ft.write_wav(path, ft.Waveform(np.zeros(8), max_rate), codec)
+        assert ft.read_wav(path).sample_rate == max_rate
 
     def test_sample_rate_expectation(self, tmp_path):
         path = tmp_path / "x.wav"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,8 +109,7 @@ class TestFit:
 
     def test_self_consistency_reduces_loss(self):
         target, f0 = desk_problem()
-        cfg = fi.FitConfig(steps=120, learning_rate=0.03, seed=0,
-                           msl=MslConfig(scales=3))
+        cfg = fi.FitConfig(steps=120, learning_rate=0.03, msl=MslConfig(scales=3))
         fitted, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK,
                                n_mels=16, ap_bands=4)
         assert trace[-1] < 0.25 * trace[0]
@@ -117,8 +118,7 @@ class TestFit:
 
     def test_smoothed_trace_non_increasing(self):
         target, f0 = desk_problem()
-        cfg = fi.FitConfig(steps=120, learning_rate=0.03, seed=0,
-                           msl=MslConfig(scales=3))
+        cfg = fi.FitConfig(steps=120, learning_rate=0.03, msl=MslConfig(scales=3))
         _, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK,
                           n_mels=16, ap_bands=4)
         smooth = fi.smoothed_trace(trace, window=20)
@@ -227,17 +227,22 @@ class TestFit:
         assert len(calls) == scales + 3 * scales
 
     def test_first_loss_equals_msl_of_initial_synthesis(self):
+        # the noise comes from synth_cfg.noise_seed, so the seed changes the trace
         target, f0 = desk_problem(t=40)
-        cfg = fi.FitConfig(steps=1, learning_rate=0.01, seed=4,
-                           msl=MslConfig(scales=4))
-        _, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, n_mels=16, ap_bands=4)
+        cfg = fi.FitConfig(steps=3, learning_rate=0.01, msl=MslConfig(scales=4))
         s0, a0 = fi._default_init(40, 16, 4, mc.DEFAULT_EPSILON)
         basis = mc.MelBasis.build(DESK.sample_rate, DESK.fft_size, 16)
         sp = mc.decompress_sp(s0, basis)
         ap = mc.decompress_ap(dt.sigmoid(fi._logit(a0)), DESK.fft_size // 2 + 1)
-        y0 = sy.synthesize_components(f0, sp, ap, DESK, seed=cfg.seed)
-        expected = ls.msl(target, y0, cfg.msl).item()
-        assert abs(trace[0] - expected) <= 1e-12 * abs(expected)
+        traces = {}
+        for seed in (0, 5):
+            synth_cfg = replace(DESK, noise_seed=seed)
+            _, traces[seed] = fi.fit(target, f0, cfg=cfg, synth_cfg=synth_cfg,
+                                     n_mels=16, ap_bands=4)
+            y0 = sy.synthesize_components(f0, sp, ap, synth_cfg)
+            expected = ls.msl(target, y0, cfg.msl).item()
+            assert abs(traces[seed][0] - expected) <= 1e-12 * abs(expected)
+        assert np.all(traces[0] != traces[5])
 
 
 class TestSmoothedTrace:

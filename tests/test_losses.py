@@ -36,6 +36,11 @@ class TestMsl:
         x = np.sin(2 * np.pi * 440 * np.arange(2048) / 22050.0)
         assert ls.msl(x, np.zeros(2048), ls.MslConfig(scales=2)).item() > 0.0
 
+    @pytest.mark.parametrize("log_floor", [0.0, -1.0])
+    def test_non_positive_log_floor_rejected(self, log_floor):
+        with pytest.raises(ValidationError, match="MslConfig.log_floor must be > 0"):
+            ls.MslConfig(log_floor=log_floor)
+
     def test_window_ladder(self):
         assert ls.MslConfig().window_sizes == (64, 128, 256, 512, 1024, 2048)
         assert ls.MslConfig(scales=2).window_sizes == (64, 128)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,17 @@ class TestConfig:
         with pytest.raises(ValidationError):
             sy.SynthConfig(fft_size=1024, hop=300)
 
+    @pytest.mark.parametrize("hop", [0, -4])
+    def test_hop_below_one_rejected(self, hop):
+        with pytest.raises(ValidationError, match="hop must be >= 1"):
+            sy.SynthConfig(fft_size=1024, hop=hop)
+
 
 class TestInterpolateF0:
+    def test_empty_contour_rejected(self):
+        with pytest.raises(ValidationError, match="at least one frame"):
+            sy.interpolate_f0(np.zeros(0), 16)
+
     def test_constant_voiced(self):
         freq, mask = sy.interpolate_f0(np.full(5, 220.0), 16)
         np.testing.assert_array_equal(freq, 220.0)
@@ -201,17 +212,18 @@ class TestHarmonicNoise:
 
     def test_noise_variance_near_unity(self):
         t = 87  # ~1 s
-        n = sy.synth_noise(np.ones((t, 513)), np.ones((t, 513)), CFG, seed=3).data
+        n = sy.synth_noise(np.ones((t, 513)), np.ones((t, 513)),
+                           replace(CFG, noise_seed=3)).data
         interior = n[1024:-1024]
         assert abs(np.var(interior) - 1.0) < 0.1
 
     def test_same_seed_bit_identical(self):
         sp = np.ones((8, 513))
         ap = np.full((8, 513), 0.7)
-        a = sy.synth_noise(sp, ap, CFG, seed=9).data
-        b = sy.synth_noise(sp, ap, CFG, seed=9).data
+        a = sy.synth_noise(sp, ap, replace(CFG, noise_seed=9)).data
+        b = sy.synth_noise(sp, ap, replace(CFG, noise_seed=9)).data
         np.testing.assert_array_equal(a, b)
-        c = sy.synth_noise(sp, ap, CFG, seed=10).data
+        c = sy.synth_noise(sp, ap, replace(CFG, noise_seed=10)).data
         assert np.any(c != a)
 
     def test_frame_mismatch_rejected(self):
@@ -253,16 +265,16 @@ class TestSynthesize:
         f0[10:14] = 0.0
         sp = rs.uniform(0.01, 2.0, size=(t, bins))
         ap = rs.uniform(0.0, 1.0, size=(t, bins))
-        y = sy.synthesize_components(f0, sp, ap, cfg, seed=5).data
+        y = sy.synthesize_components(f0, sp, ap, replace(cfg, noise_seed=5)).data
 
         # reference: each branch shaped and inverted on its own
         n_samples = t * cfg.hop
-        e_h = sy.pulse_train(*sy.interpolate_f0(f0, cfg.hop, n_samples), cfg)
+        e_h = sy.pulse_train(*sy.interpolate_f0(f0, cfg.hop), cfg)
         e_n = sy.noise_excitation(n_samples, 5)
         branches = []
         for excitation, gain in ((e_h, cfg.gain_harmonic * (1.0 - ap) * np.sqrt(sp)),
                                  (e_n, cfg.gain_noise * ap * np.sqrt(sp))):
-            spec = sy.stft(excitation, cfg.fft_size, cfg.hop, t).data
+            spec = sy.stft(excitation, cfg.fft_size, cfg.hop).data
             branches.append(sy.istft(spec * gain[:, None, :], cfg.fft_size,
                                      cfg.hop, n_samples).data)
         assert rel_l2(y, branches[0] + branches[1]) <= 1e-12
@@ -277,14 +289,14 @@ class TestSynthesize:
 
     def test_excitation_spectra_are_constants(self):
         feats = desk_features(t=10)
-        spec_h, spec_n = sy.excitation_spectra(feats.f0, DESK, seed=2)
+        spec_h, spec_n = sy.excitation_spectra(feats.f0, replace(DESK, noise_seed=2))
         assert spec_h.shape == spec_n.shape == (10, 2, DESK.fft_size // 2 + 1)
         # no gradient reaches a parameter from either spectrum
         assert dt.backward(dt.sum(spec_h)) == {}
         assert dt.backward(dt.sum(spec_n)) == {}
-        again = sy.excitation_spectra(feats.f0, DESK, seed=2)
+        again = sy.excitation_spectra(feats.f0, replace(DESK, noise_seed=2))
         np.testing.assert_array_equal(again[1].data, spec_n.data)
-        other = sy.excitation_spectra(feats.f0, DESK, seed=3)
+        other = sy.excitation_spectra(feats.f0, replace(DESK, noise_seed=3))
         assert np.any(other[1].data != spec_n.data)
 
     def test_gain_routing_noise_off(self):
