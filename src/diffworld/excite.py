@@ -46,18 +46,17 @@ def reconstruct(excitation, sp, cfg: SynthConfig, length: int) -> dt.Tensor:
 
 
 def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
-                       use_decompressed: bool = False,
-                       n_mels: int = melcodec.DEFAULT_N_MELS) -> dt.Tensor:
+                       use_decompressed: bool = False) -> dt.Tensor:
     """Replace the envelope of ``x``: ``istft(sqrt(sp_tgt / sp_src) * stft(x))``.
 
     Differentiable with respect to ``sp_tgt`` (pass it as a tensor, e.g. a
     decompressed log-mel representation).  ``use_decompressed`` routes both
-    envelopes through the mel codec first, trading exactness for the
-    compressed-domain behavior.
+    envelopes through the mel codec (``DEFAULT_N_MELS`` bands) first, trading
+    exactness for the compressed-domain behavior.
     """
     x = dt.as_tensor(x)
     if use_decompressed:
-        basis = melcodec.MelBasis.build(cfg.sample_rate, cfg.fft_size, n_mels)
+        basis = melcodec.MelBasis.build(cfg.sample_rate, cfg.fft_size)
         sp_src = melcodec.decompress_sp(
             melcodec.compress_sp(dt.as_tensor(sp_src), basis), basis)
         sp_tgt = melcodec.decompress_sp(

@@ -28,10 +28,14 @@ from . import tensor as dt
 from .errors import DiffworldError, ValidationError
 from .features import CompressedFeatures, Waveform
 from .losses import MslConfig, mse_features, msl, msl_target
-from .synth import FirPostFilter, SynthConfig, excitation_spectra, n_frames_for, render
+from .synth import (FirPostFilter, SynthConfig, check_clock, excitation_spectra,
+                    n_frames_for, render)
 # stages that excitation_spectra and render run for fit; perfbench's tracer
 # and its smoke test expect to find them bound in this module too
 from .synth import interpolate_f0, istft, noise_excitation, pulse_train, stft  # noqa: F401
+
+
+BETA1, BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and guard
 
 
 class FitDivergence(DiffworldError):
@@ -42,9 +46,6 @@ class FitDivergence(DiffworldError):
 class FitConfig:
     steps: int = 1000
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     alpha: float = 0.0          # weight of the feature loss against a reference
     msl: MslConfig = field(default_factory=MslConfig)
 
@@ -70,14 +71,14 @@ def adam_step(params: dict, grads: dict, state: AdamState,
               cfg: FitConfig) -> tuple[dict, AdamState]:
     """One bias-corrected Adam update; returns new params and state."""
     t = state.step + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     new_params, new_m, new_v = {}, {}, {}
     for key, value in params.items():
         g = grads[key]
-        m = cfg.beta1 * state.m.get(key, 0.0) + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v.get(key, 0.0) + (1.0 - cfg.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_epsilon)
+        m = BETA1 * state.m.get(key, 0.0) + (1.0 - BETA1) * g
+        v = BETA2 * state.v.get(key, 0.0) + (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
         new_params[key] = value - cfg.learning_rate * update
         new_m[key], new_v[key] = m, v
     return new_params, AdamState(step=t, m=new_m, v=new_v)
@@ -133,7 +134,8 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     ``f0`` is the oracle pitch contour, one value per frame of the target
     (``n_frames_for(len(target), hop)``).  Returns the fitted features and
     the per-step loss trace.  If ``fir`` is given its free taps are
-    optimized jointly and updated in place.
+    optimized jointly and updated in place.  ``init`` and ``reference``
+    must share the synth config's clock and ``f0``'s frame count.
     """
     if isinstance(target, Waveform):
         if synth_cfg is None:
@@ -158,6 +160,12 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
             f"at hop {hop} (expected ({n_frames - 1} * hop, {n_frames} * hop])")
     if target.shape[0] < n_samples:
         target = np.concatenate([target, np.zeros(n_samples - target.shape[0])])
+    for name, feats in (("init", init), ("reference", reference)):
+        if feats is not None:
+            check_clock(name, feats, synth_cfg)
+            if feats.n_frames != n_frames:
+                raise ValidationError(
+                    f"{name} has {feats.n_frames} frames but f0 has {n_frames}")
 
     if init is not None:
         n_mels, ap_bands = init.n_mels, init.ap_bands
@@ -185,8 +193,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
         ap = melcodec.decompress_ap(dt.sigmoid(z_t), n_bins)
         y = render(spec_h, spec_n, sp, ap, synth_cfg)
         if fir is not None:
-            y = dt.add(dt.mul(synth_cfg.gain_dry, y),
-                       dt.mul(synth_cfg.gain_fir, fir.apply(y, leaves["fir_free"])))
+            y = fir.apply(y, synth_cfg, leaves["fir_free"])
         loss = msl(target_spec, y, cfg.msl)
         if reference is not None and cfg.alpha != 0.0:
             feat_loss = dt.add(mse_features(reference.log_mel, s_t),

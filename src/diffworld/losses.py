@@ -17,7 +17,10 @@ from typing import NamedTuple
 
 from . import tensor as dt
 from .errors import ValidationError
+from .features import MAX_FFT_SIZE
 from .synth import stft
+
+MAX_SCALES = MAX_FFT_SIZE.bit_length() - 6  # the largest window 2**(5 + s) fits
 
 
 @dataclass(frozen=True)
@@ -27,8 +30,9 @@ class MslConfig:
     log_floor: float = 1e-7
 
     def __post_init__(self):
-        if self.scales < 1:
-            raise ValidationError("need at least one spectrogram scale")
+        if not 1 <= self.scales <= MAX_SCALES:
+            raise ValidationError(f"scales must be in [1, {MAX_SCALES}] (window "
+                                  f"2**(5 + scales) <= {MAX_FFT_SIZE}), got {self.scales}")
         if not self.log_floor > 0:
             raise ValidationError(f"MslConfig.log_floor must be > 0, got {self.log_floor}")
 

@@ -146,10 +146,9 @@ def decompress_ap(a, n_bins: int) -> dt.Tensor:
 # ---------------------------------------------------------------------------
 
 def compress(feats: WorldFeatures, n_mels: int = DEFAULT_N_MELS,
-             ap_bands: int = DEFAULT_AP_BANDS,
-             epsilon: float = DEFAULT_EPSILON) -> CompressedFeatures:
+             ap_bands: int = DEFAULT_AP_BANDS) -> CompressedFeatures:
     feats = validate_features(feats)
-    basis = MelBasis.build(feats.sample_rate, feats.fft_size, n_mels, epsilon)
+    basis = MelBasis.build(feats.sample_rate, feats.fft_size, n_mels)
     return CompressedFeatures(
         f0=feats.f0,
         log_mel=compress_sp(feats.sp, basis).data,
@@ -157,10 +156,9 @@ def compress(feats: WorldFeatures, n_mels: int = DEFAULT_N_MELS,
         sample_rate=feats.sample_rate, hop=feats.hop, fft_size=feats.fft_size)
 
 
-def decompress(feats: CompressedFeatures,
-               epsilon: float = DEFAULT_EPSILON) -> WorldFeatures:
+def decompress(feats: CompressedFeatures) -> WorldFeatures:
     feats = validate_features(feats)
-    basis = MelBasis.build(feats.sample_rate, feats.fft_size, feats.n_mels, epsilon)
+    basis = MelBasis.build(feats.sample_rate, feats.fft_size, feats.n_mels)
     ap = decompress_ap(feats.coded_ap, feats.fft_size // 2 + 1).data
     ap = np.clip(ap, 0.0, 1.0)  # guard float crumbs at the 0/1 endpoints
     ap[feats.f0 == 0, :] = 1.0

@@ -15,9 +15,9 @@ per step) computes them once.  :func:`render` mixes the two shaped spectra,
 domain and runs a single inverse STFT; the inverse is linear, so this equals
 the sum of two separately inverted branches up to rounding.
 
-An optional trainable causal FIR (zero leading tap) and a pluggable residual
-post-processor can refine the raw output; gains for every stage are
-user-settable and default to one.
+Two optional stages refine the raw output ``y``: a pluggable residual
+post-processor, ``y + postnet(y)``, and then a trainable causal FIR with a
+zero leading tap, ``gain_dry * y + gain_fir * fir(y)``.
 """
 
 from __future__ import annotations
@@ -30,30 +30,30 @@ import numpy as np
 from . import melcodec
 from . import tensor as dt
 from .errors import ValidationError
-from .features import CompressedFeatures, Waveform, WorldFeatures
+from .features import MAX_FFT_SIZE, CompressedFeatures, Waveform, WorldFeatures
 
 _OSC_BLOCK = 1 << 20  # cap the (harmonics x samples) workspace per block
+
+F_MIN = 71.0  # Hz, the lowest fundamental the harmonic bank must span
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Synthesizer constants; defaults target 22.05 kHz speech/singing."""
+    """Clock, stage gains and noise seed; defaults target 22.05 kHz speech/singing."""
 
     sample_rate: int = 22050
     fft_size: int = 1024
     hop: int | None = None            # defaults to fft_size // 4
-    f_min: float = 71.0               # lowest fundamental the bank must span
-    harmonic_count: int | None = None  # defaults to floor(nyquist / f_min)
     gain_harmonic: float = 1.0
     gain_noise: float = 1.0
-    gain_post_dry: float = 1.0        # dry path into the residual post stage
-    gain_post_wet: float = 1.0        # residual post-processor output
     gain_dry: float = 1.0             # dry path around the FIR
     gain_fir: float = 1.0             # FIR output
     noise_seed: int = 0
-    pulse_norm: str = "unit-pulse-energy"  # or "unit-amplitude"
 
     def __post_init__(self):
+        if not 1 <= self.fft_size <= MAX_FFT_SIZE:
+            raise ValidationError(
+                f"fft_size must be in [1, {MAX_FFT_SIZE}], got {self.fft_size}")
         if self.hop is None:
             object.__setattr__(self, "hop", self.fft_size // 4)
         if self.hop < 1:
@@ -61,11 +61,11 @@ class SynthConfig:
         if self.fft_size % self.hop != 0:
             raise ValidationError(
                 f"hop {self.hop} must divide fft_size {self.fft_size}")
-        if self.harmonic_count is None:
-            object.__setattr__(self, "harmonic_count",
-                               int((self.sample_rate / 2.0) / self.f_min))
-        if self.pulse_norm not in ("unit-pulse-energy", "unit-amplitude"):
-            raise ValidationError(f"unknown pulse_norm {self.pulse_norm!r}")
+
+    @property
+    def harmonic_count(self) -> int:
+        """Size of the harmonic bank: ``floor(nyquist / F_MIN)``."""
+        return int(self.sample_rate / 2.0 / F_MIN)
 
     @classmethod
     def for_features(cls, feats, **overrides) -> "SynthConfig":
@@ -93,17 +93,26 @@ class FirPostFilter:
             self.free = np.zeros(int(length) - 1)
 
     @property
-    def length(self) -> int:
-        return self.free.shape[0] + 1
-
-    @property
     def taps(self) -> np.ndarray:
         return np.concatenate(([0.0], self.free))
 
-    def apply(self, signal, free_taps=None) -> dt.Tensor:
-        """Convolve ``signal`` with the taps; differentiable in both."""
-        taps = dt.as_tensor(self.free if free_taps is None else free_taps)
-        return dt.causal_fir(dt.delay(dt.as_tensor(signal), 1), taps)
+    def apply(self, y, cfg: SynthConfig, free_taps=None) -> dt.Tensor:
+        """The FIR stage, ``gain_dry * y + gain_fir * fir(y)``.
+
+        Differentiable in ``y`` and in ``free_taps``, which stands in for
+        ``self.free`` (a tracked tensor when the taps are being fitted).
+        """
+        taps = self.free if free_taps is None else free_taps
+        dry = dt.mul(cfg.gain_dry, y)
+        return dt.add(dry, dt.mul(cfg.gain_fir, dt.causal_fir(dt.delay(y, 1), taps)))
+
+
+def check_clock(name: str, feats, cfg: SynthConfig) -> None:
+    """Raise unless ``feats`` runs on ``cfg``'s sample rate, fft size and hop."""
+    got, want = ((x.sample_rate, x.fft_size, x.hop) for x in (feats, cfg))
+    if got != want:
+        raise ValidationError(f"{name} metadata (rate/fft/hop) {got} does not match "
+                              f"the synth config's {want}; resampling is out of scope")
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,9 @@ def interpolate_f0(f0: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
     f0 = np.asarray(f0, dtype=np.float64)
     if f0.ndim != 1 or f0.shape[0] == 0:
         raise ValidationError("f0 must be 1-D with at least one frame")
+    bad = np.flatnonzero(~np.isfinite(f0))
+    if bad.size:
+        raise ValidationError(f"f0 is not finite at frame {bad[0]}: {f0[bad[0]]}")
     if np.any(f0 < 0):
         raise ValidationError("f0 must be non-negative")
     n_frames = f0.shape[0]
@@ -164,13 +176,9 @@ def pulse_train(f0_audio: np.ndarray, mask: np.ndarray, cfg: SynthConfig) -> np.
                             np.ceil(nyquist / np.maximum(f0_audio, 1e-12)) - 1.0,
                             0.0)
     k_active = np.clip(k_active, 0, cfg.harmonic_count)
-    if cfg.pulse_norm == "unit-pulse-energy":
-        amp = np.where(k_active > 0,
-                       np.sqrt(2.0 * f0_audio / (np.maximum(k_active, 1.0) * fs)),
-                       0.0)
-    else:
-        amp = (k_active > 0).astype(np.float64)
-    amp = amp * mask
+    amp = np.where(k_active > 0,
+                   np.sqrt(2.0 * f0_audio / (np.maximum(k_active, 1.0) * fs)),
+                   0.0) * mask
 
     out = np.zeros(n)
     for start in range(0, n, max(_OSC_BLOCK // max(cfg.harmonic_count, 1), 1)):
@@ -341,17 +349,15 @@ def synthesize(feats, cfg: SynthConfig | None = None,
     """Synthesize audio from raw or compressed features.
 
     Compressed inputs are decompressed through the mel/aperiodicity codec
-    first.  ``postnet`` is an audio-in/audio-out residual processor built
-    from tensor ops (gradients pass through); ``fir`` appends the trainable
-    causal filter stage.  Each post stage engages only when supplied.
+    first.  ``postnet`` is an audio-in/audio-out processor built from tensor
+    ops (gradients pass through) whose output is added to its input,
+    ``y + postnet(y)``; ``fir`` then appends the trainable causal filter
+    stage (:meth:`FirPostFilter.apply`).  Each post stage engages only when
+    supplied.
     """
     if cfg is None:
         cfg = SynthConfig.for_features(feats)
-    elif (cfg.sample_rate, cfg.fft_size, cfg.hop) != \
-            (feats.sample_rate, feats.fft_size, feats.hop):
-        raise ValidationError(
-            "feature metadata (rate/fft/hop) does not match the synth config; "
-            "resampling features is out of scope")
+    check_clock("feats", feats, cfg)
     if isinstance(feats, CompressedFeatures):
         feats = melcodec.decompress(feats)
     elif not isinstance(feats, WorldFeatures):
@@ -359,10 +365,9 @@ def synthesize(feats, cfg: SynthConfig | None = None,
 
     y = synthesize_components(feats.f0, feats.sp, feats.ap, cfg)
     if postnet is not None:
-        y = dt.add(dt.mul(cfg.gain_post_dry, y),
-                   dt.mul(cfg.gain_post_wet, postnet(y)))
+        y = dt.add(y, postnet(y))
     if fir is not None:
-        y = dt.add(dt.mul(cfg.gain_dry, y), dt.mul(cfg.gain_fir, fir.apply(y)))
+        y = fir.apply(y, cfg)
     return y
 
 

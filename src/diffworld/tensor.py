@@ -85,80 +85,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({self.data!r}{flag})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, other):
-        return pow(self, other)
-
-    def __rpow__(self, other):
-        return pow(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- method sugar ----------------------------------------------------
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def log10(self):
-        return log10(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return abs(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def clamp_min(self, floor):
-        return clamp_min(self, floor)
-
-    def clamp(self, lo, hi):
-        return clamp(self, lo, hi)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def backward(self) -> dict["Tensor", np.ndarray]:
-        return backward(self)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap array-likes as constant tensors; pass tensors through."""

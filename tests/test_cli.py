@@ -324,6 +324,18 @@ class TestLossAndSpectrogram:
         write_wav(pb, Waveform(np.zeros(4001), SR))
         assert cli.main(["loss", str(pa), str(pb)]) == cli.EXIT_VALIDATION
 
+    def test_loss_scales_beyond_largest_transform_rejected(self, tmp_path, capsys):
+        p = tmp_path / "x.wav"
+        write_wav(p, Waveform(np.zeros(SR // 2), SR))
+        assert cli.main(["loss", str(p), str(p), "--scales", "12"]) == cli.EXIT_VALIDATION
+        assert "scales must be in [1, 11]" in capsys.readouterr().err
+
+    def test_spectrogram_fft_size_beyond_largest_transform_rejected(self, tmp_path):
+        p = tmp_path / "x.wav"
+        write_wav(p, Waveform(np.zeros(SR // 2), SR))
+        assert cli.main(["spectrogram", str(p), "-o", str(tmp_path / "s.csv"),
+                         "--fft-size", str(1 << 17)]) == cli.EXIT_VALIDATION
+
     def test_spectrogram_csv_dimensions(self, tmp_path):
         x = 0.3 * np.sin(2 * np.pi * 700 * np.arange(2 * SR) / SR)
         p = tmp_path / "x.wav"

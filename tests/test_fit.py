@@ -9,7 +9,7 @@ from diffworld import melcodec as mc
 from diffworld import synth as sy
 from diffworld import tensor as dt
 from diffworld.errors import ValidationError
-from diffworld.features import WorldFeatures
+from diffworld.features import CompressedFeatures, WorldFeatures
 from diffworld.losses import MslConfig
 from helpers import two_formant_envelope
 
@@ -52,8 +52,7 @@ class TestAdamStep:
         rs = np.random.default_rng(1)
         w = rs.normal(size=5)
         g1, g2 = rs.normal(size=5), rs.normal(size=5)
-        cfg = fi.FitConfig(learning_rate=0.07, beta1=0.9, beta2=0.999,
-                           adam_epsilon=1e-8)
+        cfg = fi.FitConfig(learning_rate=0.07)
 
         params, state = fi.adam_step({"w": w.copy()}, {"w": g1},
                                      fi.AdamState.fresh(), cfg)
@@ -173,6 +172,31 @@ class TestFit:
                                n_mels=16, ap_bands=4)
         assert fitted.sample_rate == DESK.sample_rate
         assert trace.shape == (2,)
+
+    @pytest.mark.parametrize("name", ["init", "reference"])
+    def test_features_on_another_clock_rejected(self, name):
+        target, f0 = desk_problem(t=40)
+        cfg = fi.FitConfig(steps=1, msl=MslConfig(scales=1))
+        feats = CompressedFeatures(f0=f0, log_mel=np.zeros((40, 16)),
+                                   coded_ap=np.full((40, 4), 0.5),
+                                   sample_rate=DESK.sample_rate, hop=DESK.hop,
+                                   fft_size=DESK.fft_size)
+        other = replace(feats, sample_rate=16000, hop=8, fft_size=32)
+        with pytest.raises(ValidationError, match=f"{name} metadata"):
+            fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, **{name: other})
+        short = replace(feats, f0=f0[:39], log_mel=feats.log_mel[:39],
+                        coded_ap=feats.coded_ap[:39])
+        with pytest.raises(ValidationError, match=f"{name} has 39 frames but f0 has 40"):
+            fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, **{name: short})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_f0_rejected_naming_the_frame(self, bad):
+        target, f0 = desk_problem(t=40)
+        f0 = f0.copy()
+        f0[2] = bad
+        with pytest.raises(ValidationError, match="f0 is not finite at frame 2"):
+            fi.fit(target, f0, cfg=fi.FitConfig(steps=1, msl=MslConfig(scales=1)),
+                   synth_cfg=DESK, n_mels=16, ap_bands=4)
 
     def test_divergence_aborts_with_step_index(self):
         target, f0 = desk_problem(t=40)

@@ -44,6 +44,12 @@ class TestMsl:
     def test_window_ladder(self):
         assert ls.MslConfig().window_sizes == (64, 128, 256, 512, 1024, 2048)
         assert ls.MslConfig(scales=2).window_sizes == (64, 128)
+        assert ls.MslConfig(scales=11).window_sizes[-1] == 65536
+
+    @pytest.mark.parametrize("scales", [0, 12])
+    def test_scales_outside_transform_range_rejected(self, scales):
+        with pytest.raises(ValidationError, match=r"scales must be in \[1, 11\]"):
+            ls.MslConfig(scales=scales)
 
     def test_single_scale_matches_hand_computation(self):
         x = np.sin(2 * np.pi * 1000 * np.arange(256) / 8000.0)
