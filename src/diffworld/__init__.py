@@ -14,13 +14,12 @@ from .fit import (AdamState, FitConfig, FitDivergence, adam_step,
                   smoothed_trace)
 from .losses import (MslConfig, downsample_audio, feature_matching,
                      hinge_discriminator, hinge_generator, mse_features, msl,
-                     msl_target, nll_loss)
+                     msl_target)
 from .melcodec import (MelBasis, compress, compress_ap, compress_sp,
                        decompress, decompress_ap, decompress_sp)
 from .synth import (FirPostFilter, SynthConfig, excitation_spectra,
-                    interpolate_f0, istft, oracle_target, pulse_train, render,
-                    stft, synth_harmonic, synth_noise, synthesize,
-                    synthesize_components)
+                    interpolate_f0, istft, pulse_train, render, stft,
+                    synthesize, synthesize_components)
 from .excite import extract_excitation, reconstruct, transform_formants
 from .tensor import Tensor, backward
 
@@ -35,9 +34,9 @@ __all__ = [
     "decompress_ap", "decompress_sp", "downsample_audio",
     "excitation_spectra", "extract_excitation", "feature_matching",
     "hinge_discriminator", "hinge_generator",
-    "interpolate_f0", "istft", "mse_features", "msl", "msl_target", "nll_loss",
-    "oracle_target", "pulse_train", "read_features", "read_wav", "reconstruct",
-    "render", "smoothed_trace", "stft", "synth_harmonic", "synth_noise",
-    "synthesize", "synthesize_components", "transform_formants",
+    "interpolate_f0", "istft", "mse_features", "msl", "msl_target",
+    "pulse_train", "read_features", "read_wav", "reconstruct", "render",
+    "smoothed_trace", "stft", "synthesize", "synthesize_components",
+    "transform_formants",
     "validate_features", "write_features", "write_wav",
 ]

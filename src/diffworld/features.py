@@ -96,6 +96,17 @@ def _first_bad(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
+def check_f0(f0: np.ndarray) -> None:
+    """Raise unless a 1-D f0 contour is finite and non-negative, naming the
+    first bad frame; a non-finite value is reported before a negative one."""
+    bad = np.flatnonzero(~np.isfinite(f0))
+    if bad.size:
+        raise ValidationError(f"f0 is not finite at frame {bad[0]}: {f0[bad[0]]}")
+    bad = np.flatnonzero(f0 < 0)
+    if bad.size:
+        raise ValidationError(f"f0 is negative at frame {bad[0]}: {f0[bad[0]]}")
+
+
 def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
     f0 = np.ascontiguousarray(feats.f0, dtype=np.float64)
     sp = np.ascontiguousarray(feats.sp, dtype=np.float64)
@@ -111,12 +122,11 @@ def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
         raise ValidationError(
             f"expected {bins} bins for fft_size {feats.fft_size}, "
             f"got sp {sp.shape[1]}, ap {ap.shape[1]}")
-    for name, arr in (("f0", f0), ("sp", sp), ("ap", ap)):
+    check_f0(f0)
+    for name, arr in (("sp", sp), ("ap", ap)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} contains a non-finite value at "
                                   f"{_first_bad(~np.isfinite(arr))}")
-    if np.any(f0 < 0):
-        raise ValidationError(f"f0 is negative at frame {_first_bad(f0 < 0)[0]}")
     if np.any(sp < 0):
         frame, bin_ = _first_bad(sp < 0)
         raise ValidationError(f"sp is negative at frame {frame}, bin {bin_}")
@@ -144,12 +154,11 @@ def _validated_compressed(feats: CompressedFeatures) -> CompressedFeatures:
         raise ValidationError(
             f"frame counts differ: f0 has {t}, log_mel has {s.shape[0]}, "
             f"coded_ap has {a.shape[0]}")
-    for name, arr in (("f0", f0), ("log_mel", s), ("coded_ap", a)):
+    check_f0(f0)
+    for name, arr in (("log_mel", s), ("coded_ap", a)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} contains a non-finite value at "
                                   f"{_first_bad(~np.isfinite(arr))}")
-    if np.any(f0 < 0):
-        raise ValidationError(f"f0 is negative at frame {_first_bad(f0 < 0)[0]}")
     bad = (a < 0) | (a > 1)
     if np.any(bad):
         frame, band = _first_bad(bad)
@@ -193,7 +202,7 @@ def write_features(path, feats) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_features(path, expect_sample_rate: int | None = None):
+def read_features(path):
     """Read a WFEAT file, returning validated raw or compressed features."""
     path = Path(path)
     try:
@@ -208,10 +217,6 @@ def read_features(path, expect_sample_rate: int | None = None):
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != WFEAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if expect_sample_rate is not None and sample_rate != expect_sample_rate:
-        raise ValidationError(
-            f"{path}: sample rate {sample_rate} does not match expected "
-            f"{expect_sample_rate}")
     if kind == KIND_RAW:
         bins = fft_size // 2 + 1
         if m_or_bins != bins:

@@ -135,13 +135,6 @@ def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
     return total
 
 
-def nll_loss(feats_x, feats_y, audio_x, audio_y, alpha: float = 1.0,
-             beta: float = 1.0, cfg: MslConfig = MslConfig()) -> dt.Tensor:
-    """Weighted sum of the feature MSE and the multi-spectrogram loss."""
-    return dt.add(dt.mul(alpha, mse_features(feats_x, feats_y)),
-                  dt.mul(beta, msl(audio_x, audio_y, cfg)))
-
-
 # ---------------------------------------------------------------------------
 # adversarial loss algebra (scores and feature maps supplied by the caller)
 # ---------------------------------------------------------------------------

@@ -42,9 +42,6 @@ class MelBasis:
     weights: np.ndarray       # (n_mels, n_bins), rows sum to 1
     pinv: np.ndarray          # (n_bins, n_mels), = max(pinv(weights), 0)
     epsilon: float
-    band_edges_hz: np.ndarray  # (n_mels + 2,)
-    sample_rate: int
-    fft_size: int
 
     @property
     def n_mels(self) -> int:
@@ -84,8 +81,7 @@ class MelBasis:
         # floored rather than amplified.
         flat_gain = pinv @ (weights @ np.ones(n_bins))
         pinv /= np.maximum(flat_gain, 0.5)[:, None]
-        return cls(weights=weights, pinv=pinv, epsilon=float(epsilon),
-                   band_edges_hz=edges_hz, sample_rate=sample_rate, fft_size=fft_size)
+        return cls(weights=weights, pinv=pinv, epsilon=float(epsilon))
 
 
 def compress_sp(sp, basis: MelBasis) -> dt.Tensor:

@@ -22,7 +22,7 @@ zero leading tap, ``gain_dry * y + gain_fir * fir(y)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import melcodec
 from . import tensor as dt
 from .errors import ValidationError
-from .features import MAX_FFT_SIZE, CompressedFeatures, Waveform, WorldFeatures
+from .features import MAX_FFT_SIZE, CompressedFeatures, check_f0, validate_features
 
 _OSC_BLOCK = 1 << 20  # cap the (harmonics x samples) workspace per block
 
@@ -132,11 +132,7 @@ def interpolate_f0(f0: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
     f0 = np.asarray(f0, dtype=np.float64)
     if f0.ndim != 1 or f0.shape[0] == 0:
         raise ValidationError("f0 must be 1-D with at least one frame")
-    bad = np.flatnonzero(~np.isfinite(f0))
-    if bad.size:
-        raise ValidationError(f"f0 is not finite at frame {bad[0]}: {f0[bad[0]]}")
-    if np.any(f0 < 0):
-        raise ValidationError("f0 must be non-negative")
+    check_f0(f0)
     n_frames = f0.shape[0]
     t = np.arange(n_frames * hop)
     left = np.minimum(t // hop, n_frames - 1)
@@ -266,28 +262,6 @@ def _spectral_shape(spec: dt.Tensor, gain) -> dt.Tensor:
     return dt.mul(spec, dt.reshape(gain, (t, 1, bins)))
 
 
-def synth_harmonic(e_h, sp, ap, cfg: SynthConfig) -> dt.Tensor:
-    """Filter the pulse train by ``(1 - ap) * sqrt(sp)`` in the STFT domain."""
-    e_h = dt.as_tensor(e_h)
-    sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
-    _check_feature_frames("sp", sp, e_h.shape[0], cfg.hop)
-    _check_feature_frames("ap", ap, e_h.shape[0], cfg.hop)
-    gain = dt.mul(dt.sub(1.0, ap), dt.sqrt(sp))
-    spec = _spectral_shape(stft(e_h, cfg.fft_size, cfg.hop), gain)
-    return istft(spec, cfg.fft_size, cfg.hop, e_h.shape[0])
-
-
-def synth_noise(sp, ap, cfg: SynthConfig) -> dt.Tensor:
-    """Shape ``cfg.noise_seed``'s white noise by ``ap * sqrt(sp)`` in the STFT domain."""
-    sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
-    n_samples = sp.shape[0] * cfg.hop
-    _check_feature_frames("ap", ap, n_samples, cfg.hop)
-    e_n = noise_excitation(n_samples, cfg.noise_seed)
-    gain = dt.mul(ap, dt.sqrt(sp))
-    spec = _spectral_shape(stft(e_n, cfg.fft_size, cfg.hop), gain)
-    return istft(spec, cfg.fft_size, cfg.hop, n_samples)
-
-
 # ---------------------------------------------------------------------------
 # full synthesis
 # ---------------------------------------------------------------------------
@@ -348,20 +322,22 @@ def synthesize(feats, cfg: SynthConfig | None = None,
                postnet: Callable[[dt.Tensor], dt.Tensor] | None = None) -> dt.Tensor:
     """Synthesize audio from raw or compressed features.
 
-    Compressed inputs are decompressed through the mel/aperiodicity codec
-    first.  ``postnet`` is an audio-in/audio-out processor built from tensor
-    ops (gradients pass through) whose output is added to its input,
-    ``y + postnet(y)``; ``fir`` then appends the trainable causal filter
-    stage (:meth:`FirPostFilter.apply`).  Each post stage engages only when
+    Both kinds pass through :func:`~diffworld.features.validate_features`
+    first, as features read from a file do, so unvoiced frames of raw
+    features get ``ap`` forced to 1; compressed inputs are then
+    decompressed through the mel/aperiodicity codec.  ``postnet`` is an
+    audio-in/audio-out processor built from tensor ops (gradients pass
+    through) whose output is added to its input, ``y + postnet(y)``;
+    ``fir`` then appends the trainable causal filter stage
+    (:meth:`FirPostFilter.apply`).  Each post stage engages only when
     supplied.
     """
+    feats = validate_features(feats)
     if cfg is None:
         cfg = SynthConfig.for_features(feats)
     check_clock("feats", feats, cfg)
     if isinstance(feats, CompressedFeatures):
         feats = melcodec.decompress(feats)
-    elif not isinstance(feats, WorldFeatures):
-        raise TypeError(f"cannot synthesize from {type(feats).__name__}")
 
     y = synthesize_components(feats.f0, feats.sp, feats.ap, cfg)
     if postnet is not None:
@@ -369,18 +345,3 @@ def synthesize(feats, cfg: SynthConfig | None = None,
     if fir is not None:
         y = fir.apply(y, cfg)
     return y
-
-
-def oracle_target(feats: WorldFeatures, cfg: SynthConfig | None = None) -> Waveform:
-    """Deterministic baseline synthesis used as a training target.
-
-    Unit gains, fixed seed, no post stages: the output lives on the manifold
-    of signals the baseline synthesizer can produce.
-    """
-    if not isinstance(feats, WorldFeatures):
-        raise TypeError("oracle targets are synthesized from raw features")
-    if cfg is None:
-        cfg = SynthConfig.for_features(feats)
-    cfg = replace(cfg, gain_harmonic=1.0, gain_noise=1.0)
-    y = synthesize(feats, cfg)
-    return Waveform(samples=y.data, sample_rate=cfg.sample_rate)

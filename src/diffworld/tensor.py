@@ -51,7 +51,7 @@ class Tensor:
     tensor; untracked tensors are plain array wrappers and own no graph.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked", "_node")
+    __slots__ = ("data", "requires_grad", "_tracked", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
@@ -60,7 +60,6 @@ class Tensor:
             dtype = np.float64
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._tracked = self.requires_grad
         # (creation sequence number, inputs, backward_fn) of the op that
         # produced this tensor, or _CONSUMED after backward visited it
@@ -606,8 +605,8 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     node's gradient is complete when it is visited, and consumes them: each
     node drops its inputs and backward function, which frees the graph's
     intermediates.  Returns a map from every gradient-requiring tensor
-    reached to its gradient (also accumulated into ``tensor.grad``);
-    tensors that never joined the graph do not appear in the map.  Raises
+    reached to its gradient, the one place a gradient is read; tensors that
+    never joined the graph do not appear in the map.  Raises
     ``ValidationError`` if the loss reaches a node that an earlier
     ``backward`` consumed.
     """
@@ -634,9 +633,5 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
                 grads[tensor] = grad
                 if tensor.requires_grad:
                     leaves.append(tensor)
-    result: dict[Tensor, np.ndarray] = {}
-    for tensor in leaves:
-        grad = np.asarray(grads[tensor], dtype=tensor.data.dtype).reshape(tensor.shape)
-        result[tensor] = grad
-        tensor.grad = grad if tensor.grad is None else tensor.grad + grad
-    return result
+    return {tensor: np.asarray(grads[tensor], dtype=tensor.data.dtype).reshape(tensor.shape)
+            for tensor in leaves}

@@ -1,0 +1,76 @@
+"""The public surface, checked with the standard library's ``ast``.
+
+``diffworld.__all__`` names only what resolves, once each; names that
+restated another path stay deleted; and no library module keeps an import
+it never uses (a line marked ``# noqa: F401`` is exempt).
+"""
+
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
+import pytest
+
+import diffworld
+from diffworld import features, losses, melcodec, synth, tensor
+
+PACKAGE = Path(diffworld.__file__).parent
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("diffworld/__init__.py defines no __all__")
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(bound.items())
+            if name not in used]
+
+
+def test_every_export_resolves_once():
+    names = exported_names()
+    assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+    assert [n for n in names if not hasattr(diffworld, n)] == []
+
+
+@pytest.mark.parametrize("module, name", [
+    (synth, "synth_harmonic"), (synth, "synth_noise"), (synth, "oracle_target"),
+    (losses, "nll_loss"),
+])
+def test_deleted_names_stay_deleted(module, name):
+    assert not hasattr(module, name)
+    assert name not in diffworld.__all__
+
+
+def test_one_way_to_read_a_gradient_and_no_unread_fields():
+    assert "grad" not in tensor.Tensor.__slots__
+    assert [f.name for f in dataclasses.fields(melcodec.MelBasis)] == \
+        ["weights", "pinv", "epsilon"]
+    assert list(inspect.signature(features.read_features).parameters) == ["path"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -113,11 +113,16 @@ class TestWfeat:
         with pytest.raises(FormatError, match="kind"):
             ft.read_features(path)
 
-    def test_sample_rate_expectation(self, tmp_path):
-        path = tmp_path / "raw.wfeat"
-        ft.write_features(path, make_raw())
-        with pytest.raises(ValidationError, match="sample rate"):
-            ft.read_features(path, expect_sample_rate=44100)
+    @pytest.mark.parametrize("value, message", [
+        (-1.0, r"f0 is negative at frame 3: -1\.0"),
+        (np.nan, r"f0 is not finite at frame 3: nan"),
+    ])
+    def test_f0_rule_shared_by_both_kinds(self, value, message):
+        for feats in (make_raw(), make_compressed()):
+            f0 = feats.f0.copy()
+            f0[3] = value
+            with pytest.raises(ValidationError, match=message):
+                ft.validate_features(replace(feats, f0=f0))
 
     def test_negative_sp_rejected(self, tmp_path):
         feats = make_raw()

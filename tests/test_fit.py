@@ -149,11 +149,17 @@ class TestFit:
             target, f0, cfg=fi.FitConfig(steps=1, learning_rate=0.0,
                                          msl=MslConfig(scales=1)),
             synth_cfg=DESK, n_mels=16, ap_bands=4)[0]), n_mels=16, ap_bands=4)
-        cfg = fi.FitConfig(steps=10, learning_rate=0.02, alpha=5.0,
-                           msl=MslConfig(scales=2))
-        fitted, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK,
-                               n_mels=16, ap_bands=4, reference=reference)
-        assert np.all(np.isfinite(trace))
+
+        def feature_mse(alpha):
+            cfg = fi.FitConfig(steps=10, learning_rate=0.02, alpha=alpha,
+                               msl=MslConfig(scales=2))
+            fitted, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK,
+                                   n_mels=16, ap_bands=4, reference=reference)
+            assert np.all(np.isfinite(trace))
+            return (ls.mse_features(reference.log_mel, fitted.log_mel).item()
+                    + ls.mse_features(reference.coded_ap, fitted.coded_ap).item())
+
+        assert feature_mse(5.0) < feature_mse(0.0)
 
     def test_waveform_input_checks_sample_rate(self):
         from diffworld.features import Waveform

@@ -116,20 +116,6 @@ class TestMslTarget:
             ls.scale_loss(ls.scale_target(x, 64), x, 128)
 
 
-class TestNll:
-    def test_reduces_to_parts(self):
-        rs = np.random.default_rng(5)
-        fx, fy = rs.normal(size=(3, 4)), rs.normal(size=(3, 4))
-        ax, ay = rs.normal(size=300), rs.normal(size=300)
-        cfg = ls.MslConfig(scales=2)
-        mse = ls.mse_features(fx, fy).item()
-        spectral = ls.msl(ax, ay, cfg).item()
-        assert abs(ls.nll_loss(fx, fy, ax, ay, 1.0, 0.0, cfg).item() - mse) < 1e-12
-        assert abs(ls.nll_loss(fx, fy, ax, ay, 0.0, 1.0, cfg).item() - spectral) < 1e-12
-        assert abs(ls.nll_loss(fx, fy, ax, ay, 1.0, 1.0, cfg).item()
-                   - (mse + spectral)) < 1e-12
-
-
 class TestHingeGenerator:
     def test_zero_scores(self):
         assert ls.hinge_generator([np.zeros(8), np.zeros(8)]).item() == 0.0

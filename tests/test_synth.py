@@ -6,7 +6,7 @@ import pytest
 from diffworld import synth as sy
 from diffworld import tensor as dt
 from diffworld.errors import ValidationError
-from diffworld.features import WorldFeatures
+from diffworld.features import WorldFeatures, read_features, write_features
 from helpers import rel_l2, two_formant_envelope
 
 CFG = sy.SynthConfig()                      # 22050 / 1024 / 256
@@ -45,6 +45,13 @@ class TestInterpolateF0:
         f0[2] = bad
         f0[5] = -bad  # a later, negative value must not mask the first frame
         with pytest.raises(ValidationError, match="f0 is not finite at frame 2"):
+            sy.synthesize_components(f0, feats.sp, feats.ap, DESK)
+
+    def test_negative_f0_rejected_naming_the_frame(self):
+        feats = desk_features()
+        f0 = feats.f0.copy()
+        f0[3] = -1.0
+        with pytest.raises(ValidationError, match=r"f0 is negative at frame 3: -1\.0"):
             sy.synthesize_components(f0, feats.sp, feats.ap, DESK)
 
     def test_constant_voiced(self):
@@ -185,17 +192,29 @@ def desk_features(t=8, voiced=True, seed=0):
                          hop=DESK.hop, fft_size=DESK.fft_size)
 
 
+def harmonic_branch(e_h, sp, ap, cfg):
+    """``render``'s harmonic branch alone: excitation ``e_h``, noise gain 0."""
+    spec_h = sy.stft(e_h, cfg.fft_size, cfg.hop)
+    return sy.render(spec_h, spec_h, sp, ap, replace(cfg, gain_noise=0.0))
+
+
+def noise_branch(sp, ap, cfg):
+    """``render``'s noise branch alone: ``cfg.noise_seed``'s noise, harmonic gain 0."""
+    spec_h, spec_n = sy.excitation_spectra(np.zeros(sp.shape[0]), cfg)
+    return sy.render(spec_h, spec_n, sp, ap, replace(cfg, gain_harmonic=0.0))
+
+
 class TestHarmonicNoise:
     def test_unit_aperiodicity_silences_harmonics(self):
         e_h = np.random.default_rng(1).normal(size=16 * 256)
         sp = np.ones((16, 513))
-        h = sy.synth_harmonic(e_h, sp, np.ones((16, 513)), CFG)
+        h = harmonic_branch(e_h, sp, np.ones((16, 513)), CFG)
         np.testing.assert_array_equal(h.data, 0.0)
 
     def test_allpass_returns_excitation(self):
         rs = np.random.default_rng(2)
         e_h = rs.normal(size=32 * 256)
-        h = sy.synth_harmonic(e_h, np.ones((32, 513)), np.zeros((32, 513)), CFG).data
+        h = harmonic_branch(e_h, np.ones((32, 513)), np.zeros((32, 513)), CFG).data
         n = 1024
         assert rel_l2(h[n:-n], e_h[n:-n]) < 1e-10
 
@@ -206,7 +225,7 @@ class TestHarmonicNoise:
         sp[:, j] = 1.0
         freq, mask = sy.interpolate_f0(np.full(t, 100.0), CFG.hop)
         e_h = sy.pulse_train(freq, mask, CFG)
-        h = sy.synth_harmonic(e_h, sp, np.zeros((t, 513)), CFG).data
+        h = harmonic_branch(e_h, sp, np.zeros((t, 513)), CFG).data
         mag2 = np.abs(np.fft.rfft(h)) ** 2
         f = np.fft.rfftfreq(len(h), 1.0 / CFG.sample_rate)
         center = j * CFG.sample_rate / CFG.fft_size
@@ -215,29 +234,24 @@ class TestHarmonicNoise:
         assert inside / np.sum(mag2) > 0.9
 
     def test_zero_aperiodicity_silences_noise(self):
-        n = sy.synth_noise(np.ones((16, 513)), np.zeros((16, 513)), CFG)
+        n = noise_branch(np.ones((16, 513)), np.zeros((16, 513)), CFG)
         np.testing.assert_array_equal(n.data, 0.0)
 
     def test_noise_variance_near_unity(self):
         t = 87  # ~1 s
-        n = sy.synth_noise(np.ones((t, 513)), np.ones((t, 513)),
-                           replace(CFG, noise_seed=3)).data
+        n = noise_branch(np.ones((t, 513)), np.ones((t, 513)),
+                         replace(CFG, noise_seed=3)).data
         interior = n[1024:-1024]
         assert abs(np.var(interior) - 1.0) < 0.1
 
     def test_same_seed_bit_identical(self):
         sp = np.ones((8, 513))
         ap = np.full((8, 513), 0.7)
-        a = sy.synth_noise(sp, ap, replace(CFG, noise_seed=9)).data
-        b = sy.synth_noise(sp, ap, replace(CFG, noise_seed=9)).data
+        a = noise_branch(sp, ap, replace(CFG, noise_seed=9)).data
+        b = noise_branch(sp, ap, replace(CFG, noise_seed=9)).data
         np.testing.assert_array_equal(a, b)
-        c = sy.synth_noise(sp, ap, replace(CFG, noise_seed=10)).data
+        c = noise_branch(sp, ap, replace(CFG, noise_seed=10)).data
         assert np.any(c != a)
-
-    def test_frame_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="frames"):
-            sy.synth_harmonic(np.zeros(16 * 256), np.ones((15, 513)),
-                              np.ones((15, 513)), CFG)
 
 
 class TestSynthesize:
@@ -255,10 +269,31 @@ class TestSynthesize:
             y.data, sy.synthesize_components(feats.f0, feats.sp, feats.ap, cfg).data)
         # one inverse STFT of the mixed spectra equals the sum of the two
         # separately inverted branches up to rounding
-        h = sy.synth_harmonic(sy.pulse_train(*sy.interpolate_f0(feats.f0, cfg.hop), cfg),
-                              feats.sp, feats.ap, cfg)
-        n = sy.synth_noise(feats.sp, feats.ap, cfg)
+        h = harmonic_branch(sy.pulse_train(*sy.interpolate_f0(feats.f0, cfg.hop), cfg),
+                            feats.sp, feats.ap, cfg)
+        n = noise_branch(feats.sp, feats.ap, cfg)
         assert rel_l2(y.data, h.data + n.data) <= 1e-12
+
+    def test_out_of_range_ap_rejected_naming_frame_and_bin(self):
+        feats = desk_features()
+        ap = feats.ap.copy()
+        ap[2, 5] = 1.7
+        with pytest.raises(ValidationError, match=r"ap out of \[0, 1\] at frame 2, bin 5: 1\.7"):
+            sy.synthesize(replace(feats, ap=ap))
+
+    def test_raw_features_synthesize_as_their_file_round_trip(self, tmp_path):
+        # unvoiced frames get ap forced to 1 by reading the file back;
+        # synthesizing the features directly must apply the same rule
+        feats = desk_features(t=40)
+        f0 = feats.f0.copy()
+        f0[12:20] = 0.0
+        ap = feats.ap.copy()
+        ap[f0 == 0] = 0.2
+        feats = replace(feats, f0=f0, ap=ap)
+        path = tmp_path / "raw.wfeat"
+        write_features(path, feats)
+        np.testing.assert_array_equal(sy.synthesize(feats).data,
+                                      sy.synthesize(read_features(path)).data)
 
     @pytest.mark.parametrize("cfg", [
         sy.SynthConfig(sample_rate=8000, fft_size=64),
@@ -311,8 +346,8 @@ class TestSynthesize:
         feats = desk_features()
         cfg = sy.SynthConfig.for_features(feats, gain_noise=0.0)
         y = sy.synthesize(feats, cfg)
-        h = sy.synth_harmonic(sy.pulse_train(*sy.interpolate_f0(feats.f0, cfg.hop), cfg),
-                              feats.sp, feats.ap, cfg)
+        h = harmonic_branch(sy.pulse_train(*sy.interpolate_f0(feats.f0, cfg.hop), cfg),
+                            feats.sp, feats.ap, cfg)
         np.testing.assert_allclose(y.data, h.data, atol=1e-15)
 
     def test_unvoiced_frames_have_zero_harmonic_energy(self):
@@ -382,31 +417,25 @@ class TestSynthesize:
 
 
 class TestOracleTarget:
-    def test_matches_synthesize_with_same_seed(self):
-        feats = desk_features()
-        target = sy.oracle_target(feats)
-        direct = sy.synthesize(feats, sy.SynthConfig.for_features(feats))
-        np.testing.assert_array_equal(target.samples, direct.data)
-        assert target.sample_rate == DESK.sample_rate
+    """``synthesize`` with the default config is the target a fit recovers."""
 
     def test_sensitive_to_envelope(self):
         feats = desk_features()
         bumped = WorldFeatures(f0=feats.f0, sp=feats.sp * 2.0, ap=feats.ap,
                                sample_rate=feats.sample_rate, hop=feats.hop,
                                fft_size=feats.fft_size)
-        assert np.any(sy.oracle_target(feats).samples
-                      != sy.oracle_target(bumped).samples)
+        assert np.any(sy.synthesize(feats).data != sy.synthesize(bumped).data)
 
     def test_deterministic(self):
         feats = desk_features()
-        a = sy.oracle_target(feats).samples
-        b = sy.oracle_target(feats).samples
+        a = sy.synthesize(feats).data
+        b = sy.synthesize(feats).data
         np.testing.assert_array_equal(a, b)
 
     def test_zero_spectral_loss_against_same_seed_synthesis(self):
         from diffworld.losses import MslConfig, msl
         feats = desk_features()
-        target = sy.oracle_target(feats).samples
+        target = sy.synthesize(feats).data
         again = sy.synthesize(feats, sy.SynthConfig.for_features(feats)).data
         assert msl(target, again, MslConfig(scales=3)).item() == 0.0
 
