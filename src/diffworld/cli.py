@@ -57,7 +57,7 @@ def cmd_synth(args) -> int:
     cfg = synthmod.SynthConfig.for_features(
         feats, gain_harmonic=args.gain_harmonic, gain_noise=args.gain_noise,
         gain_dry=args.gain_dry, gain_fir=args.gain_fir, noise_seed=args.seed)
-    # synthesis costs O(sample_rate) per sample: refuse an unwritable rate first
+    # refuse a rate the WAV header cannot hold before synthesizing
     check_wav_rate(cfg.sample_rate)
     fir = _load_fir(args.fir) if args.fir else None
     y = synthmod.synthesize(feats, cfg, fir=fir)

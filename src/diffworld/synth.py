@@ -1,11 +1,11 @@
 """Differentiable harmonic-plus-noise synthesizer over WORLD-style features.
 
-The harmonic branch drives a bank of phase-locked sinusoids (an alias-free
-pulse train) through a per-frame spectral gain ``(1 - ap) * sqrt(sp)`` in the
-STFT domain; the noise branch shapes seeded white noise by ``ap * sqrt(sp)``.
-Gradients flow into ``sp`` and ``ap`` (and through the feature codec into
-their compressed forms); the pitch contour is a deterministic input and
-carries no gradient.
+The harmonic branch drives a band-limited pulse train, a Dirichlet-kernel
+closed form that costs O(samples) (:func:`pulse_train`), through a per-frame
+spectral gain ``(1 - ap) * sqrt(sp)`` in the STFT domain; the noise branch
+shapes seeded white noise by ``ap * sqrt(sp)``.  Gradients flow into ``sp``
+and ``ap`` (and through the feature codec into their compressed forms); the
+pitch contour is a deterministic input and carries no gradient.
 
 Synthesis runs in two parts.  :func:`excitation_spectra` computes the STFTs
 of the pulse train and of the noise, which depend only on the pitch contour
@@ -32,9 +32,7 @@ from . import tensor as dt
 from .errors import ValidationError
 from .features import MAX_FFT_SIZE, CompressedFeatures, check_f0, validate_features
 
-_OSC_BLOCK = 1 << 20  # cap the (harmonics x samples) workspace per block
-
-F_MIN = 71.0  # Hz, the lowest fundamental the harmonic bank must span
+F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class SynthConfig:
 
     @property
     def harmonic_count(self) -> int:
-        """Size of the harmonic bank: ``floor(nyquist / F_MIN)``."""
+        """Cap on the per-sample harmonic count K(t): ``floor(nyquist / F_MIN)``."""
         return int(self.sample_rate / 2.0 / F_MIN)
 
     @classmethod
@@ -150,41 +148,37 @@ def interpolate_f0(f0: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pulse_train(f0_audio: np.ndarray, mask: np.ndarray, cfg: SynthConfig) -> np.ndarray:
-    """Alias-free pulse train: phase-locked harmonics of the running phase.
+    """Alias-free pulse train: a band-limited impulse train (BLIT).
 
-    Harmonic ``k`` contributes ``sin(k * phi)`` with ``phi`` the cumulative
-    phase of the fundamental, masked per sample wherever ``k * f0`` reaches
-    the Nyquist rate.  Amplitudes normalize each pulse period to unit energy
-    (a sum of K sinusoids of amplitude A has mean power K * A^2 / 2 over the
-    fs / f0 samples of one period).  Deterministic; carries no gradient.
+    Sample ``t`` is ``amp(t) * sum_{k=1..K(t)} sin(k phi)``, where ``phi``
+    is the fundamental's cumulative phase wrapped into ``[-pi, pi)`` and
+    ``K(t)`` counts the harmonics strictly below Nyquist, at most
+    ``cfg.harmonic_count``.  The sum takes the Dirichlet closed form
+    ``sin(K phi / 2) sin((K + 1) phi / 2) / sin(phi / 2)`` (Stilson & Smith,
+    ICMC 1996), so the cost is O(samples) whatever ``K``.  Where
+    ``|sin(phi / 2)| < 1e-150``, at the removable singularity ``phi = 0``,
+    it takes the limit ``K (K + 1) / 2 * phi``; above that bound the
+    numerator stays in the normal float range.  ``amp`` normalizes each
+    pulse period to unit energy (K sinusoids of amplitude A have mean power
+    K * A^2 / 2 over the fs / f0 samples of one period).  Deterministic;
+    carries no gradient.
     """
     f0_audio = np.asarray(f0_audio, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     fs = float(cfg.sample_rate)
-    nyquist = fs / 2.0
-    n = f0_audio.shape[0]
-    phase = 2.0 * np.pi * np.cumsum(f0_audio) / fs
-    harmonics = np.arange(1, cfg.harmonic_count + 1)
+    cycles = np.cumsum(f0_audio) / fs
+    phi = 2.0 * np.pi * (cycles - np.floor(cycles + 0.5))
 
     # harmonics below Nyquist at this instant (strict: k * f0 >= nyquist is out)
-    with np.errstate(divide="ignore"):
-        k_active = np.where(f0_audio > 0,
-                            np.ceil(nyquist / np.maximum(f0_audio, 1e-12)) - 1.0,
-                            0.0)
-    k_active = np.clip(k_active, 0, cfg.harmonic_count)
-    amp = np.where(k_active > 0,
-                   np.sqrt(2.0 * f0_audio / (np.maximum(k_active, 1.0) * fs)),
-                   0.0) * mask
+    k = np.where(f0_audio > 0, np.ceil(fs / 2.0 / np.maximum(f0_audio, 1e-12)) - 1.0, 0.0)
+    k = np.clip(k, 0, cfg.harmonic_count)
+    amp = np.where(k > 0, np.sqrt(2.0 * f0_audio / (np.maximum(k, 1.0) * fs)), 0.0) * mask
 
-    out = np.zeros(n)
-    for start in range(0, n, max(_OSC_BLOCK // max(cfg.harmonic_count, 1), 1)):
-        stop = min(start + max(_OSC_BLOCK // max(cfg.harmonic_count, 1), 1), n)
-        block_phase = phase[start:stop]
-        active = harmonics[:, None] <= k_active[None, start:stop]
-        out[start:stop] = np.einsum(
-            "kt,kt->t", np.sin(harmonics[:, None] * block_phase[None, :]),
-            active.astype(np.float64))
-    return out * amp
+    half = np.sin(0.5 * phi)
+    singular = np.abs(half) < 1e-150
+    dirichlet = (np.sin(0.5 * k * phi) * np.sin(0.5 * (k + 1.0) * phi)
+                 / np.where(singular, 1.0, half))
+    return np.where(singular, 0.5 * k * (k + 1.0) * phi, dirichlet) * amp
 
 
 def noise_excitation(n_samples: int, seed: int) -> np.ndarray:

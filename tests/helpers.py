@@ -70,3 +70,26 @@ def naive_msl(x, y, scales, kappa=1.0, floor=1e-7):
         total += kappa * np.mean(np.abs(np.log(np.maximum(mx, floor))
                                         - np.log(np.maximum(my, floor))))
     return total
+
+
+def direct_pulse_train(f0_audio, mask, sample_rate, harmonic_cap):
+    """Reference pulse train: the harmonic sum taken term by term.
+
+    ``sum_k sin(k * phase) * [k <= K(t)]`` with ``phase = 2 pi cumsum(f0) /
+    fs`` and ``K(t)`` the harmonics strictly below Nyquist, at most
+    ``harmonic_cap``, times the unit-energy amplitude
+    ``sqrt(2 f0 / (K fs))`` and the mask.  Costs O(K * samples).
+    """
+    f0_audio = np.asarray(f0_audio, dtype=float)
+    fs = float(sample_rate)
+    phase = 2.0 * np.pi * np.cumsum(f0_audio) / fs
+    voiced = f0_audio > 0
+    k_max = np.zeros_like(f0_audio)
+    k_max[voiced] = np.minimum(np.ceil(fs / 2.0 / f0_audio[voiced]) - 1.0, harmonic_cap)
+    total = np.zeros_like(f0_audio)
+    for k in range(1, int(k_max.max(initial=0.0)) + 1):
+        total += np.where(k <= k_max, np.sin(k * phase), 0.0)
+    amp = np.zeros_like(f0_audio)
+    on = k_max > 0
+    amp[on] = np.sqrt(2.0 * f0_audio[on] / (k_max[on] * fs))
+    return total * amp * np.asarray(mask, dtype=float)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from diffworld import synth as sy
 from diffworld import tensor as dt
 from diffworld.errors import ValidationError
 from diffworld.features import WorldFeatures, read_features, write_features
-from helpers import rel_l2, two_formant_envelope
+from helpers import direct_pulse_train, rel_l2, two_formant_envelope
 
 CFG = sy.SynthConfig()                      # 22050 / 1024 / 256
 DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)  # hop 16
@@ -124,6 +125,77 @@ class TestPulseTrain:
         for start in (1000, 5000, 11000):
             energy = float(np.sum(out[start: start + period] ** 2))
             assert abs(energy - 1.0) < 0.02
+
+
+def swept_contour(n_frames, cfg):
+    """Frame-rate f0 shaped like the benchmark's clips.
+
+    A geometric sweep from 90 to 340 Hz with a 2% vibrato at 5.5 Hz, and
+    one unvoiced stretch of a tenth of the clip starting a third of the way in.
+    """
+    f0 = 90.0 * (340.0 / 90.0) ** np.linspace(0.0, 1.0, n_frames)
+    seconds = np.arange(n_frames) * cfg.hop / cfg.sample_rate
+    f0 *= 1.0 + 0.02 * np.sin(2.0 * np.pi * 5.5 * seconds)
+    f0[n_frames // 3: n_frames // 3 + n_frames // 10] = 0.0
+    return f0
+
+
+class TestPulseTrainClosedForm:
+    """The closed form against the harmonic sum taken term by term."""
+
+    def check_oracle(self, freq, mask, cfg):
+        out = sy.pulse_train(freq, mask, cfg)
+        want = direct_pulse_train(freq, mask, cfg.sample_rate, cfg.harmonic_count)
+        assert rel_l2(out, want) <= 1e-9
+
+    @pytest.mark.parametrize("cfg,seconds", [(CFG, 5.0), (DESK, 3.0)])
+    def test_swept_contour_matches_direct_sum(self, cfg, seconds):
+        f0 = swept_contour(int(seconds * cfg.sample_rate / cfg.hop), cfg)
+        self.check_oracle(*sy.interpolate_f0(f0, cfg.hop), cfg)
+
+    @pytest.mark.parametrize("f0", [71.0, 220.5, 1000.0, 5000.0])
+    def test_constant_f0_matches_direct_sum(self, f0):
+        self.check_oracle(np.full(22050, f0), np.ones(22050), CFG)
+
+    def test_voicing_ramps_match_direct_sum(self):
+        f0 = np.array([0.0, 180.0, 190.0, 0.0, 0.0, 210.0, 0.0, 240.0, 250.0, 0.0])
+        freq, mask = sy.interpolate_f0(f0, CFG.hop)
+        assert np.any((mask > 0.0) & (mask < 1.0))
+        self.check_oracle(freq, mask, CFG)
+
+    def test_phase_at_multiples_of_two_pi(self):
+        # 220.5 Hz is 100 samples a period at 22.05 kHz, with K = 49.  Sample
+        # 99 ends the first period exactly; two nudges of f0 put sample 199
+        # 1e-9 rad past a period's end and sample 299 1e-9 rad short of one.
+        nudge = 1e-9 / (2.0 * np.pi) * CFG.sample_rate
+        freq = np.full(400, 220.5)
+        freq[100] += nudge
+        freq[200] -= 2.0 * nudge
+        at = np.array([99, 199, 299])
+        phase = 2.0 * np.pi * np.cumsum(freq) / CFG.sample_rate
+        wrapped = np.angle(np.exp(1j * phase[at]))
+        assert np.all(np.abs(wrapped) <= 1.01e-9)
+        assert wrapped[1] > 0.0 > wrapped[2]
+
+        out = sy.pulse_train(freq, np.ones(400), CFG)
+        want = direct_pulse_train(freq, np.ones(400), CFG.sample_rate, CFG.harmonic_count)
+        np.testing.assert_allclose(out[at], want[at], rtol=0.0, atol=1e-12)
+        # a hard zero near the singularity would miss by far more than 1e-12
+        assert np.all(np.abs(want[at[1:]]) > 1e-9)
+
+    def test_huge_sample_rate_costs_o_samples(self):
+        # a rate just under the float32 WAV limit puts the harmonic cap in the
+        # millions, so any work per harmonic shows in the memory peak
+        cfg = sy.SynthConfig(sample_rate=2**30 - 1, fft_size=16, hop=4)
+        assert cfg.harmonic_count == 7_561_562
+        tracemalloc.start()
+        try:
+            out = sy.pulse_train(np.full(12, 200.0), np.ones(12), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.all(np.isfinite(out))
 
 
 class TestStft:
