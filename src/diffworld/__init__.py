@@ -15,7 +15,7 @@ from .fit import (AdamState, FitConfig, FitDivergence, adam_step,
 from .losses import (MslConfig, downsample_audio, feature_matching,
                      hinge_discriminator, hinge_generator, mse_features, msl,
                      msl_target)
-from .melcodec import (MelBasis, compress, compress_ap, compress_sp,
+from .melcodec import (MelBasis, compress, compress_ap, compress_sp, decode,
                        decompress, decompress_ap, decompress_sp)
 from .synth import (FirPostFilter, SynthConfig, excitation_spectra,
                     interpolate_f0, istft, pulse_train, render, stft,
@@ -30,7 +30,7 @@ __all__ = [
     "FirPostFilter", "FitConfig", "FitDivergence", "FormatError",
     "MelBasis", "MslConfig", "ShapeError", "SynthConfig", "Tensor",
     "ValidationError", "Waveform", "WorldFeatures", "adam_step", "backward",
-    "compress", "compress_ap", "compress_sp", "decompress",
+    "compress", "compress_ap", "compress_sp", "decode", "decompress",
     "decompress_ap", "decompress_sp", "downsample_audio",
     "excitation_spectra", "extract_excitation", "feature_matching",
     "hinge_discriminator", "hinge_generator",

@@ -92,12 +92,10 @@ def _read_envelope(path) -> WorldFeatures:
 def cmd_excite_transform(args) -> int:
     src = _read_envelope(args.src_env)
     tgt = _read_envelope(args.tgt_env)
-    if (src.sample_rate, src.hop, src.fft_size, src.n_frames) != \
-            (tgt.sample_rate, tgt.hop, tgt.fft_size, tgt.n_frames):
-        raise ValidationError("source and target envelopes disagree on "
-                              "rate/hop/fft/frames")
-    wave = read_wav(args.input, expect_sample_rate=src.sample_rate)
     cfg = synthmod.SynthConfig.for_features(src)
+    # transform_formants checks both envelopes' frame counts against the audio
+    synthmod.check_clock(args.tgt_env, tgt, cfg)
+    wave = read_wav(args.input, expect_sample_rate=src.sample_rate)
     y = excite.transform_formants(wave.samples, src.sp, tgt.sp, cfg,
                                   use_decompressed=args.use_decompressed)
     write_wav(args.output, Waveform(y.data, src.sample_rate))

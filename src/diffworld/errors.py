@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and where a check failed."""
+
+import numpy as np
+
+
+def first_index(mask) -> tuple:
+    """Index of the first true entry of a boolean array (one must be true)."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
 class DiffworldError(Exception):

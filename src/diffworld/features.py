@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, first_index
 
 WFEAT_MAGIC = b"WFEA"
 WFEAT_VERSION = 1
@@ -92,10 +92,6 @@ class CompressedFeatures:
         return self.coded_ap.shape[1]
 
 
-def _first_bad(mask: np.ndarray) -> tuple:
-    return tuple(int(i) for i in np.argwhere(mask)[0])
-
-
 def check_f0(f0: np.ndarray) -> None:
     """Raise unless a 1-D f0 contour is finite and non-negative, naming the
     first bad frame; a non-finite value is reported before a negative one."""
@@ -107,34 +103,53 @@ def check_f0(f0: np.ndarray) -> None:
         raise ValidationError(f"f0 is negative at frame {bad[0]}: {f0[bad[0]]}")
 
 
-def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
-    f0 = np.ascontiguousarray(feats.f0, dtype=np.float64)
-    sp = np.ascontiguousarray(feats.sp, dtype=np.float64)
-    ap = np.ascontiguousarray(feats.ap, dtype=np.float64)
-    t = f0.shape[0]
-    if f0.ndim != 1 or sp.ndim != 2 or ap.ndim != 2:
-        raise ValidationError("raw features must be f0 (T,), sp (T, bins), ap (T, bins)")
-    if sp.shape[0] != t or ap.shape[0] != t:
+def check_ap(ap: np.ndarray) -> None:
+    """Raise unless ``ap`` is in [0, 1] (NaN is not), naming the frame and bin."""
+    bad = ~((ap >= 0) & (ap <= 1))
+    if np.any(bad):
+        frame, bin_ = first_index(bad)
         raise ValidationError(
-            f"frame counts differ: f0 has {t}, sp has {sp.shape[0]}, ap has {ap.shape[0]}")
+            f"ap out of [0, 1] at frame {frame}, bin {bin_}: {ap[frame, bin_]}")
+
+
+def check_framing(hop: int, fft_size: int) -> None:
+    """Raise unless ``fft_size`` is in [1, MAX_FFT_SIZE] and ``hop >= 1``."""
+    if not 1 <= fft_size <= MAX_FFT_SIZE:
+        raise ValidationError(
+            f"fft_size must be in [1, {MAX_FFT_SIZE}], got {fft_size}")
+    if hop < 1:
+        raise ValidationError(f"hop must be >= 1, got {hop}")
+
+
+def _frame_arrays(feats, first: str, second: str) -> tuple[np.ndarray, ...]:
+    """Contiguous float64 f0 and (T, width) arrays; checks shapes, f0, finite ``first``."""
+    f0, x, y = (np.ascontiguousarray(getattr(feats, name), dtype=np.float64)
+                for name in ("f0", first, second))
+    if f0.ndim != 1 or x.ndim != 2 or y.ndim != 2:
+        raise ValidationError(f"features must be f0 (T,), {first} (T, width), "
+                              f"{second} (T, width)")
+    t = f0.shape[0]
+    if x.shape[0] != t or y.shape[0] != t:
+        raise ValidationError(f"frame counts differ: f0 has {t}, {first} has "
+                              f"{x.shape[0]}, {second} has {y.shape[0]}")
+    check_f0(f0)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(
+            f"{first} contains a non-finite value at {first_index(~np.isfinite(x))}")
+    return f0, x, y
+
+
+def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
+    f0, sp, ap = _frame_arrays(feats, "sp", "ap")
     bins = feats.fft_size // 2 + 1
     if sp.shape[1] != bins or ap.shape[1] != bins:
         raise ValidationError(
             f"expected {bins} bins for fft_size {feats.fft_size}, "
             f"got sp {sp.shape[1]}, ap {ap.shape[1]}")
-    check_f0(f0)
-    for name, arr in (("sp", sp), ("ap", ap)):
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} contains a non-finite value at "
-                                  f"{_first_bad(~np.isfinite(arr))}")
     if np.any(sp < 0):
-        frame, bin_ = _first_bad(sp < 0)
+        frame, bin_ = first_index(sp < 0)
         raise ValidationError(f"sp is negative at frame {frame}, bin {bin_}")
-    bad = (ap < 0) | (ap > 1)
-    if np.any(bad):
-        frame, bin_ = _first_bad(bad)
-        raise ValidationError(
-            f"ap out of [0, 1] at frame {frame}, bin {bin_}: {ap[frame, bin_]}")
+    check_ap(ap)
     unvoiced = f0 == 0
     if np.any(unvoiced):
         ap = ap.copy()
@@ -143,25 +158,10 @@ def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
 
 
 def _validated_compressed(feats: CompressedFeatures) -> CompressedFeatures:
-    f0 = np.ascontiguousarray(feats.f0, dtype=np.float64)
-    s = np.ascontiguousarray(feats.log_mel, dtype=np.float64)
-    a = np.ascontiguousarray(feats.coded_ap, dtype=np.float64)
-    if f0.ndim != 1 or s.ndim != 2 or a.ndim != 2:
-        raise ValidationError("compressed features must be f0 (T,), log_mel (T, M), "
-                              "coded_ap (T, A)")
-    t = f0.shape[0]
-    if s.shape[0] != t or a.shape[0] != t:
-        raise ValidationError(
-            f"frame counts differ: f0 has {t}, log_mel has {s.shape[0]}, "
-            f"coded_ap has {a.shape[0]}")
-    check_f0(f0)
-    for name, arr in (("log_mel", s), ("coded_ap", a)):
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} contains a non-finite value at "
-                                  f"{_first_bad(~np.isfinite(arr))}")
-    bad = (a < 0) | (a > 1)
+    f0, s, a = _frame_arrays(feats, "log_mel", "coded_ap")
+    bad = ~((a >= 0) & (a <= 1))  # NaN is out of range too
     if np.any(bad):
-        frame, band = _first_bad(bad)
+        frame, band = first_index(bad)
         raise ValidationError(
             f"coded_ap out of [0, 1] at frame {frame}, band {band}: {a[frame, band]}")
     return replace(feats, f0=f0, log_mel=s, coded_ap=a)
@@ -171,11 +171,7 @@ def validate_features(feats):
     """Enforce the type invariants (including unvoiced ap coercion for raw)."""
     if not isinstance(feats, (WorldFeatures, CompressedFeatures)):
         raise TypeError(f"not a feature container: {type(feats).__name__}")
-    if feats.hop < 1:
-        raise ValidationError(f"hop must be >= 1, got {feats.hop}")
-    if not 1 <= feats.fft_size <= MAX_FFT_SIZE:
-        raise ValidationError(
-            f"fft_size must be in [1, {MAX_FFT_SIZE}], got {feats.fft_size}")
+    check_framing(feats.hop, feats.fft_size)
     if isinstance(feats, WorldFeatures):
         return _validated_raw(feats)
     return _validated_compressed(feats)
@@ -240,7 +236,7 @@ def read_features(path):
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (mono; 16-bit integer or 32-bit float PCM)
+# WAV I/O (mono; reads 16-bit integer or 32-bit float PCM, writes 32-bit float)
 # ---------------------------------------------------------------------------
 
 def read_wav(path, expect_sample_rate: int | None = None) -> Waveform:
@@ -263,35 +259,27 @@ def read_wav(path, expect_sample_rate: int | None = None) -> Waveform:
                           "use 16-bit integer or 32-bit float PCM")
     if not np.all(np.isfinite(samples)):
         raise ValidationError(f"{path}: non-finite sample at index "
-                              f"{_first_bad(~np.isfinite(samples))[0]}")
+                              f"{first_index(~np.isfinite(samples))[0]}")
     if expect_sample_rate is not None and rate != expect_sample_rate:
         raise ValidationError(f"{path}: sample rate {rate} does not match "
                               f"expected {expect_sample_rate}")
     return Waveform(samples=samples, sample_rate=int(rate))
 
 
-def check_wav_rate(sample_rate: int, codec: str = "float32") -> None:
-    """Reject a codec or a rate that a WAV header cannot hold: the header
-    stores the byte rate, ``sample_rate * sample bytes``, as a u32."""
-    sample_bytes = {"float32": 4, "pcm16": 2}.get(codec)
-    if sample_bytes is None:
-        raise FormatError(f"unsupported codec {codec!r}; use 'float32' or 'pcm16'")
-    max_rate = 0xFFFFFFFF // sample_bytes
+def check_wav_rate(sample_rate: int) -> None:
+    """Reject a rate whose float32 byte rate, ``rate * 4``, overflows a WAV header's u32."""
+    max_rate = 0xFFFFFFFF // 4
     if not 1 <= sample_rate <= max_rate:
         raise ValidationError(f"sample rate {sample_rate} cannot be written as "
-                              f"{codec} WAV (must be in [1, {max_rate}])")
+                              f"float32 WAV (must be in [1, {max_rate}])")
 
 
-def write_wav(path, wave: Waveform, codec: str = "float32") -> None:
+def write_wav(path, wave: Waveform) -> None:
     samples = np.asarray(wave.samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValidationError("mono required: waveform must be 1-D")
     if not np.all(np.isfinite(samples)):
         raise ValidationError(f"non-finite sample at index "
-                              f"{_first_bad(~np.isfinite(samples))[0]}")
-    check_wav_rate(wave.sample_rate, codec)
-    if codec == "float32":
-        data = samples.astype(np.float32)
-    else:
-        data = np.round(np.clip(samples, -1.0, 32767.0 / 32768.0) * 32768.0).astype(np.int16)
-    wavfile.write(path, wave.sample_rate, data)
+                              f"{first_index(~np.isfinite(samples))[0]}")
+    check_wav_rate(wave.sample_rate)
+    wavfile.write(path, wave.sample_rate, samples.astype(np.float32))

@@ -1,7 +1,9 @@
 """Analysis-by-synthesis: recover compressed features from a target waveform.
 
 The compressed envelope is optimized directly; aperiodicity is parameterized
-through a sigmoid so its decompressed form stays inside [0, 1].  The noise
+through a sigmoid so its decompressed form stays inside [0, 1].  Both are
+decoded by :func:`melcodec.decode`, as in ``synthesize``, so the loss of the
+returned features is the loss of what ``synthesize`` renders.  The noise
 excitation is drawn once from the synth config's ``noise_seed`` and held
 fixed across steps, which makes the objective deterministic and lets a fit
 with a matched seed drive the loss to the noise-realization floor.
@@ -10,7 +12,7 @@ Everything that does not depend on the parameters is computed once per fit:
 the excitation spectra of the fixed pitch contour and noise
 (:func:`synth.excitation_spectra`) and the target's magnitude and floored
 log-magnitude spectrograms at every loss scale (:func:`losses.msl_target`).
-A step decompresses the features, shapes and mixes the two spectra with one
+A step decodes the features, shapes and mixes the two spectra with one
 inverse STFT (:func:`synth.render`), evaluates the loss against the cached
 target, and back-propagates.  A non-finite loss or gradient stops the fit
 with :class:`FitDivergence`, which names the step, and for a gradient the
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import melcodec
 from . import tensor as dt
-from .errors import DiffworldError, ValidationError
+from .errors import DiffworldError, ValidationError, first_index
 from .features import CompressedFeatures, Waveform
 from .losses import MslConfig, mse_features, msl, msl_target
 from .synth import (FirPostFilter, SynthConfig, check_clock, excitation_spectra,
@@ -110,8 +112,7 @@ def _check_finite(loss: float, grads: dict, step: int) -> None:
     for key, grad in grads.items():
         bad = ~np.isfinite(grad)
         if bad.any():
-            index = tuple(int(i) for i in np.argwhere(bad)[0])
-            problems.append(f"non-finite gradient of {key} at index {index}")
+            problems.append(f"non-finite gradient of {key} at index {first_index(bad)}")
             break
     if problems:
         raise FitDivergence(f"at step {step}: {'; '.join(problems)}")
@@ -173,7 +174,6 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     else:
         s0, a0 = _default_init(n_frames, n_mels, ap_bands, melcodec.DEFAULT_EPSILON)
     basis = melcodec.MelBasis.build(synth_cfg.sample_rate, synth_cfg.fft_size, n_mels)
-    n_bins = synth_cfg.fft_size // 2 + 1
 
     # constant across steps: computed once
     spec_h, spec_n = excitation_spectra(f0, synth_cfg)
@@ -188,16 +188,15 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     for step in range(cfg.steps):
         leaves = {key: dt.Tensor(value, requires_grad=True)
                   for key, value in params.items()}
-        s_t, z_t = leaves["log_mel"], leaves["ap_logit"]
-        sp = melcodec.decompress_sp(s_t, basis)
-        ap = melcodec.decompress_ap(dt.sigmoid(z_t), n_bins)
+        s_t, a_t = leaves["log_mel"], dt.sigmoid(leaves["ap_logit"])
+        sp, ap = melcodec.decode(f0, s_t, a_t, basis)
         y = render(spec_h, spec_n, sp, ap, synth_cfg)
         if fir is not None:
             y = fir.apply(y, synth_cfg, leaves["fir_free"])
         loss = msl(target_spec, y, cfg.msl)
         if reference is not None and cfg.alpha != 0.0:
             feat_loss = dt.add(mse_features(reference.log_mel, s_t),
-                               mse_features(reference.coded_ap, dt.sigmoid(z_t)))
+                               mse_features(reference.coded_ap, a_t))
             loss = dt.add(loss, dt.mul(cfg.alpha, feat_loss))
         value = loss.item()
         grad_map = dt.backward(loss)
@@ -211,6 +210,6 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
         fir.free[:] = params["fir_free"]
     fitted = CompressedFeatures(
         f0=f0, log_mel=params["log_mel"],
-        coded_ap=1.0 / (1.0 + np.exp(-params["ap_logit"])),
+        coded_ap=dt.sigmoid(params["ap_logit"]).data,
         sample_rate=synth_cfg.sample_rate, hop=hop, fft_size=synth_cfg.fft_size)
     return fitted, trace

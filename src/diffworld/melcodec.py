@@ -7,6 +7,9 @@ of a non-negative quantity, so taking its square root downstream is exact and
 differentiable.  Aperiodicity is resampled between the full bin grid and a
 coarse grid of regularly spaced points by linear interpolation, which keeps
 values inside [0, 1] because every output is a convex combination of inputs.
+
+:func:`decode` is the one decoder of compressed features: ``synthesize``
+(through :func:`decompress`) and ``fit`` render exactly what it returns.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as dt
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, first_index
 from .features import CompressedFeatures, WorldFeatures, validate_features
 
 DEFAULT_EPSILON = 1e-5
@@ -88,7 +91,7 @@ def compress_sp(sp, basis: MelBasis) -> dt.Tensor:
     """Envelope (T, n_bins) -> log mel (T, n_mels), differentiable."""
     sp = dt.as_tensor(sp)
     if np.any(sp.data < 0):
-        frame, bin_ = (int(i) for i in np.argwhere(sp.data < 0)[0])
+        frame, bin_ = first_index(sp.data < 0)
         raise DomainError(f"sp is negative at frame {frame}, bin {bin_}")
     if sp.shape[-1] != basis.n_bins:
         raise ValidationError(f"expected {basis.n_bins} bins, got {sp.shape[-1]}")
@@ -137,6 +140,19 @@ def decompress_ap(a, n_bins: int) -> dt.Tensor:
     return dt.matmul(a, dt.Tensor(_resample_matrix(a.shape[-1], n_bins).T))
 
 
+def decode(f0: np.ndarray, log_mel, coded_ap,
+           basis: MelBasis) -> tuple[dt.Tensor, dt.Tensor]:
+    """Compressed features -> ``(sp, ap)``, differentiable in both inputs.
+
+    ``ap`` is clamped to [0, 1] (rounding crumbs at the ends) and is exactly
+    1 on unvoiced frames: ``ap * v + (1 - v)`` with the voiced mask ``v``.
+    """
+    sp = decompress_sp(log_mel, basis)
+    ap = dt.clamp(decompress_ap(coded_ap, basis.n_bins), 0.0, 1.0)
+    voiced = (np.asarray(f0) > 0).astype(np.float64)[:, None]
+    return sp, dt.add(dt.mul(ap, voiced), 1.0 - voiced)
+
+
 # ---------------------------------------------------------------------------
 # container-level conveniences
 # ---------------------------------------------------------------------------
@@ -155,9 +171,7 @@ def compress(feats: WorldFeatures, n_mels: int = DEFAULT_N_MELS,
 def decompress(feats: CompressedFeatures) -> WorldFeatures:
     feats = validate_features(feats)
     basis = MelBasis.build(feats.sample_rate, feats.fft_size, feats.n_mels)
-    ap = decompress_ap(feats.coded_ap, feats.fft_size // 2 + 1).data
-    ap = np.clip(ap, 0.0, 1.0)  # guard float crumbs at the 0/1 endpoints
-    ap[feats.f0 == 0, :] = 1.0
+    sp, ap = decode(feats.f0, feats.log_mel, feats.coded_ap, basis)
     return WorldFeatures(
-        f0=feats.f0, sp=decompress_sp(feats.log_mel, basis).data, ap=ap,
+        f0=feats.f0, sp=sp.data, ap=ap.data,
         sample_rate=feats.sample_rate, hop=feats.hop, fft_size=feats.fft_size)

@@ -30,7 +30,8 @@ import numpy as np
 from . import melcodec
 from . import tensor as dt
 from .errors import ValidationError
-from .features import MAX_FFT_SIZE, CompressedFeatures, check_f0, validate_features
+from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
+                       validate_features)
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 
@@ -49,13 +50,9 @@ class SynthConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.fft_size <= MAX_FFT_SIZE:
-            raise ValidationError(
-                f"fft_size must be in [1, {MAX_FFT_SIZE}], got {self.fft_size}")
         if self.hop is None:
             object.__setattr__(self, "hop", self.fft_size // 4)
-        if self.hop < 1:
-            raise ValidationError(f"hop must be >= 1, got {self.hop}")
+        check_framing(self.hop, self.fft_size)
         if self.fft_size % self.hop != 0:
             raise ValidationError(
                 f"hop {self.hop} must divide fft_size {self.fft_size}")
@@ -277,8 +274,8 @@ def render(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     """Shape both excitation spectra, mix them and invert once.
 
     Computes ``istft(g_h * (1 - ap) * sqrt(sp) * E_h + g_n * ap * sqrt(sp) *
-    E_n)``, differentiable in ``sp`` and ``ap``.  Output length is
-    ``T * hop``.
+    E_n)``, differentiable in ``sp`` and ``ap``; ``ap`` must lie in [0, 1]
+    (:func:`~diffworld.features.check_ap`).  Output length is ``T * hop``.
     """
     spec_h, spec_n = dt.as_tensor(spec_h), dt.as_tensor(spec_n)
     sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
@@ -289,6 +286,7 @@ def render(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     n_samples = spec_h.shape[0] * cfg.hop
     _check_feature_frames("sp", sp, n_samples, cfg.hop)
     _check_feature_frames("ap", ap, n_samples, cfg.hop)
+    check_ap(ap.data)
     return istft(_mix(spec_h, spec_n, sp, ap, cfg), cfg.fft_size, cfg.hop, n_samples)
 
 

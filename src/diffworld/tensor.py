@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError, first_index
 
 _LN10 = math.log(10.0)
 
@@ -124,10 +124,6 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from err
 
 
-def _first_offender(mask: np.ndarray) -> tuple:
-    return tuple(int(i) for i in np.argwhere(mask)[0])
-
-
 # ---------------------------------------------------------------------------
 # pointwise primitives
 # ---------------------------------------------------------------------------
@@ -186,7 +182,7 @@ def pow(a, b) -> Tensor:
     _check_broadcast(a, b, "pow")
     if b._tracked and np.any(a.data <= 0):
         raise DomainError(
-            f"pow: non-positive base at index {_first_offender(a.data <= 0)} "
+            f"pow: non-positive base at index {first_index(a.data <= 0)} "
             "with differentiable exponent")
     out = Tensor(a.data ** b.data)
     y = out.data
@@ -219,7 +215,7 @@ def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0):
         raise DomainError(
-            f"log: non-positive value at index {_first_offender(a.data <= 0)}")
+            f"log: non-positive value at index {first_index(a.data <= 0)}")
     out = Tensor(np.log(a.data))
     return _record((a,), out, lambda g: (g / a.data,))
 
@@ -228,7 +224,7 @@ def log10(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0):
         raise DomainError(
-            f"log10: non-positive value at index {_first_offender(a.data <= 0)}")
+            f"log10: non-positive value at index {first_index(a.data <= 0)}")
     out = Tensor(np.log10(a.data))
     return _record((a,), out, lambda g: (g / (a.data * _LN10),))
 
@@ -236,7 +232,7 @@ def log10(a) -> Tensor:
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data < 0):
-        raise DomainError(f"sqrt: negative value at index {_first_offender(a.data < 0)}")
+        raise DomainError(f"sqrt: negative value at index {first_index(a.data < 0)}")
     out = Tensor(np.sqrt(a.data))
     y = out.data
 

@@ -69,6 +69,21 @@ def test_one_way_to_read_a_gradient_and_no_unread_fields():
     assert list(inspect.signature(features.read_features).parameters) == ["path"]
 
 
+def test_wav_writer_has_no_codec_option():
+    assert list(inspect.signature(features.write_wav).parameters) == ["path", "wave"]
+    assert list(inspect.signature(features.check_wav_rate).parameters) == ["sample_rate"]
+
+
+def test_fit_decodes_through_the_one_decoder():
+    assert "decode" in diffworld.__all__
+    tree = ast.parse((PACKAGE / "fit.py").read_text())
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else
+              getattr(node.func, "id", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "decode" in called
+    assert called.isdisjoint({"decompress_sp", "decompress_ap"})
+
+
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)

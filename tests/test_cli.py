@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,20 @@ class TestExciteTransform:
                          str(env_path), "--tgt-env", str(env_path),
                          "-o", str(tmp_path / "y.wav")])
         assert code == cli.EXIT_VALIDATION
+
+    def test_target_envelope_on_another_clock_or_length_rejected(self, tmp_path, capsys):
+        src, tgt = tmp_path / "src.wfeat", tmp_path / "tgt.wfeat"
+        feats = self._envelope_file(src, 50, (500, 1700))
+        wav_in = tmp_path / "x.wav"
+        write_wav(wav_in, Waveform(np.zeros(50 * HOP), SR))
+        argv = ["excite-transform", str(wav_in), "--src-env", str(src),
+                "--tgt-env", str(tgt), "-o", str(tmp_path / "y.wav")]
+        write_features(tgt, replace(feats, hop=2 * HOP))
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert f"{tgt} metadata (rate/fft/hop)" in capsys.readouterr().err
+        self._envelope_file(tgt, 51, (500, 1700))
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "sp_tgt has 51 frames" in capsys.readouterr().err
 
     def test_use_decompressed_flag(self, tmp_path):
         # full-scale geometry: the default 80-band basis needs 513 bins

@@ -16,14 +16,16 @@ from helpers import two_formant_envelope
 DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)
 
 
-def desk_problem(t=250, seed=0):
-    """Synthetic target on the synthesizer's own manifold (matched seed)."""
+def desk_problem(t=250, seed=0, unvoiced=slice(0)):
+    """Synthetic target on the synthesizer's own manifold (matched seed);
+    the frames ``unvoiced`` selects get f0 = 0."""
     rs = np.random.default_rng(seed)
     bins = DESK.fft_size // 2 + 1
     env = two_formant_envelope(bins, DESK.sample_rate, centers=(500, 1700))
     sp = np.tile(env, (t, 1)) * rs.uniform(0.7, 1.3, size=(t, 1))
     ap = np.tile(np.linspace(0.1, 0.6, bins), (t, 1))
     f0 = 150.0 + 30.0 * np.sin(2 * np.pi * np.arange(t) / t)
+    f0[unvoiced] = 0.0
     feats = WorldFeatures(f0=f0, sp=sp, ap=ap, sample_rate=DESK.sample_rate,
                           hop=DESK.hop, fft_size=DESK.fft_size)
     comp = mc.compress(feats, n_mels=16, ap_bands=4)
@@ -273,6 +275,19 @@ class TestFit:
             expected = ls.msl(target, y0, cfg.msl).item()
             assert abs(traces[seed][0] - expected) <= 1e-12 * abs(expected)
         assert np.all(traces[0] != traces[5])
+
+
+    def test_objective_at_fitted_features_is_msl_of_their_synthesis(self):
+        # fit decodes through melcodec.decode, as synthesize does, so on a
+        # contour with unvoiced frames (ap = 1 there) the fit objective at the
+        # returned features is the loss of what synthesize renders from them
+        target, f0 = desk_problem(t=60, unvoiced=slice(20, 30))
+        fitted, _ = fi.fit(target, f0, cfg=fi.FitConfig(steps=40, learning_rate=0.03),
+                           synth_cfg=DESK, n_mels=16, ap_bands=4)
+        _, trace = fi.fit(target, f0, init=fitted,
+                          cfg=fi.FitConfig(steps=1, learning_rate=0.0), synth_cfg=DESK)
+        expected = ls.msl(target, sy.synthesize(fitted)).item()
+        assert abs(trace[0] - expected) <= 1e-12 * expected
 
 
 class TestSmoothedTrace:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from diffworld import losses as ls
 from diffworld import melcodec as mc
+from diffworld import synth as sy
 from diffworld import tensor as dt
 from diffworld.errors import DomainError, ValidationError
 from helpers import central_diff, rel_grad_err, rel_l2, two_formant_envelope
@@ -135,6 +137,51 @@ class TestApCodec:
         out = mc.decompress_ap(mc.compress_ap(t, 8), 33)
         grads = dt.backward(dt.sum(dt.mul(out, dt.Tensor(w))))
         assert rel_grad_err(grads[t], central_diff(f, ap0)) < 1e-6
+
+
+class TestDecode:
+    DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)
+
+    def test_voiced_rows_are_decompress_ap_and_unvoiced_rows_one(self):
+        rs = np.random.default_rng(21)
+        f0 = np.full(12, 140.0)
+        f0[[0, 4, 5, 11]] = 0.0
+        log_mel = rs.normal(size=(12, 16))
+        coded_ap = rs.uniform(0.0, 1.0, size=(12, 4))
+        sp, ap = mc.decode(f0, log_mel, coded_ap, BASIS)
+        np.testing.assert_array_equal(sp.data, mc.decompress_sp(log_mel, BASIS).data)
+        voiced = f0 > 0
+        np.testing.assert_array_equal(ap.data[voiced],
+                                      mc.decompress_ap(coded_ap, 33).data[voiced])
+        assert np.all(ap.data[~voiced] == 1.0)
+
+    def test_gradients_match_finite_differences(self):
+        # built like acceptance criterion 2, with decode in place of the two
+        # decompress calls; the unvoiced frame's coded_ap gets no gradient
+        cfg, n_frames = self.DESK, 8
+        rng = np.random.default_rng(202)
+        f0 = np.full(n_frames, 200.0)
+        f0[5] = 0.0
+        env = two_formant_envelope(33, cfg.sample_rate, centers=(500, 1700))
+        s0 = mc.compress_sp(np.tile(env, (n_frames, 1)), BASIS).data \
+            + rng.normal(scale=0.1, size=(n_frames, 16))
+        a0 = rng.uniform(0.2, 0.8, size=(n_frames, 4))
+        target = 0.1 * rng.normal(size=n_frames * cfg.hop)
+
+        def objective(s, a):
+            s_t = dt.Tensor(s, requires_grad=True)
+            a_t = dt.Tensor(a, requires_grad=True)
+            sp, ap = mc.decode(f0, s_t, a_t, BASIS)
+            return ls.msl(target, sy.synthesize_components(f0, sp, ap, cfg)), s_t, a_t
+
+        loss, s_t, a_t = objective(s0, a0)
+        grads = dt.backward(loss)
+        fd_s = central_diff(lambda s: objective(s, a0)[0].item(), s0)
+        fd_a = central_diff(lambda a: objective(s0, a)[0].item(), a0)
+        assert rel_grad_err(grads[s_t], fd_s) < 1e-4
+        assert rel_grad_err(grads[a_t], fd_a) < 1e-4
+        assert np.all(grads[a_t][5] == 0.0)
+        assert np.any(grads[a_t][4] != 0.0)
 
 
 class TestContainers:

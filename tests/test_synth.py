@@ -347,11 +347,22 @@ class TestSynthesize:
         assert rel_l2(y.data, h.data + n.data) <= 1e-12
 
     def test_out_of_range_ap_rejected_naming_frame_and_bin(self):
+        # one range rule for feature containers and for the tensor-level
+        # synthesis entries; NaN is out of range
         feats = desk_features()
-        ap = feats.ap.copy()
-        ap[2, 5] = 1.7
-        with pytest.raises(ValidationError, match=r"ap out of \[0, 1\] at frame 2, bin 5: 1\.7"):
-            sy.synthesize(replace(feats, ap=ap))
+        cfg = sy.SynthConfig.for_features(feats)
+        spec_h, spec_n = sy.excitation_spectra(feats.f0, cfg)
+        for value, shown in ((1.7, r"1\.7"), (-0.25, r"-0\.25"), (np.nan, "nan")):
+            ap = feats.ap.copy()
+            ap[2, 5] = value
+            for call in (lambda: sy.synthesize(replace(feats, ap=ap)),
+                         lambda: sy.synthesize_components(feats.f0, feats.sp, ap, cfg),
+                         lambda: sy.render(spec_h, spec_n, feats.sp, ap, cfg),
+                         lambda: sy.render(spec_h, spec_n, feats.sp,
+                                           dt.Tensor(ap, requires_grad=True), cfg)):
+                with pytest.raises(ValidationError,
+                                   match=rf"ap out of \[0, 1\] at frame 2, bin 5: {shown}"):
+                    call()
 
     def test_raw_features_synthesize_as_their_file_round_trip(self, tmp_path):
         # unvoiced frames get ap forced to 1 by reading the file back;
