@@ -44,12 +44,13 @@ def worker_count() -> int:
 
 def _load_fir(path) -> synthmod.FirPostFilter:
     try:
-        taps = np.fromfile(path, dtype="<f8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
         raise FormatError(f"cannot read FIR taps {path}: {err}") from err
-    if taps.size < 2:
-        raise FormatError(f"{path}: expected at least two float64 taps")
-    return synthmod.FirPostFilter(taps=taps)
+    if len(raw) % 8:
+        raise FormatError(f"{path}: {len(raw)} bytes is not a multiple of 8 (float64 taps)")
+    return synthmod.FirPostFilter(np.frombuffer(raw, dtype="<f8"))
 
 
 def cmd_synth(args) -> int:
@@ -132,8 +133,7 @@ def cmd_loss(args) -> int:
     # sum in scale order so the result is thread-count invariant
     with ThreadPoolExecutor(max_workers=min(worker_count(), args.scales)) as pool:
         futures = [pool.submit(lambda w=w: losses.scale_loss(
-            a.samples, b.samples, w, cfg.kappa, cfg.log_floor).item())
-            for w in cfg.window_sizes]
+            a.samples, b.samples, w).item()) for w in cfg.window_sizes]
         total = sum(f.result() for f in futures)
     print(f"{total:.6f}")
     return EXIT_OK
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", help="write a step,msl CSV here")
+    p.add_argument("--trace", help="write a step,msl CSV (row i: loss before update i)")
     p.add_argument("--mels", type=int, default=melcodec.DEFAULT_N_MELS)
     p.add_argument("--ap-bands", type=int, default=melcodec.DEFAULT_AP_BANDS)
     p.set_defaults(func=cmd_fit)

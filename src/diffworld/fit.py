@@ -134,7 +134,10 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
 
     ``f0`` is the oracle pitch contour, one value per frame of the target
     (``n_frames_for(len(target), hop)``).  Returns the fitted features and
-    the per-step loss trace.  If ``fir`` is given its free taps are
+    the per-step loss trace.  ``trace[i]`` scores the parameters before update
+    ``i``, so ``trace[-1]`` is one update behind the returned features; to score
+    them, fit again with ``init=fitted`` and ``FitConfig(steps=1,
+    learning_rate=0)``.  If ``fir`` is given its free taps are
     optimized jointly and updated in place.  ``init`` and ``reference``
     must share the synth config's clock and ``f0``'s frame count.
     """

@@ -21,20 +21,17 @@ from .features import MAX_FFT_SIZE
 from .synth import stft
 
 MAX_SCALES = MAX_FFT_SIZE.bit_length() - 6  # the largest window 2**(5 + s) fits
+LOG_FLOOR = 1e-7  # magnitudes are clamped here before the log term
 
 
 @dataclass(frozen=True)
 class MslConfig:
     scales: int = 6
-    kappa: float = 1.0
-    log_floor: float = 1e-7
 
     def __post_init__(self):
         if not 1 <= self.scales <= MAX_SCALES:
             raise ValidationError(f"scales must be in [1, {MAX_SCALES}] (window "
                                   f"2**(5 + scales) <= {MAX_FFT_SIZE}), got {self.scales}")
-        if not self.log_floor > 0:
-            raise ValidationError(f"MslConfig.log_floor must be > 0, got {self.log_floor}")
 
     @property
     def window_sizes(self) -> tuple[int, ...]:
@@ -55,46 +52,42 @@ def spectrogram_magnitude(x, window: int) -> dt.Tensor:
     return dt.complex_abs(stft(x, window, window // 4))
 
 
-def _floored_log(mag: dt.Tensor, log_floor: float) -> dt.Tensor:
-    return dt.log(dt.clamp_min(mag, log_floor))
+def _floored_log(mag: dt.Tensor) -> dt.Tensor:
+    return dt.log(dt.clamp_min(mag, LOG_FLOOR))
 
 
 class ScaleTarget(NamedTuple):
     """One side of a scale term, computed once: magnitudes and floored logs."""
 
     window: int
-    log_floor: float
     mag: dt.Tensor
     log_mag: dt.Tensor
 
 
-def scale_target(x, window: int, log_floor: float = 1e-7) -> ScaleTarget:
+def scale_target(x, window: int) -> ScaleTarget:
     """Magnitude spectrogram of ``x`` and its floored log at one scale."""
     mag = spectrogram_magnitude(x, window)
-    return ScaleTarget(window, log_floor, mag, _floored_log(mag, log_floor))
+    return ScaleTarget(window, mag, _floored_log(mag))
 
 
-def scale_loss(x, y, window: int, kappa: float = 1.0,
-               log_floor: float = 1e-7) -> dt.Tensor:
+def scale_loss(x, y, window: int) -> dt.Tensor:
     """Single-resolution term: L1 on magnitudes plus L1 on floored logs.
 
-    ``x`` is a signal or its :class:`ScaleTarget` at the same window and
-    floor.
+    ``x`` is a signal or its :class:`ScaleTarget` at the same window.
     """
     if isinstance(x, ScaleTarget):
-        if (x.window, x.log_floor) != (window, log_floor):
-            raise ValidationError(
-                f"target computed at window {x.window}, floor {x.log_floor} "
-                f"but the loss asks for window {window}, floor {log_floor}")
+        if x.window != window:
+            raise ValidationError(f"target computed at window {x.window} but the "
+                                  f"loss asks for window {window}")
         mag_x, log_x = x.mag, x.log_mag
     else:
         mag_x, log_x = spectrogram_magnitude(x, window), None
     mag_y = spectrogram_magnitude(y, window)
     linear = dt.mean(dt.abs(dt.sub(mag_x, mag_y)))
     if log_x is None:  # after mag_y: one spectrogram's workspace at a time
-        log_x = _floored_log(mag_x, log_floor)
-    logterm = dt.mean(dt.abs(dt.sub(log_x, _floored_log(mag_y, log_floor))))
-    return dt.add(linear, dt.mul(kappa, logterm))
+        log_x = _floored_log(mag_x)
+    logterm = dt.mean(dt.abs(dt.sub(log_x, _floored_log(mag_y))))
+    return dt.add(linear, logterm)
 
 
 class MslTarget(NamedTuple):
@@ -107,7 +100,7 @@ class MslTarget(NamedTuple):
 def msl_target(x, cfg: MslConfig = MslConfig()) -> MslTarget:
     """Spectrograms of ``x`` for :func:`msl`, to reuse across many calls."""
     x = dt.as_tensor(x)
-    return MslTarget(x.shape, tuple(scale_target(x, window, cfg.log_floor)
+    return MslTarget(x.shape, tuple(scale_target(x, window)
                                     for window in cfg.window_sizes))
 
 
@@ -115,8 +108,8 @@ def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
     """Multi-resolution spectrogram loss between two equal-length signals.
 
     Differentiable with respect to ``y`` (and ``x``, if it is tracked).  ``x``
-    may instead be an :class:`MslTarget` built with the same scales and
-    floor; :func:`scale_loss` checks each scale's window and floor.
+    may instead be an :class:`MslTarget` built with the same scales;
+    :func:`scale_loss` checks each scale's window.
     """
     y = dt.as_tensor(y)
     if isinstance(x, MslTarget):
@@ -131,7 +124,7 @@ def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
         raise ValidationError(f"signal lengths differ: {x_shape} vs {y.shape}")
     total = dt.Tensor(0.0)
     for side, window in zip(sides, cfg.window_sizes):
-        total = dt.add(total, scale_loss(side, y, window, cfg.kappa, cfg.log_floor))
+        total = dt.add(total, scale_loss(side, y, window))
     return total
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import melcodec
 from . import tensor as dt
-from .errors import ValidationError
+from .errors import ValidationError, first_index
 from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
                        validate_features)
 
@@ -75,31 +75,31 @@ class FirPostFilter:
     of freedom, so the filter can never leak an identity path.
     """
 
-    def __init__(self, taps: np.ndarray | None = None, length: int = 1024):
-        if taps is not None:
-            taps = np.asarray(taps, dtype=np.float64)
-            if taps.ndim != 1 or taps.shape[0] < 2:
-                raise ValidationError("FIR taps must be 1-D with length >= 2")
-            if taps[0] != 0.0:
-                raise ValidationError("FIR tap 0 must be exactly 0 (causal, "
-                                      "no instantaneous path)")
-            self.free = taps[1:].copy()
-        else:
-            self.free = np.zeros(int(length) - 1)
+    def __init__(self, taps: np.ndarray):
+        taps = np.asarray(taps, dtype=np.float64)
+        if taps.ndim != 1 or taps.shape[0] < 2:
+            raise ValidationError("FIR taps must be 1-D with length >= 2")
+        if taps[0] != 0.0:
+            raise ValidationError("FIR tap 0 must be exactly 0 (causal, "
+                                  "no instantaneous path)")
+        if not np.all(np.isfinite(taps)):
+            raise ValidationError(
+                f"FIR tap {first_index(~np.isfinite(taps))[0]} is not finite")
+        self.free = taps[1:].copy()
 
     @property
     def taps(self) -> np.ndarray:
         return np.concatenate(([0.0], self.free))
 
     def apply(self, y, cfg: SynthConfig, free_taps=None) -> dt.Tensor:
-        """The FIR stage, ``gain_dry * y + gain_fir * fir(y)``.
+        """The FIR stage, ``gain_dry * y + gain_fir * causal_fir(y, free taps)``.
 
         Differentiable in ``y`` and in ``free_taps``, which stands in for
         ``self.free`` (a tracked tensor when the taps are being fitted).
         """
         taps = self.free if free_taps is None else free_taps
         dry = dt.mul(cfg.gain_dry, y)
-        return dt.add(dry, dt.mul(cfg.gain_fir, dt.causal_fir(dt.delay(y, 1), taps)))
+        return dt.add(dry, dt.mul(cfg.gain_fir, dt.causal_fir(y, taps)))
 
 
 def check_clock(name: str, feats, cfg: SynthConfig) -> None:

@@ -2,7 +2,7 @@
 
 Every differentiable operation in the package bottoms out in the primitives
 defined here: broadcast pointwise arithmetic, matrix products, real-input
-FFTs, framing/overlap-add, and 1-D causal convolution.  Operations execute
+FFTs, framing/overlap-add, and a strictly causal FIR.  Operations execute
 eagerly on numpy arrays and, whenever an input is being tracked, store their
 inputs and backward function on the output tensor, so each graph is owned by
 its tensors and is freed with them.  ``backward`` collects the nodes that
@@ -434,7 +434,7 @@ def complex_abs(z) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# framing, overlap-add, delay, causal FIR
+# framing, overlap-add, strictly causal FIR
 # ---------------------------------------------------------------------------
 
 def _require_hop(hop: int, op: str) -> None:
@@ -525,47 +525,32 @@ def overlap_add(frames_t, hop: int, out_len: int, pad_left: int) -> Tensor:
     return _record((frames_t,), out, bwd)
 
 
-def delay(a, shift: int) -> Tensor:
-    """Shift a 1-D signal right by ``shift`` samples (zeros enter, tail drops)."""
-    a = as_tensor(a)
-    if a.ndim != 1:
-        raise ShapeError(f"delay: expected a 1-D signal, got shape {a.shape}")
-    shift = int(shift)
-    if shift < 0:
-        raise ValueError("delay: shift must be non-negative")
-    length = a.shape[0]
-    out_val = np.zeros(length)
-    if shift < length:
-        out_val[shift:] = a.data[: length - shift]
-    out = Tensor(out_val)
-
-    def bwd(g):
-        grad = np.zeros(length)
-        if shift < length:
-            grad[: length - shift] = g[shift:]
-        return (grad,)
-
-    return _record((a,), out, bwd)
+def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Full linear convolution of non-empty 1-D ``x`` and ``h`` by real FFT,
+    zero-padded to a power of two: other lengths can be many times slower."""
+    n = len(x) + len(h) - 1
+    size = 1 << (n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n]
 
 
 def causal_fir(a, taps) -> Tensor:
-    """Causal FIR filter: ``y[t] = sum_l taps[l] * a[t - l]``, same length as ``a``.
+    """Strictly causal FIR: ``y[t] = sum_l taps[l] * a[t - 1 - l]``, ``a``'s length.
 
-    Differentiable in both the signal and the taps.
+    No tap reaches the current sample, so ``y[0] = 0``.  Differentiable in
+    both the signal and the taps, which may outnumber the samples.
     """
-    from scipy.signal import fftconvolve
-
     a, taps = as_tensor(a), as_tensor(taps)
-    if a.ndim != 1 or taps.ndim != 1:
-        raise ShapeError("causal_fir: signal and taps must be 1-D")
+    if a.ndim != 1 or taps.ndim != 1 or 0 in (a.size, taps.size):
+        raise ShapeError("causal_fir: signal and taps must be non-empty and 1-D")
     length = a.shape[0]
     n_taps = taps.shape[0]
-    out = Tensor(fftconvolve(a.data, taps.data)[:length])
+    out = Tensor(np.append(0.0, _convolve(a.data, taps.data)[: length - 1]))
 
     def bwd(g):
-        ga = fftconvolve(g, taps.data[::-1])[n_taps - 1: n_taps - 1 + length]
-        gw = fftconvolve(g, a.data[::-1])[length - 1: length - 1 + n_taps]
-        return ga, gw
+        # ga[s] = sum_l g[s + 1 + l] taps[l], gw[l] = sum_t g[t] a[t - 1 - l]
+        ga = np.append(_convolve(g, taps.data[::-1])[n_taps:], 0.0)
+        gw = _convolve(g, a.data[::-1])[length: length + n_taps]
+        return ga, np.pad(gw, (0, n_taps - gw.size))
 
     return _record((a, taps), out, bwd)
 

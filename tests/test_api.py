@@ -8,6 +8,8 @@ it never uses (a line marked ``# noqa: F401`` is exempt).
 import ast
 import dataclasses
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,7 +57,7 @@ def test_every_export_resolves_once():
 
 @pytest.mark.parametrize("module, name", [
     (synth, "synth_harmonic"), (synth, "synth_noise"), (synth, "oracle_target"),
-    (losses, "nll_loss"),
+    (losses, "nll_loss"), (tensor, "delay"),
 ])
 def test_deleted_names_stay_deleted(module, name):
     assert not hasattr(module, name)
@@ -67,6 +69,31 @@ def test_one_way_to_read_a_gradient_and_no_unread_fields():
     assert [f.name for f in dataclasses.fields(melcodec.MelBasis)] == \
         ["weights", "pinv", "epsilon"]
     assert list(inspect.signature(features.read_features).parameters) == ["path"]
+
+
+def test_single_valued_settings_stay_constants():
+    assert [f.name for f in dataclasses.fields(losses.MslConfig)] == ["scales"]
+    assert list(inspect.signature(synth.FirPostFilter.__init__).parameters) == \
+        ["self", "taps"]
+
+
+def test_fir_stage_runs_without_scipy_signal():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import diffworld as dw\n"
+        "from diffworld import tensor as dt\n"
+        "t, bins = 8, 33\n"
+        "feats = dw.WorldFeatures(f0=np.full(t, 150.0), sp=np.ones((t, bins)),\n"
+        "                         ap=np.full((t, bins), 0.3), sample_rate=8000,\n"
+        "                         hop=16, fft_size=64)\n"
+        "y = dw.synthesize(feats, fir=dw.FirPostFilter(np.r_[0.0, 0.5, 0.25]))\n"
+        "taps = dt.Tensor(np.ones(4), requires_grad=True)\n"
+        "dt.backward(dt.sum(dt.causal_fir(y, taps)))\n"
+        "print('scipy.signal' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_wav_writer_has_no_codec_option():

@@ -137,13 +137,24 @@ class TestFit:
 
     def test_joint_fir_fit_runs_and_updates_taps(self):
         target, f0 = desk_problem(t=60)
-        fir = sy.FirPostFilter(length=32)
+        fir = sy.FirPostFilter(np.zeros(32))
         cfg = fi.FitConfig(steps=15, learning_rate=0.02, msl=MslConfig(scales=2))
         _, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK,
                           n_mels=16, ap_bands=4, fir=fir)
         assert trace[-1] < trace[0]
         assert np.any(fir.free != 0.0)
         assert fir.taps[0] == 0.0
+
+    def test_fir_with_more_taps_than_samples_fits(self):
+        # 64 taps against a 2-frame (32-sample) target: the taps gradient
+        # must keep the taps' length, not the signal's
+        target, f0 = desk_problem(t=2)
+        fir = sy.FirPostFilter(np.zeros(64))
+        cfg = fi.FitConfig(steps=2, learning_rate=0.02, msl=MslConfig(scales=2))
+        _, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK,
+                          n_mels=16, ap_bands=4, fir=fir)
+        assert np.all(np.isfinite(trace)) and fir.free.shape == (63,)
+        assert np.any(fir.free[:31] != 0.0) and np.all(fir.free[31:] == 0.0)
 
     def test_feature_loss_pulls_toward_reference(self):
         target, f0 = desk_problem(t=40)
@@ -236,7 +247,7 @@ class TestFit:
         monkeypatch.setattr(fi.dt, "backward", poisoned)
         target, f0 = desk_problem(t=40)
         cfg = fi.FitConfig(steps=3, learning_rate=0.01, msl=MslConfig(scales=2))
-        fir = sy.FirPostFilter(length=32)
+        fir = sy.FirPostFilter(np.zeros(32))
         pattern = rf"at step 0: non-finite gradient of {name} at index \({index[0]},"
         with pytest.raises(fi.FitDivergence, match=pattern) as err:
             fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, n_mels=16, ap_bands=4,

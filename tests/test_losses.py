@@ -36,11 +36,6 @@ class TestMsl:
         x = np.sin(2 * np.pi * 440 * np.arange(2048) / 22050.0)
         assert ls.msl(x, np.zeros(2048), ls.MslConfig(scales=2)).item() > 0.0
 
-    @pytest.mark.parametrize("log_floor", [0.0, -1.0])
-    def test_non_positive_log_floor_rejected(self, log_floor):
-        with pytest.raises(ValidationError, match="MslConfig.log_floor must be > 0"):
-            ls.MslConfig(log_floor=log_floor)
-
     def test_window_ladder(self):
         assert ls.MslConfig().window_sizes == (64, 128, 256, 512, 1024, 2048)
         assert ls.MslConfig(scales=2).window_sizes == (64, 128)
@@ -85,9 +80,8 @@ class TestMslTarget:
     def test_cached_target_is_bit_identical(self):
         rs = np.random.default_rng(14)
         x, y0 = rs.normal(size=700), rs.normal(size=700)
-        cfg = ls.MslConfig(scales=4, kappa=0.5)
-        # kappa weighs the terms but does not enter the cached spectrograms
-        target = ls.msl_target(x, ls.MslConfig(scales=4))
+        cfg = ls.MslConfig()
+        target = ls.msl_target(x, cfg)
         for _ in range(2):  # the target is reusable
             yt = dt.Tensor(y0, requires_grad=True)
             cached = ls.msl(target, yt, cfg)
@@ -102,8 +96,6 @@ class TestMslTarget:
         target = ls.msl_target(x, ls.MslConfig(scales=2))
         with pytest.raises(ValidationError, match="target has 2 scales, loss uses 3"):
             ls.msl(target, x, ls.MslConfig(scales=3))
-        with pytest.raises(ValidationError, match="floor 1e-07 .* floor 1e-05"):
-            ls.msl(target, x, ls.MslConfig(scales=2, log_floor=1e-5))
 
     def test_length_mismatch_rejected(self):
         target = ls.msl_target(np.zeros(300), ls.MslConfig(scales=1))

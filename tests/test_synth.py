@@ -456,6 +456,13 @@ class TestSynthesize:
         with pytest.raises(ValidationError, match="tap 0"):
             sy.FirPostFilter(taps=bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fir_non_finite_tap_named(self, bad):
+        taps = np.zeros(8)
+        taps[3] = bad
+        with pytest.raises(ValidationError, match="FIR tap 3 is not finite"):
+            sy.FirPostFilter(taps)
+
     def test_postnet_residual_mixing_and_gradient_passthrough(self):
         feats = desk_features()
         cfg = sy.SynthConfig.for_features(feats)

@@ -253,45 +253,51 @@ class TestFramingOps:
         grads2 = dt.backward(dt.sum(dt.mul(dt.overlap_add(t2, 8, 48, 8), dt.Tensor(w))))
         assert rel_grad_err(grads2[t2], central_diff(f2, fr0)) < 1e-6
 
-    def test_delay_shifts_and_backpropagates(self):
-        x = np.arange(6.0)
-        out = dt.delay(dt.Tensor(x), 2)
-        np.testing.assert_array_equal(out.data, [0, 0, 0, 1, 2, 3])
-        t = dt.Tensor(x, requires_grad=True)
-        g = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        grads = dt.backward(dt.sum(dt.mul(dt.delay(t, 2), dt.Tensor(g))))
-        np.testing.assert_array_equal(grads[t], [3, 4, 5, 6, 0, 0])
-
     def test_causal_fir_matches_brute_force(self):
         rs = np.random.default_rng(43)
         x = rs.normal(size=30)
         w = rs.normal(size=5)
         out = dt.causal_fir(dt.Tensor(x), dt.Tensor(w)).data
-        ref = np.array([sum(w[l] * x[t - l] for l in range(5) if 0 <= t - l < 30)
+        ref = np.array([sum(w[l] * x[t - 1 - l] for l in range(5) if 0 <= t - 1 - l < 30)
                         for t in range(30)])
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("samples, n_taps", [(4, 0), (0, 3)])
+    def test_causal_fir_rejects_empty_operands(self, samples, n_taps):
+        with pytest.raises(ShapeError, match="non-empty"):
+            dt.causal_fir(dt.Tensor(np.ones(samples)), dt.Tensor(np.ones(n_taps)))
+
     def test_causal_fir_gradients(self):
-        rs = np.random.default_rng(47)
-        x0 = rs.normal(size=20)
-        w0 = rs.normal(size=4)
-        weight = rs.normal(size=20)
+        check_causal_fir_gradients(20, 4, seed=47)
 
-        tx = dt.Tensor(x0, requires_grad=True)
-        tw = dt.Tensor(w0, requires_grad=True)
-        grads = dt.backward(dt.sum(dt.mul(dt.causal_fir(tx, tw), dt.Tensor(weight))))
+    @pytest.mark.parametrize("samples, n_taps", [(10, 20), (2, 5), (1, 3)])
+    def test_causal_fir_gradients_with_more_taps_than_samples(self, samples, n_taps):
+        check_causal_fir_gradients(samples, n_taps, seed=samples)
 
-        def f_x(x):
-            return dt.sum(dt.mul(dt.causal_fir(dt.Tensor(x, requires_grad=True),
-                                               dt.Tensor(w0)), dt.Tensor(weight))).item()
 
-        def f_w(w):
-            return dt.sum(dt.mul(dt.causal_fir(dt.Tensor(x0),
-                                               dt.Tensor(w, requires_grad=True)),
-                                 dt.Tensor(weight))).item()
+def check_causal_fir_gradients(samples, n_taps, seed):
+    """Both gradients of a weighted sum of ``causal_fir`` against finite differences."""
+    rs = np.random.default_rng(seed)
+    x0 = rs.normal(size=samples)
+    w0 = rs.normal(size=n_taps)
+    weight = rs.normal(size=samples)
 
-        assert rel_grad_err(grads[tx], central_diff(f_x, x0)) < 1e-6
-        assert rel_grad_err(grads[tw], central_diff(f_w, w0)) < 1e-6
+    tx = dt.Tensor(x0, requires_grad=True)
+    tw = dt.Tensor(w0, requires_grad=True)
+    grads = dt.backward(dt.sum(dt.mul(dt.causal_fir(tx, tw), dt.Tensor(weight))))
+
+    def f_x(x):
+        return dt.sum(dt.mul(dt.causal_fir(dt.Tensor(x, requires_grad=True),
+                                           dt.Tensor(w0)), dt.Tensor(weight))).item()
+
+    def f_w(w):
+        return dt.sum(dt.mul(dt.causal_fir(dt.Tensor(x0),
+                                           dt.Tensor(w, requires_grad=True)),
+                             dt.Tensor(weight))).item()
+
+    assert grads[tx].shape == (samples,) and grads[tw].shape == (n_taps,)
+    assert rel_grad_err(grads[tx], central_diff(f_x, x0)) < 1e-6
+    assert rel_grad_err(grads[tw], central_diff(f_w, w0)) < 1e-6
 
 
 class TestBackward:
