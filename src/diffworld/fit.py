@@ -14,13 +14,17 @@ the excitation spectra of the fixed pitch contour and noise
 log-magnitude spectrograms at every loss scale (:func:`losses.msl_target`).
 A step decodes the features, shapes and mixes the two spectra with one
 inverse STFT (:func:`synth.render`), evaluates the loss against the cached
-target, and back-propagates.  A non-finite loss or gradient stops the fit
-with :class:`FitDivergence`, which names the step, and for a gradient the
-parameter and the first non-finite index.
+target, and back-propagates.  The loss's scratch buffers belong to the fit:
+one :class:`tensor.Workspace`, allocated in the first step and reused by
+every scale of every step, since the scales run one after another.  A
+non-finite loss or gradient stops the fit with :class:`FitDivergence`, which
+names the step, and for a gradient the parameter and the first non-finite
+index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +56,14 @@ class FitConfig:
     msl: MslConfig = field(default_factory=MslConfig)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError("steps must be >= 1")
-        if self.learning_rate < 0:
-            raise ValidationError("learning_rate must be >= 0")
+        if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
+                or self.steps < 1):
+            raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +189,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     # constant across steps: computed once
     spec_h, spec_n = excitation_spectra(f0, synth_cfg)
     target_spec = msl_target(target, cfg.msl)
+    workspace = dt.Workspace()
 
     params = {"log_mel": s0, "ap_logit": _logit(a0)}
     if fir is not None:
@@ -196,7 +205,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
         y = render(spec_h, spec_n, sp, ap, synth_cfg)
         if fir is not None:
             y = fir.apply(y, synth_cfg, leaves["fir_free"])
-        loss = msl(target_spec, y, cfg.msl)
+        loss = msl(target_spec, y, cfg.msl, workspace)
         if reference is not None and cfg.alpha != 0.0:
             feat_loss = dt.add(mse_features(reference.log_mel, s_t),
                                mse_features(reference.coded_ap, a_t))

@@ -2,12 +2,20 @@
 
 The multi-spectrogram loss compares Hann magnitude spectrograms at a ladder
 of resolutions (window ``2 ** (5 + s)`` for scale ``s``, 75% overlap), with an
-L1 term on magnitudes and an L1 term on floored log magnitudes.  When one
-side is a constant that is compared many times (the target of a fit), its
+L1 term on magnitudes and an L1 term on floored log magnitudes.  It is
+differentiable in the rendered signal ``y`` only: the reference ``x`` must
+be untracked, and a tracked ``x`` raises instead of losing its gradient.
+Each scale term is one graph node.  For a tracked ``y`` its forward pass
+runs in numpy, computes the whole gradient ``dL_s/dy`` at once and keeps
+only that; its backward pass scales it.  That arithmetic follows the order
+the composed tensor ops would use, so value and gradient keep their bits.
+Without a tracked ``y`` the term computes its value alone, a block of frames
+at a time, so no frames, spectrum or magnitudes of the whole signal exist at
+once; its sums add up block by block, which can move the value's last bits.
+When ``x`` is a constant compared many times (the target of a fit), its
 magnitudes and floored logs can be computed once with :func:`msl_target` and
-passed in its place; the loss value is bit-identical.  The adversarial
-pieces operate on caller-supplied discriminator scores and feature maps; no
-discriminator network ships here.
+passed in its place.  The adversarial pieces operate on caller-supplied
+discriminator scores and feature maps; no discriminator network ships here.
 """
 
 from __future__ import annotations
@@ -15,13 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import tensor as dt
 from .errors import ValidationError
 from .features import MAX_FFT_SIZE
-from .synth import stft
+from .synth import _check_signal, _spectrum, _spectrum_adjoint, n_frames_for
+# no longer called here; perfbench's tracer and its smoke test expect to
+# find it bound in this module
+from .synth import stft  # noqa: F401
 
 MAX_SCALES = MAX_FFT_SIZE.bit_length() - 6  # the largest window 2**(5 + s) fits
 LOG_FLOOR = 1e-7  # magnitudes are clamped here before the log term
+# samples of frames per block of an untracked term: cli loss runs the terms
+# on worker threads, and glibc keeps whatever a thread's heap grew to below
+# its trim threshold, so the blocks stay small
+_VALUE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -47,47 +64,147 @@ def mse_features(x, y) -> dt.Tensor:
     return dt.mean(dt.mul(diff, diff))
 
 
-def spectrogram_magnitude(x, window: int) -> dt.Tensor:
-    """Hann magnitude spectrogram at 75% overlap for one loss scale."""
-    return dt.complex_abs(stft(x, window, window // 4))
+def _reference(x, where: str) -> np.ndarray:
+    """The samples of a reference signal, which must not be tracked."""
+    if isinstance(x, dt.Tensor):
+        if x._tracked:
+            raise ValidationError(
+                f"{where}: the reference signal x is tracked, but the loss is "
+                "differentiable in y only; pass x untracked")
+        return x.data
+    return np.asarray(x, dtype=np.float64)
 
 
-def _floored_log(mag: dt.Tensor) -> dt.Tensor:
-    return dt.log(dt.clamp_min(mag, LOG_FLOOR))
+def _magnitude(spec: np.ndarray, ws: dt.Workspace | None = None) -> np.ndarray:
+    """``|Z|`` as ``re * re + im * im``, then ``sqrt``, as ``complex_abs`` does."""
+    mag = np.multiply(spec.real, spec.real, out=dt._scratch(ws, "magnitude", spec.shape))
+    mag += np.multiply(spec.imag, spec.imag, out=dt._scratch(ws, "square", spec.shape))
+    return np.sqrt(mag, out=mag)
+
+
+def _floored_log(mag: np.ndarray) -> np.ndarray:
+    floored = np.maximum(mag, LOG_FLOOR)
+    return np.log(floored, out=floored)
 
 
 class ScaleTarget(NamedTuple):
     """One side of a scale term, computed once: magnitudes and floored logs."""
 
     window: int
-    mag: dt.Tensor
-    log_mag: dt.Tensor
+    mag: np.ndarray
+    log_mag: np.ndarray
 
 
 def scale_target(x, window: int) -> ScaleTarget:
-    """Magnitude spectrogram of ``x`` and its floored log at one scale."""
-    mag = spectrogram_magnitude(x, window)
+    """Magnitude spectrogram of an untracked ``x`` and its floored log."""
+    x = _reference(x, "scale_target")
+    mag = _magnitude(_spectrum(x, window, window // 4))
     return ScaleTarget(window, mag, _floored_log(mag))
 
 
-def scale_loss(x, y, window: int) -> dt.Tensor:
+def _value(x, y: np.ndarray, window: int) -> float:
+    """The term's value from blocks of frames; ``x`` is samples or a target."""
+    hop = window // 4
+    n_frames = n_frames_for(y.shape[0], hop)
+    per = max(1, _VALUE_BLOCK // window)
+    linear = logterm = 0.0
+    for first in range(0, n_frames, per):
+        stop = min(n_frames, first + per)
+        mag_y = _magnitude(_spectrum(y, window, hop, first=first, stop=stop))
+        if isinstance(x, ScaleTarget):
+            mag_x, log_x = x.mag[first:stop], x.log_mag[first:stop]
+        else:
+            mag_x = _magnitude(_spectrum(x, window, hop, first=first, stop=stop))
+            log_x = _floored_log(mag_x)
+        diff = np.subtract(mag_x, mag_y)
+        linear += np.sum(np.abs(diff, out=diff))
+        diff = _floored_log(mag_y)
+        np.subtract(log_x, diff, out=diff)
+        logterm += np.sum(np.abs(diff, out=diff))
+    n = float(n_frames * (window // 2 + 1))
+    return linear / n + logterm / n
+
+
+def _l1_grad(diff: np.ndarray, inv_n: float) -> np.ndarray:
+    """``d mean|a - b| / db = -(1/N) sign(a - b)``, in place in ``diff``."""
+    np.sign(diff, out=diff)
+    diff *= inv_n
+    return np.negative(diff, out=diff)
+
+
+def _zero_unless(arr: np.ndarray, keep: np.ndarray) -> None:
+    """Zero ``arr`` wherever ``keep`` is false; ``keep`` is overwritten."""
+    np.copyto(arr, 0.0, where=np.logical_not(keep, out=keep))
+
+
+def _value_and_spectrum_grad(spec: np.ndarray, target: ScaleTarget,
+                             mag_y: np.ndarray, ws: dt.Workspace | None) -> float:
+    """The term's value; overwrites ``spec`` (``Z``) with ``dL/dZ``.
+
+    Each step is the one the composed ops' backward passes would take, in
+    their order, so the bits match theirs.
+    """
+    def scratch(name, dtype=np.float64):
+        return dt._scratch(ws, name, mag_y.shape, dtype)
+
+    n = float(mag_y.size)
+    d_lin = np.subtract(target.mag, mag_y, out=scratch("d_lin"))
+    floored = np.maximum(mag_y, LOG_FLOOR, out=scratch("floored"))
+    d_log = np.log(floored, out=scratch("d_log"))
+    np.subtract(target.log_mag, d_log, out=d_log)
+    absolute = scratch("square")
+    value = (np.sum(np.abs(d_lin, out=absolute)) / n
+             + np.sum(np.abs(d_log, out=absolute)) / n)
+    # dL/d|Z|: the log term's share comes first, through the log and the
+    # clamp, which passes where |Z| >= LOG_FLOOR; then the linear term's
+    inv_n = 1.0 / n
+    keep = scratch("mask", bool)
+    g_mag = _l1_grad(d_log, inv_n)
+    g_mag /= floored
+    _zero_unless(g_mag, np.greater_equal(mag_y, LOG_FLOOR, out=keep))
+    g_mag += _l1_grad(d_lin, inv_n)
+    # dL/dZ = Z dL/d|Z| / |Z|, and 0 where |Z| = 0, as complex_abs has it
+    np.divide(g_mag, mag_y, out=g_mag, where=np.greater(mag_y, 0.0, out=keep))
+    _zero_unless(g_mag, keep)
+    np.multiply(spec.real, g_mag, out=spec.real)
+    np.multiply(spec.imag, g_mag, out=spec.imag)
+    return value
+
+
+def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None) -> dt.Tensor:
     """Single-resolution term: L1 on magnitudes plus L1 on floored logs.
 
-    ``x`` is a signal or its :class:`ScaleTarget` at the same window.
+    ``x`` is an untracked signal as long as ``y``, or its
+    :class:`ScaleTarget` at the same window.  The term is one graph node on
+    ``y``.  ``workspace`` holds the scratch buffers of a caller that
+    evaluates a tracked term again and again (``fit``); without one, each
+    call allocates its own.  The gradient never lives in the workspace.
     """
+    y = dt.as_tensor(y)
+    hop = window // 4
+    _check_signal(y.data, window, hop)
     if isinstance(x, ScaleTarget):
         if x.window != window:
             raise ValidationError(f"target computed at window {x.window} but the "
                                   f"loss asks for window {window}")
-        mag_x, log_x = x.mag, x.log_mag
+        if x.mag.shape[0] != n_frames_for(y.shape[0], hop):
+            raise ValidationError(f"target has {x.mag.shape[0]} frames at window "
+                                  f"{window}, a {y.shape[0]}-sample y has "
+                                  f"{n_frames_for(y.shape[0], hop)}")
     else:
-        mag_x, log_x = spectrogram_magnitude(x, window), None
-    mag_y = spectrogram_magnitude(y, window)
-    linear = dt.mean(dt.abs(dt.sub(mag_x, mag_y)))
-    if log_x is None:  # after mag_y: one spectrogram's workspace at a time
-        log_x = _floored_log(mag_x)
-    logterm = dt.mean(dt.abs(dt.sub(log_x, _floored_log(mag_y))))
-    return dt.add(linear, logterm)
+        x = _reference(x, "scale_loss")
+        if x.shape != y.shape:
+            raise ValidationError(f"signal lengths differ: {x.shape} vs {y.shape}")
+    if not y._tracked:
+        return dt.Tensor(_value(x, y.data, window))
+    if not isinstance(x, ScaleTarget):
+        x = scale_target(x, window)
+    spec = _spectrum(y.data, window, hop, workspace)
+    mag_y = _magnitude(spec, workspace)
+    value = _value_and_spectrum_grad(spec, x, mag_y, workspace)
+    del x, mag_y
+    grad = _spectrum_adjoint(spec, window, hop, y.shape[0], workspace)
+    return dt._record((y,), dt.Tensor(value), lambda g: (g * grad,))
 
 
 class MslTarget(NamedTuple):
@@ -98,18 +215,19 @@ class MslTarget(NamedTuple):
 
 
 def msl_target(x, cfg: MslConfig = MslConfig()) -> MslTarget:
-    """Spectrograms of ``x`` for :func:`msl`, to reuse across many calls."""
-    x = dt.as_tensor(x)
+    """Spectrograms of an untracked ``x`` for :func:`msl`, to reuse across calls."""
+    x = _reference(x, "msl_target")
     return MslTarget(x.shape, tuple(scale_target(x, window)
                                     for window in cfg.window_sizes))
 
 
-def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
+def msl(x, y, cfg: MslConfig = MslConfig(),
+        workspace: dt.Workspace | None = None) -> dt.Tensor:
     """Multi-resolution spectrogram loss between two equal-length signals.
 
-    Differentiable with respect to ``y`` (and ``x``, if it is tracked).  ``x``
-    may instead be an :class:`MslTarget` built with the same scales;
-    :func:`scale_loss` checks each scale's window.
+    Differentiable with respect to ``y``; ``x`` must be untracked, or an
+    :class:`MslTarget` built with the same scales (:func:`scale_loss` checks
+    each scale's window).  ``workspace`` is passed to every scale term.
     """
     y = dt.as_tensor(y)
     if isinstance(x, MslTarget):
@@ -118,13 +236,13 @@ def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
                                   f"loss uses {cfg.scales}")
         x_shape, sides = x.shape, x.scales
     else:
-        x = dt.as_tensor(x)
+        x = _reference(x, "msl")
         x_shape, sides = x.shape, (x,) * cfg.scales
     if x_shape != y.shape:
         raise ValidationError(f"signal lengths differ: {x_shape} vs {y.shape}")
     total = dt.Tensor(0.0)
     for side, window in zip(sides, cfg.window_sizes):
-        total = dt.add(total, scale_loss(side, y, window))
+        total = dt.add(total, scale_loss(side, y, window, workspace))
     return total
 
 

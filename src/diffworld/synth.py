@@ -29,7 +29,7 @@ import numpy as np
 
 from . import melcodec
 from . import tensor as dt
-from .errors import ValidationError, first_index
+from .errors import ShapeError, ValidationError, first_index
 from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
                        validate_features)
 
@@ -205,16 +205,86 @@ def n_frames_for(n_samples: int, hop: int) -> int:
     return -(-n_samples // hop)
 
 
+def _frame_span(length: int, fft_size: int, hop: int, first: int,
+                stop: int) -> tuple[int, int, int, int]:
+    """Frames ``first..stop`` of a ``length``-sample signal, padded: their
+    length ``total``, the sample ``start`` that index 0 holds, and the span
+    ``[lo, hi)`` that the signal fills."""
+    total = (stop - first - 1) * hop + fft_size
+    start = first * hop - fft_size // 2
+    return total, start, max(0, -start), max(0, min(total, length - start))
+
+
+def _check_signal(x: np.ndarray, fft_size: int, hop: int) -> None:
+    """Raise unless ``x`` is a non-empty 1-D signal with an STFT geometry."""
+    if x.ndim != 1:
+        raise ShapeError(f"stft: expected a 1-D signal, got shape {x.shape}")
+    if x.size == 0:
+        raise ValidationError("stft: the signal is empty; a spectrum needs at "
+                              "least one sample")
+    dt._require_hop(hop, "stft")
+    dt._require_pow2(fft_size, "stft")
+
+
+def _spectrum(x: np.ndarray, fft_size: int, hop: int,
+              ws: dt.Workspace | None = None, first: int = 0,
+              stop: int | None = None) -> np.ndarray:
+    """The one STFT kernel: the complex spectra of frames ``first..stop``.
+
+    Frame ``t`` covers samples ``[t * hop - fft_size // 2, t * hop + fft_size
+    // 2)`` of ``x``, reading zeros outside it, and is Hann-windowed and
+    transformed.  ``x`` has ``n_frames_for(len(x), hop)`` frames; ``stop``
+    defaults to that.  Only the ``(stop - first, fft_size // 2 + 1)``
+    spectrum outlives the call, and it is a view of ``ws`` when one is given.
+    """
+    _check_signal(x, fft_size, hop)
+    # a cache entry: made before the buffers, so that a worker thread's heap
+    # keeps no long-lived block above them
+    window = hann_window(fft_size)
+    if stop is None:
+        stop = n_frames_for(x.shape[0], hop)
+    total, start, lo, hi = _frame_span(x.shape[0], fft_size, hop, first, stop)
+    padded = dt._scratch(ws, "padded", (total,))
+    padded[:lo] = 0.0
+    padded[lo:hi] = x[start + lo: start + hi]
+    padded[hi:] = 0.0
+    frames = dt._scratch(ws, "frames", (stop - first, fft_size))
+    np.multiply(dt._frames_view(padded, fft_size, hop, stop - first), window, out=frames)
+    del padded  # freed before the transform allocates, unless ws owns it
+    spec = dt._scratch(ws, "spectrum", (stop - first, fft_size // 2 + 1), complex)
+    return np.fft.rfft(frames, axis=-1, out=spec)
+
+
+def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int,
+                      length: int, ws: dt.Workspace | None = None) -> np.ndarray:
+    """Adjoint of :func:`_spectrum` over all frames of a ``length``-sample signal.
+
+    Maps the gradient of the spectrum, which it overwrites, to a fresh
+    gradient of the signal: the half-spectrum ``rfft`` adjoint, the window,
+    then the frames overlap-added back where they were read.
+    """
+    n_frames = grad_spec.shape[0]
+    frames = dt._rfft_adjoint(grad_spec, fft_size,
+                              out=dt._scratch(ws, "frames", (n_frames, fft_size)))
+    np.multiply(frames, hann_window(fft_size), out=frames)
+    total, start, lo, hi = _frame_span(length, fft_size, hop, 0, n_frames)
+    summed = dt._overlap_sum(frames, hop, total, ws)
+    grad = np.zeros(length)
+    grad[start + lo: start + hi] = summed[lo:hi]
+    return grad
+
+
 def stft(x, fft_size: int, hop: int) -> dt.Tensor:
     """Hann-windowed STFT, frames centered at ``t * hop``.
 
     Returns a ``(T, 2, fft_size // 2 + 1)`` tensor of real/imag planes with
-    ``T = n_frames_for(len(x), hop)``.
+    ``T = n_frames_for(len(x), hop)``; one graph node when ``x`` is tracked.
     """
     x = dt.as_tensor(x)
-    frames = dt.frame(x, fft_size, hop, n_frames_for(x.shape[0], hop), fft_size // 2)
-    windowed = dt.mul(frames, dt.Tensor(hann_window(fft_size)))
-    return dt.rfft(windowed, fft_size)
+    out = dt.Tensor(dt._to_planes(_spectrum(x.data, fft_size, hop)))
+    length = x.shape[0]
+    return dt._record((x,), out, lambda g: (
+        _spectrum_adjoint(dt._to_complex(g), fft_size, hop, length),))
 
 
 def _window_norm(fft_size: int, hop: int, n_frames: int, length: int) -> np.ndarray:

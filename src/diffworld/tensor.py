@@ -13,7 +13,13 @@ node raises instead of treating it as a constant.
 
 Tensor data is immutable after creation and graphs share no state but a
 creation counter, so independent pipelines (per clip, per spectrogram
-scale) may run on separate threads without locking.
+scale) may run on separate threads without locking.  One order rule holds
+for a tensor that several nodes read: ``backward`` sums the gradients it
+receives in reverse node-creation order.  Nodes that share an input and are
+created on different threads therefore give that input gradient bits that
+depend on thread timing; create them in a fixed order (compute on the
+threads, record on one) when the bits must not vary.  A :class:`Workspace`
+is not a graph: it belongs to one caller and is never shared by threads.
 
 The framing ops are vectorised.  :func:`frame` gathers through a strided
 view, and the scatter-add shared by :func:`overlap_add` and by ``frame``'s
@@ -102,6 +108,39 @@ def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Ten
         out._tracked = True
         out._node = (next(_SEQ), tuple(inputs), backward_fn)
     return out
+
+
+class Workspace:
+    """Named flat scratch buffers that one caller reuses from call to call.
+
+    :meth:`take` returns a C-contiguous view of the buffer called ``name``,
+    which grows to the largest request seen and so serves requests of
+    several sizes in turn; its contents are undefined.  A caller that runs
+    the same computation repeatedly (``fit``, once per step) allocates its
+    scratch memory once instead of faulting in fresh pages every time.
+    """
+
+    def __init__(self):
+        self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        key = (name, np.dtype(dtype))
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _scratch(ws: Workspace | None, name: str, shape: tuple[int, ...],
+             dtype=np.float64, zero: bool = False) -> np.ndarray:
+    """A fresh array, or a view of ``ws``'s buffer ``name``; zeroed if asked."""
+    if ws is None:
+        return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
+    buf = ws.take(name, shape, dtype)
+    if zero:
+        buf.fill(0)
+    return buf
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -359,6 +398,25 @@ def _to_complex(planes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _to_planes(spec: np.ndarray) -> np.ndarray:
+    """``(..., B)`` complex -> a new ``(..., 2, B)`` array of real/imag planes."""
+    planes = np.empty(spec.shape[:-1] + (2, spec.shape[-1]), dtype=spec.real.dtype)
+    planes[..., 0, :] = spec.real
+    planes[..., 1, :] = spec.imag
+    return planes
+
+
+def _rfft_adjoint(spec: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of the size-``n`` half-spectrum DFT along the last axis.
+
+    It is an unnormalized inverse of the full spectrum with the mirrored
+    half left out; ``irfft`` counts each interior bin twice, so those are
+    halved going in, in place in ``spec``.
+    """
+    spec[..., 1:-1] *= 0.5
+    return np.fft.irfft(spec, n=n, axis=-1, norm="forward", out=out)
+
+
 def rfft(a, n: int) -> Tensor:
     """Real-input FFT along the last axis, zero-padded to ``n``.
 
@@ -371,20 +429,10 @@ def rfft(a, n: int) -> Tensor:
     length = a.shape[-1]
     if length > n:
         raise ShapeError(f"rfft: input length {length} exceeds transform size {n}")
-    spec = np.fft.rfft(a.data, n=n, axis=-1)
-    planes = np.empty(spec.shape[:-1] + (2, spec.shape[-1]), dtype=spec.real.dtype)
-    planes[..., 0, :] = spec.real
-    planes[..., 1, :] = spec.imag
-    out = Tensor(planes)
+    out = Tensor(_to_planes(np.fft.rfft(a.data, n=n, axis=-1)))
 
     def bwd(g):
-        # the adjoint of the half-spectrum DFT is an unnormalized inverse of
-        # the full spectrum with the mirrored half left out; irfft counts
-        # each interior bin twice, so those are halved going in
-        gc = _to_complex(g)
-        gc[..., 1:-1] *= 0.5
-        grad = np.fft.irfft(gc, n=n, axis=-1, norm="forward")
-        return (grad[..., :length],)
+        return (_rfft_adjoint(_to_complex(g), n)[..., :length],)
 
     return _record((a,), out, bwd)
 
@@ -442,7 +490,8 @@ def _require_hop(hop: int, op: str) -> None:
         raise ShapeError(f"{op}: hop must be at least 1, got {hop}")
 
 
-def _overlap_sum(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
+def _overlap_sum(frames: np.ndarray, hop: int, total: int,
+                 ws: Workspace | None = None) -> np.ndarray:
     """Sum ``(T, frame_len)`` frames placed at ``t * hop`` into ``total`` samples.
 
     Each frame is cut into ``ceil(frame_len / hop)`` hop-long chunks (the
@@ -450,13 +499,14 @@ def _overlap_sum(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
     ``t + j`` of a ``(T + k - 1, hop)`` buffer: ``k`` strided slice-adds
     instead of a loop over frames.  Chunks go in from the last to the first,
     which gives every sample its terms in frame order, as a frame loop would.
+    The result is a view of ``ws`` when one is given.
     """
     n_frames, frame_len = frames.shape
     k = -(-frame_len // hop)
     if k * hop != frame_len:
         frames = np.pad(frames, ((0, 0), (0, k * hop - frame_len)))
     n_blocks = n_frames + k - 1
-    buf = np.zeros(max(total, n_blocks * hop), dtype=frames.dtype)
+    buf = _scratch(ws, "overlap", (max(total, n_blocks * hop),), frames.dtype, zero=True)
     blocks = buf[: n_blocks * hop].reshape(n_blocks, hop)
     chunks = frames.reshape(n_frames, k, hop)
     for j in reversed(range(k)):

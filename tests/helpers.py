@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from diffworld import tensor as dt
+
 
 def central_diff(f, x, step=1e-5):
     """Central finite-difference gradient of scalar ``f`` w.r.t. array ``x``."""
@@ -93,3 +95,29 @@ def direct_pulse_train(f0_audio, mask, sample_rate, harmonic_cap):
     on = k_max > 0
     amp[on] = np.sqrt(2.0 * f0_audio[on] / (k_max[on] * fs))
     return total * amp * np.asarray(mask, dtype=float)
+
+
+def composed_scale_loss(x, y, window, floor=1e-7):
+    """Reference scale term of the spectral loss as a graph of tensor ops.
+
+    The form the library's one-node term replaced: per side ``frame``,
+    window ``mul``, ``rfft`` and ``complex_abs``, then ``sub``/``abs``/
+    ``mean`` on the magnitudes and on their ``clamp_min``/``log``, and an
+    ``add``.  Its value and its gradient are the bits the fused term must
+    reproduce.
+    """
+    hop = window // 4
+    hann = dt.Tensor(0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window) / window))
+
+    def magnitude(s):
+        s = dt.as_tensor(s)
+        frames = dt.frame(s, window, hop, -(-s.shape[0] // hop), window // 2)
+        return dt.complex_abs(dt.rfft(dt.mul(frames, hann), window))
+
+    def floored_log(mag):
+        return dt.log(dt.clamp_min(mag, floor))
+
+    mag_x, mag_y = magnitude(x), magnitude(y)
+    linear = dt.mean(dt.abs(dt.sub(mag_x, mag_y)))
+    logterm = dt.mean(dt.abs(dt.sub(floored_log(mag_x), floored_log(mag_y))))
+    return dt.add(linear, logterm)

@@ -267,6 +267,18 @@ class TestFit:
         assert code == cli.EXIT_VALIDATION
 
 
+    def test_non_finite_learning_rate_is_validation_error(self, tmp_path, capsys):
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=8)
+        wav_path = tmp_path / "t.wav"
+        write_wav(wav_path, Waveform(np.zeros(8 * HOP), SR))
+        code = cli.main(["fit", str(wav_path), "--f0", str(feat_path),
+                         "-o", str(tmp_path / "o.wfeat"), "--steps", "2",
+                         "--lr", "nan"])
+        assert code == cli.EXIT_VALIDATION
+        assert "learning_rate must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", [12 * HOP - 1, 12 * HOP, 12 * HOP + 1])
 class TestBoundaryLengths:
     """Every subcommand that reads audio frames ``n`` samples into
@@ -356,6 +368,12 @@ class TestLossAndSpectrogram:
         write_wav(pa, Waveform(np.zeros(4000), SR))
         write_wav(pb, Waveform(np.zeros(4001), SR))
         assert cli.main(["loss", str(pa), str(pb)]) == cli.EXIT_VALIDATION
+
+    def test_empty_signals_are_validation_error(self, tmp_path, capsys):
+        p = tmp_path / "e.wav"
+        write_wav(p, Waveform(np.zeros(0), SR))
+        assert cli.main(["loss", str(p), str(p)]) == cli.EXIT_VALIDATION
+        assert "signal is empty" in capsys.readouterr().err
 
     def test_loss_scales_beyond_largest_transform_rejected(self, tmp_path, capsys):
         p = tmp_path / "x.wav"

@@ -80,6 +80,27 @@ class TestAdamStep:
         assert state.step == 0 and not state.m
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("steps", [0, 2.5, "3", True])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        with pytest.raises(ValidationError, match="steps must be an integer >= 1"):
+            fi.FitConfig(steps=steps)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-3])
+    def test_learning_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValidationError,
+                           match="learning_rate must be finite and >= 0, got"):
+            fi.FitConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("-inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be finite, got"):
+            fi.FitConfig(alpha=alpha)
+
+    def test_integer_types_accepted(self):
+        assert fi.FitConfig(steps=np.int64(3), learning_rate=0).steps == 3
+
+
 class TestFit:
     def test_empty_target_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
@@ -256,13 +277,13 @@ class TestFit:
 
     def test_target_spectrograms_are_computed_once(self, monkeypatch):
         calls = []
-        real = ls.spectrogram_magnitude
+        real = ls._spectrum
 
-        def counting(x, window):
-            calls.append(window)
-            return real(x, window)
+        def counting(x, fft_size, hop, ws=None):
+            calls.append(fft_size)
+            return real(x, fft_size, hop, ws)
 
-        monkeypatch.setattr(ls, "spectrogram_magnitude", counting)
+        monkeypatch.setattr(ls, "_spectrum", counting)
         target, f0 = desk_problem(t=40)
         scales = 3
         cfg = fi.FitConfig(steps=3, learning_rate=0.01, msl=MslConfig(scales=scales))

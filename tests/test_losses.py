@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diffworld import losses as ls
 from diffworld import tensor as dt
 from diffworld.errors import ValidationError
-from helpers import central_diff, naive_msl, rel_grad_err
+from helpers import central_diff, composed_scale_loss, naive_msl, rel_grad_err
 
 
 class TestMseFeatures:
@@ -74,6 +76,109 @@ class TestMsl:
         t = dt.Tensor(y0, requires_grad=True)
         grads = dt.backward(ls.msl(x, t, cfg))
         assert rel_grad_err(grads[t], central_diff(f, y0)) < 1e-4
+
+
+class TestFusedScaleTerm:
+    """One scale term is one graph node whose forward pass computes dL/dy."""
+
+    @pytest.mark.parametrize("n, window", [(1200, 1024), (100, 256)])
+    def test_gradient_matches_finite_differences(self, n, window):
+        # 100 samples at window 256 (hop 64): both frames run past the end
+        rs = np.random.default_rng(20)
+        x, y0 = rs.normal(size=n), rs.normal(size=n)
+
+        def f(y):
+            return ls.scale_loss(x, y, window).item()
+
+        t = dt.Tensor(y0, requires_grad=True)
+        term = ls.scale_loss(x, t, window)
+        assert term.item() == f(y0)
+        assert rel_grad_err(dt.backward(term)[t], central_diff(f, y0)) < 1e-4
+
+    def test_gradient_is_zero_where_the_spectrum_is(self):
+        x = np.random.default_rng(21).normal(size=700)
+        t = dt.Tensor(np.zeros(700), requires_grad=True)
+        grad = dt.backward(ls.scale_loss(x, t, 128))[t]
+        np.testing.assert_array_equal(grad, np.zeros(700))
+
+    @pytest.mark.parametrize("n, window", [(700, 64), (700, 2048), (100, 256),
+                                           (4096, 1024)])
+    def test_bit_identical_to_composed_graph(self, n, window):
+        rs = np.random.default_rng(22)
+        x, y0 = rs.normal(size=n), rs.normal(size=n)
+        y0[: n // 3] = 0.0  # silent frames: |Z| = 0 and the log floor
+        ref_y = dt.Tensor(y0, requires_grad=True)
+        ref = composed_scale_loss(x, ref_y, window)
+        ref_grad = dt.backward(ref)[ref_y]
+        for side in (x, ls.scale_target(x, window)):
+            t = dt.Tensor(y0, requires_grad=True)
+            term = ls.scale_loss(side, t, window)
+            assert term.item() == ref.item()
+            np.testing.assert_array_equal(dt.backward(term)[t], ref_grad)
+
+    @pytest.mark.parametrize("n, window", [(700, 64), (100, 256), (30000, 64),
+                                           (30000, 2048)])
+    def test_value_only_path_matches_tracked_value(self, n, window):
+        # blocks of frames: 30000 samples at window 64 make four blocks, at
+        # 2048 four more, and the last ones are partial
+        rs = np.random.default_rng(26)
+        x, y0 = rs.normal(size=n), rs.normal(size=n)
+        y0[: n // 3] = 0.0
+        tracked = ls.scale_loss(x, dt.Tensor(y0, requires_grad=True), window).item()
+        for side in (x, ls.scale_target(x, window)):
+            assert ls.scale_loss(side, y0, window).item() == pytest.approx(
+                tracked, rel=1e-14)
+
+    def test_workspace_reuse_is_bit_identical_and_never_aliased(self):
+        rs = np.random.default_rng(23)
+        x = rs.normal(size=900)
+        cfg = ls.MslConfig(scales=4)
+        target = ls.msl_target(x, cfg)
+        workspace = dt.Workspace()
+        grads = []
+        for y0 in (rs.normal(size=900), rs.normal(size=900)):
+            expected_y = dt.Tensor(y0, requires_grad=True)
+            expected = ls.msl(target, expected_y, cfg)
+            t = dt.Tensor(y0, requires_grad=True)
+            loss = ls.msl(target, t, cfg, workspace)
+            assert loss.item() == expected.item()
+            grads.append((dt.backward(loss)[t], dt.backward(expected)[expected_y]))
+        for got, expected in grads:  # the first gradient survived the second call
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("call", [
+        lambda x, y: ls.msl(x, y, ls.MslConfig(scales=2)),
+        lambda x, y: ls.scale_loss(x, y, 64),
+        lambda x, y: ls.msl_target(x, ls.MslConfig(scales=2)),
+    ], ids=["msl", "scale_loss", "msl_target"])
+    def test_tracked_reference_is_rejected(self, call, request):
+        x = dt.Tensor(np.random.default_rng(24).normal(size=300), requires_grad=True)
+        name = request.node.callspec.id
+        with pytest.raises(ValidationError,
+                           match=f"{name}: the reference signal x is tracked"):
+            call(x, dt.Tensor(np.zeros(300), requires_grad=True))
+
+    def test_empty_signals_rejected(self):
+        with pytest.raises(ValidationError, match="signal is empty"):
+            ls.msl(np.zeros(0), np.zeros(0))
+
+    def test_peak_memory_on_ten_seconds(self):
+        rs = np.random.default_rng(25)
+        x, y0 = rs.normal(size=220500), rs.normal(size=220500)
+        mib = 2.0 ** 20
+        tracemalloc.start()
+        try:
+            # value only: the frames and the spectrum go before the arithmetic
+            ls.scale_loss(x, y0, 64)
+            value_peak = tracemalloc.get_traced_memory()[1] / mib
+            tracemalloc.reset_peak()
+            t = dt.Tensor(y0, requires_grad=True)
+            dt.backward(ls.msl(x, t))
+            grad_peak = tracemalloc.get_traced_memory()[1] / mib
+        finally:
+            tracemalloc.stop()
+        assert value_peak < 24.0
+        assert grad_peak < 64.0
 
 
 class TestMslTarget:

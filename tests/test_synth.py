@@ -6,7 +6,7 @@ import pytest
 
 from diffworld import synth as sy
 from diffworld import tensor as dt
-from diffworld.errors import ValidationError
+from diffworld.errors import ShapeError, ValidationError
 from diffworld.features import WorldFeatures, read_features, write_features
 from helpers import direct_pulse_train, rel_l2, two_formant_envelope
 
@@ -203,6 +203,31 @@ class TestStft:
         spec = sy.stft(np.zeros(4096), 1024, 256)
         assert spec.shape == (16, 2, 513)
         np.testing.assert_array_equal(spec.data, 0.0)
+
+    @pytest.mark.parametrize("n, fft_size, hop", [(300, 64, 16), (50, 64, 16),
+                                                  (200, 32, 24)])
+    def test_one_node_matches_frame_window_rfft_graph(self, n, fft_size, hop):
+        # 50 samples: frames run past the end; hop 24 does not divide 32
+        rs = np.random.default_rng(30)
+        x0 = rs.normal(size=n)
+        g = rs.normal(size=(sy.n_frames_for(n, hop), 2, fft_size // 2 + 1))
+        x = dt.Tensor(x0, requires_grad=True)
+        frames = dt.frame(x, fft_size, hop, sy.n_frames_for(n, hop), fft_size // 2)
+        ref = dt.rfft(dt.mul(frames, dt.Tensor(sy.hann_window(fft_size))), fft_size)
+        ref_grad = dt.backward(dt.sum(dt.mul(ref, dt.Tensor(g))))[x]
+        x = dt.Tensor(x0, requires_grad=True)
+        spec = sy.stft(x, fft_size, hop)
+        np.testing.assert_array_equal(spec.data, ref.data)
+        np.testing.assert_array_equal(
+            dt.backward(dt.sum(dt.mul(spec, dt.Tensor(g))))[x], ref_grad)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.zeros(0), ValidationError, "signal is empty"),
+        (np.zeros((2, 64)), ShapeError, "expected a 1-D signal"),
+    ])
+    def test_bad_signals_rejected(self, bad, error, message):
+        with pytest.raises(error, match=message):
+            sy.stft(bad, 64, 16)
 
     def test_frame_count_contract(self):
         assert sy.n_frames_for(66150, 256) == 259
