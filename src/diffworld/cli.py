@@ -32,14 +32,17 @@ EXIT_VALIDATION = 3
 
 
 def worker_count() -> int:
-    """Worker cap from DIFFWORLD_THREADS (>= 1; unset means 1)."""
+    """Worker cap from DIFFWORLD_THREADS (an integer >= 1; unset means 1)."""
     raw = os.environ.get("DIFFWORLD_THREADS", "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        raise ValidationError(f"DIFFWORLD_THREADS={raw!r} is not an integer")
+        count = 0  # reported with the values below 1
+    if count < 1:
+        raise ValidationError(f"DIFFWORLD_THREADS={raw!r} is not an integer >= 1")
+    return count
 
 
 def _load_fir(path) -> synthmod.FirPostFilter:

@@ -1,10 +1,12 @@
-"""Source-excitation manipulation without synthesizing an excitation signal.
+"""Formant transforms in the excitation (STFT) domain.
 
-The excitation spectrum of a recording is obtained by dividing its STFT by
-the square root of a spectral envelope; imposing a different envelope on the
-way back moves formants while leaving the source (pitch, phase) untouched.
-With identical envelopes the roundtrip is an identity, which the synthesis
-branch cannot offer.  The excitation only ever exists in the STFT domain.
+The excitation spectrum of a recording is its STFT divided by the square
+root of its spectral envelope; imposing a different envelope on the way back
+moves formants while leaving the source (pitch, phase) untouched.
+:func:`transform_formants` applies both steps as one gain,
+``sqrt(sp_tgt / sp_src)``, so no excitation signal is ever synthesized.
+With identical envelopes the transform is an identity, which the synthesis
+branch cannot offer.
 
 Envelopes are floored and the envelope ratio is clipped before the square
 root: near-silent analysis frames would otherwise blow the division up.
@@ -19,30 +21,6 @@ from .synth import SynthConfig, _check_feature_frames, istft, stft
 ENVELOPE_FLOOR = 1e-10
 RATIO_LO = 1e-6
 RATIO_HI = 1e6
-
-
-def extract_excitation(x, sp, cfg: SynthConfig) -> dt.Tensor:
-    """Excitation spectrum of ``x`` given its envelope: ``stft(x) / sqrt(sp)``.
-
-    Returns ``(T, 2, n_bins)`` real/imag planes; no time-domain excitation is
-    materialized.
-    """
-    x = dt.as_tensor(x)
-    sp = dt.as_tensor(sp)
-    _check_feature_frames("sp", sp, x.shape[0], cfg.hop)
-    inv_root = dt.div(1.0, dt.sqrt(dt.clamp_min(sp, ENVELOPE_FLOOR)))
-    spec = stft(x, cfg.fft_size, cfg.hop)
-    return dt.mul(spec, dt.reshape(inv_root, (sp.shape[0], 1, sp.shape[1])))
-
-
-def reconstruct(excitation, sp, cfg: SynthConfig, length: int) -> dt.Tensor:
-    """Impose an envelope on an excitation spectrum: ``istft(sqrt(sp) * E)``."""
-    excitation = dt.as_tensor(excitation)
-    sp = dt.as_tensor(sp)
-    _check_feature_frames("sp", sp, excitation.shape[0] * cfg.hop, cfg.hop)
-    root = dt.sqrt(dt.clamp_min(sp, 0.0))
-    shaped = dt.mul(excitation, dt.reshape(root, (sp.shape[0], 1, sp.shape[1])))
-    return istft(shaped, cfg.fft_size, cfg.hop, length)
 
 
 def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,

@@ -64,6 +64,8 @@ class FitConfig:
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not math.isfinite(self.alpha):
             raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        if not isinstance(self.msl, MslConfig):
+            raise ValidationError(f"msl must be an MslConfig, got {self.msl!r}")
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,6 @@ def adam_step(params: dict, grads: dict, state: AdamState,
         new_params[key] = value - cfg.learning_rate * update
         new_m[key], new_v[key] = m, v
     return new_params, AdamState(step=t, m=new_m, v=new_v)
-
-
-def smoothed_trace(trace, window: int = 20) -> np.ndarray:
-    """Moving-average view of a loss trace (for monotonicity checks)."""
-    trace = np.asarray(trace, dtype=np.float64)
-    if trace.size < window:
-        return trace.copy()
-    kernel = np.ones(window) / window
-    return np.convolve(trace, kernel, mode="valid")
 
 
 def _default_init(n_frames: int, n_mels: int, ap_bands: int,

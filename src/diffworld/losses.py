@@ -46,6 +46,9 @@ class MslConfig:
     scales: int = 6
 
     def __post_init__(self):
+        if isinstance(self.scales, bool) or not isinstance(self.scales, (int, np.integer)):
+            raise ValidationError(
+                f"MslConfig.scales must be an integer, got {self.scales!r}")
         if not 1 <= self.scales <= MAX_SCALES:
             raise ValidationError(f"scales must be in [1, {MAX_SCALES}] (window "
                                   f"2**(5 + scales) <= {MAX_FFT_SIZE}), got {self.scales}")
@@ -305,20 +308,3 @@ def hinge_discriminator(real_scores, fake_scores, mu: float = 1.0,
                           dt.mean(dt.clamp_min(fake_margin, 0.0)))
         total = dt.add(total, term)
     return dt.mul(mu, total)
-
-
-def downsample_audio(x, factor: int) -> dt.Tensor:
-    """Average-pool a signal by a power-of-two factor (kernel 4, stride 2).
-
-    Utility for feeding multi-scale discriminator stacks; differentiable.
-    Padding samples count toward the average (kernel is always 4).
-    """
-    x = dt.as_tensor(x)
-    if factor < 1 or factor & (factor - 1):
-        raise ValidationError(f"downsample factor {factor} is not a power of two")
-    while factor > 1:
-        n_out = (x.shape[0] + 2 - 4) // 2 + 1
-        frames = dt.frame(x, 4, 2, n_out, 1)
-        x = dt.mean(frames, axis=1)
-        factor //= 2
-    return x

@@ -50,7 +50,7 @@ _CONSUMED = object()
 
 
 class Tensor:
-    """Dense real n-dimensional array, double precision by default.
+    """Dense real n-dimensional array, always float64.
 
     A tensor participates in the computation graph only if it was created
     with ``requires_grad=True`` or produced by an operation on a tracked
@@ -60,11 +60,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tracked", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
-            dtype = data.dtype  # keep an explicit float32 opt-in intact
-        else:
-            dtype = np.float64
-        self.data = np.asarray(data, dtype=dtype)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._tracked = self.requires_grad
         # (creation sequence number, inputs, backward_fn) of the op that

@@ -48,6 +48,15 @@ def two_formant_envelope(n_bins, sample_rate, centers=(700.0, 2400.0),
     return env
 
 
+def smoothed_trace(trace, window=20):
+    """Moving-average view of a loss trace (for monotonicity checks)."""
+    trace = np.asarray(trace, dtype=np.float64)
+    if trace.size < window:
+        return trace.copy()
+    kernel = np.ones(window) / window
+    return np.convolve(trace, kernel, mode="valid")
+
+
 def naive_magnitude_spectrogram(x, window):
     """Independent reimplementation: explicit frame loop, numpy FFT."""
     hop = window // 4

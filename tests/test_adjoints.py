@@ -3,9 +3,10 @@
 Each linear primitive ``A`` must satisfy ``<A x, g> == <x, A^T g>``, where
 ``A^T g`` is what ``backward`` produces for the loss ``sum(A(x) * g)``; the
 finite-difference checks confirm the same adjoint from the forward side.
-The geometries cover the STFT (1024/256), ``downsample_audio`` (4/2), a hop
-that does not divide the frame length (16/5), a hop longer than the frame,
-``pad_left`` of zero and above, and frames that run past the signal's end.
+The geometries cover the STFT (1024/256), a short frame at half-frame hop
+(4/2), a hop that does not divide the frame length (16/5), a hop longer than
+the frame, ``pad_left`` of zero and above, and frames that run past the
+signal's end.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from helpers import central_diff, rel_grad_err
 GEOMETRIES = [
     (1024, 256, 4, 0, 1400),   # frames stop before the signal's end
     (1024, 256, 4, 512, 1000),  # centered STFT framing, runs past the end
-    (4, 2, 4, 1, 9),            # downsample_audio
+    (4, 2, 4, 1, 9),            # short frames, half-frame hop
     (4, 2, 5, 0, 8),
     (16, 5, 6, 0, 40),          # hop does not divide frame_len
     (16, 5, 6, 7, 20),

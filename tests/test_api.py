@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import diffworld
-from diffworld import features, losses, melcodec, synth, tensor
+from diffworld import excite, features, fit, losses, melcodec, synth, tensor
 
 PACKAGE = Path(diffworld.__file__).parent
 
@@ -57,7 +57,8 @@ def test_every_export_resolves_once():
 
 @pytest.mark.parametrize("module, name", [
     (synth, "synth_harmonic"), (synth, "synth_noise"), (synth, "oracle_target"),
-    (losses, "nll_loss"), (tensor, "delay"),
+    (losses, "nll_loss"), (tensor, "delay"), (losses, "downsample_audio"),
+    (excite, "extract_excitation"), (excite, "reconstruct"), (fit, "smoothed_trace"),
 ])
 def test_deleted_names_stay_deleted(module, name):
     assert not hasattr(module, name)

@@ -363,6 +363,16 @@ class TestLossAndSpectrogram:
         parallel = capsys.readouterr().out.strip()
         assert serial == parallel
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_thread_cap_must_be_an_integer_at_least_one(self, tmp_path, capsys,
+                                                         monkeypatch, threads):
+        p = tmp_path / "x.wav"
+        write_wav(p, Waveform(np.zeros(SR // 2), SR))
+        monkeypatch.setenv("DIFFWORLD_THREADS", threads)
+        assert cli.main(["loss", str(p), str(p), "--scales", "3"]) == cli.EXIT_VALIDATION
+        assert (f"DIFFWORLD_THREADS={threads!r} is not an integer >= 1"
+                in capsys.readouterr().err)
+
     def test_length_mismatch_is_validation_error(self, tmp_path):
         pa, pb = tmp_path / "a.wav", tmp_path / "b.wav"
         write_wav(pa, Waveform(np.zeros(4000), SR))

@@ -11,7 +11,7 @@ from diffworld import tensor as dt
 from diffworld.errors import ValidationError
 from diffworld.features import CompressedFeatures, WorldFeatures
 from diffworld.losses import MslConfig
-from helpers import two_formant_envelope
+from helpers import smoothed_trace, two_formant_envelope
 
 DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)
 
@@ -97,6 +97,11 @@ class TestFitConfig:
         with pytest.raises(ValidationError, match="alpha must be finite, got"):
             fi.FitConfig(alpha=alpha)
 
+    @pytest.mark.parametrize("msl", [3, None])
+    def test_msl_must_be_an_msl_config(self, msl):
+        with pytest.raises(ValidationError, match="msl must be an MslConfig, got"):
+            fi.FitConfig(msl=msl)
+
     def test_integer_types_accepted(self):
         assert fi.FitConfig(steps=np.int64(3), learning_rate=0).steps == 3
 
@@ -143,7 +148,7 @@ class TestFit:
         cfg = fi.FitConfig(steps=120, learning_rate=0.03, msl=MslConfig(scales=3))
         _, trace = fi.fit(target, f0, cfg=cfg, synth_cfg=DESK,
                           n_mels=16, ap_bands=4)
-        smooth = fi.smoothed_trace(trace, window=20)
+        smooth = smoothed_trace(trace, window=20)
         assert np.all(np.diff(smooth) <= 1e-9)
 
     def test_warm_start_from_init(self):
@@ -324,8 +329,8 @@ class TestFit:
 
 class TestSmoothedTrace:
     def test_short_trace_passthrough(self):
-        np.testing.assert_array_equal(fi.smoothed_trace([3.0, 2.0], 20), [3.0, 2.0])
+        np.testing.assert_array_equal(smoothed_trace([3.0, 2.0], 20), [3.0, 2.0])
 
     def test_window_average(self):
-        out = fi.smoothed_trace([1.0, 2.0, 3.0, 4.0], 2)
+        out = smoothed_trace([1.0, 2.0, 3.0, 4.0], 2)
         np.testing.assert_allclose(out, [1.5, 2.5, 3.5])

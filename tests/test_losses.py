@@ -42,10 +42,16 @@ class TestMsl:
         assert ls.MslConfig().window_sizes == (64, 128, 256, 512, 1024, 2048)
         assert ls.MslConfig(scales=2).window_sizes == (64, 128)
         assert ls.MslConfig(scales=11).window_sizes[-1] == 65536
+        assert ls.MslConfig(scales=np.int64(2)).window_sizes == (64, 128)
 
     @pytest.mark.parametrize("scales", [0, 12])
     def test_scales_outside_transform_range_rejected(self, scales):
         with pytest.raises(ValidationError, match=r"scales must be in \[1, 11\]"):
+            ls.MslConfig(scales=scales)
+
+    @pytest.mark.parametrize("scales", [2.5, True, "3"])
+    def test_scales_must_be_an_integer(self, scales):
+        with pytest.raises(ValidationError, match="MslConfig.scales must be an integer, got"):
             ls.MslConfig(scales=scales)
 
     def test_single_scale_matches_hand_computation(self):
@@ -294,27 +300,3 @@ class TestHingeDiscriminator:
         base = ls.hinge_discriminator(real, fake, mu=1.0).item()
         assert abs(ls.hinge_discriminator(real, fake, mu=4.0).item() - 4.0 * base) < 1e-12
 
-
-class TestDownsample:
-    def test_factor_one_is_identity(self):
-        x = np.arange(16.0)
-        np.testing.assert_array_equal(ls.downsample_audio(x, 1).data, x)
-
-    def test_halves_length(self):
-        x = np.random.default_rng(11).normal(size=64)
-        assert ls.downsample_audio(x, 2).shape == (32,)
-        assert ls.downsample_audio(x, 4).shape == (16,)
-
-    def test_constant_interior_preserved(self):
-        x = np.ones(32)
-        out = ls.downsample_audio(x, 2).data
-        np.testing.assert_allclose(out[1:-1], 1.0)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValidationError):
-            ls.downsample_audio(np.zeros(8), 3)
-
-    def test_differentiable(self):
-        x = dt.Tensor(np.random.default_rng(12).normal(size=32), requires_grad=True)
-        grads = dt.backward(dt.sum(ls.downsample_audio(x, 2)))
-        assert np.any(grads[x] != 0.0)

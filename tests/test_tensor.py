@@ -445,7 +445,8 @@ def refcount_only():
             gc.enable()
 
 
-def test_float32_optin_preserved():
+def test_float32_input_promoted_to_float64():
     x = dt.Tensor(np.ones(4, dtype=np.float32))
-    assert dt.exp(x).data.dtype == np.float32
+    assert x.data.dtype == np.float64
+    assert dt.exp(x).data.dtype == np.float64
     assert dt.Tensor([1.0, 2.0]).data.dtype == np.float64
