@@ -11,6 +11,12 @@ Framing convention (one rule, :func:`diffworld.synth.n_frames_for`): frame
 ``ceil(n / hop)`` frames.  ``T`` frames synthesize to ``T * hop`` samples;
 ``excite-transform``, ``loss`` and ``spectrogram`` keep their input's length.
 Files carry ``hop`` explicitly so any analyzer setting is honored.
+
+Audio is mono WAV, read and written by a small RIFF/WAVE codec on ``struct``
+and numpy, so the runtime needs numpy only.  It reads 16-bit integer or
+32-bit float PCM, plain or ``WAVE_FORMAT_EXTENSIBLE``, skipping chunks it does
+not use; it writes 32-bit float in ``scipy.io.wavfile.write``'s exact layout.
+A truncated or malformed file raises :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import FormatError, ValidationError, first_index
 
@@ -236,27 +241,70 @@ def read_features(path):
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (mono; reads 16-bit integer or 32-bit float PCM, writes 32-bit float)
+# WAV I/O: a RIFF/WAVE codec on struct and numpy.  Reads mono 16-bit integer
+# or 32-bit float PCM, plain or WAVE_FORMAT_EXTENSIBLE; skips other chunks;
+# ignores the RIFF size field.  Writes 32-bit float as scipy.io.wavfile does.
 # ---------------------------------------------------------------------------
+
+_CHUNK = struct.Struct("<4sI")
+_FMT = struct.Struct("<HHIIHH")  # format, channels, rate, byte rate, block, bits
+_WAV_HEADER = struct.Struct("<4sI4s" "4sIHHIIHHH" "4sII" "4sI")  # RIFF, fmt, fact, data
+_FORMAT_EXTENSIBLE = 0xFFFE
+# a KSDATAFORMAT_SUBTYPE GUID after its leading u32 format code (RFC 2361)
+_SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format code, bits per sample, block size) -> sample dtype
+_WAV_CODECS = {(1, 16, 2): "<i2", (3, 32, 4): "<f4"}
+MAX_WAV_SAMPLES = (0xFFFFFFFF - (_WAV_HEADER.size - 8)) // 4  # RIFF size is a u32
+
+
+def _wav_format(path, body: bytes) -> tuple[int, str]:
+    """(sample rate, sample dtype) from a ``fmt `` chunk body."""
+    if len(body) < _FMT.size:
+        raise FormatError(f"{path}: {len(body)}-byte fmt chunk (need {_FMT.size})")
+    code, channels, rate, _, block, bits = _FMT.unpack_from(body)
+    if code == _FORMAT_EXTENSIBLE and len(body) >= 40 and body[28:40] == _SUBTYPE_GUID_TAIL:
+        code = struct.unpack_from("<I", body, 24)[0]
+    if channels != 1:
+        raise ValidationError(f"{path}: {channels}-channel audio; mono required "
+                              "(downmix externally before loading)")
+    if (code, bits, block) not in _WAV_CODECS:
+        raise FormatError(f"{path}: unsupported sample codec (format {code:#x}, "
+                          f"{bits}-bit, {block}-byte blocks); "
+                          "use 16-bit integer or 32-bit float PCM")
+    return rate, _WAV_CODECS[code, bits, block]
+
 
 def read_wav(path, expect_sample_rate: int | None = None) -> Waveform:
     try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError as err:
+        blob = Path(path).read_bytes()
+    except OSError as err:
         raise FormatError(f"cannot read {path}: {err}") from err
-    except ValueError as err:
-        raise FormatError(f"{path}: unsupported WAV: {err}") from err
-    if data.ndim != 1:
-        raise ValidationError(
-            f"{path}: {data.shape[1]}-channel audio; mono required "
-            "(downmix externally before loading)")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise FormatError(f"{path}: unsupported sample codec {data.dtype}; "
-                          "use 16-bit integer or 32-bit float PCM")
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a little-endian RIFF/WAVE file")
+    pos, fmt = 12, None
+    while True:  # walk the chunks up to the first data chunk
+        if pos + _CHUNK.size > len(blob):
+            raise FormatError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
+        tag, size = _CHUNK.unpack_from(blob, pos)
+        start, pos = pos + _CHUNK.size, pos + _CHUNK.size + size
+        if pos > len(blob):
+            raise FormatError(f"{path}: truncated {tag.decode('latin-1')!r} chunk "
+                              f"(header describes {size} bytes, have {len(blob) - start})")
+        if tag == b"fmt ":
+            fmt = _wav_format(path, blob[start:pos])
+        elif tag == b"data":
+            break
+        pos += size & 1  # an odd-sized chunk is followed by a pad byte
+    if fmt is None:
+        raise FormatError(f"{path}: data chunk before the fmt chunk")
+    rate, dtype = fmt
+    width = np.dtype(dtype).itemsize
+    if size % width:
+        raise FormatError(f"{path}: {size}-byte data chunk is not a whole number "
+                          f"of {width}-byte samples")
+    samples = np.frombuffer(blob, dtype, size // width, start).astype(np.float64)
+    if dtype == "<i2":
+        samples /= 32768.0
     if not np.all(np.isfinite(samples)):
         raise ValidationError(f"{path}: non-finite sample at index "
                               f"{first_index(~np.isfinite(samples))[0]}")
@@ -278,8 +326,19 @@ def write_wav(path, wave: Waveform) -> None:
     samples = np.asarray(wave.samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValidationError("mono required: waveform must be 1-D")
+    if samples.size > MAX_WAV_SAMPLES:
+        raise ValidationError(f"{samples.size} samples cannot be written as float32 "
+                              f"WAV (at most {MAX_WAV_SAMPLES})")
     if not np.all(np.isfinite(samples)):
         raise ValidationError(f"non-finite sample at index "
                               f"{first_index(~np.isfinite(samples))[0]}")
     check_wav_rate(wave.sample_rate)
-    wavfile.write(path, wave.sample_rate, samples.astype(np.float32))
+    data = samples.astype("<f4")
+    rate = wave.sample_rate
+    # scipy.io.wavfile's float layout: an 18-byte fmt chunk (cbSize 0), a fact chunk
+    header = _WAV_HEADER.pack(b"RIFF", _WAV_HEADER.size - 8 + data.nbytes, b"WAVE",
+                              b"fmt ", 18, 3, 1, rate, 4 * rate, 4, 32, 0,
+                              b"fact", 4, data.size, b"data", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data)

@@ -1,5 +1,7 @@
 """Shared oracles for the test suite: finite differences and synthetic data."""
 
+import struct
+
 import numpy as np
 
 from diffworld import tensor as dt
@@ -130,3 +132,28 @@ def composed_scale_loss(x, y, window, floor=1e-7):
     linear = dt.mean(dt.abs(dt.sub(mag_x, mag_y)))
     logterm = dt.mean(dt.abs(dt.sub(floored_log(mag_x), floored_log(mag_y))))
     return dt.add(linear, logterm)
+
+
+# KSDATAFORMAT_SUBTYPE_PCM / _IEEE_FLOAT after the format code (RFC 2361)
+WAV_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def wav_chunk(tag: bytes, body: bytes) -> bytes:
+    """One RIFF chunk; an odd-sized body gets its pad byte."""
+    return tag + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def wav_fmt(code, bits, rate=8000, channels=1, extensible_code=None) -> bytes:
+    """A ``fmt `` chunk body: 16 bytes, or 40 for WAVE_FORMAT_EXTENSIBLE."""
+    block = channels * bits // 8
+    body = struct.pack("<HHIIHH", code, channels, rate, rate * block, block, bits)
+    if extensible_code is not None:
+        body += struct.pack("<HHI", 22, bits, 0x4) + \
+            struct.pack("<I", extensible_code) + WAV_GUID_TAIL
+    return body
+
+
+def wav_file(*chunks: bytes, riff_size=None) -> bytes:
+    """RIFF/WAVE around the given chunks; ``riff_size`` overrides the size field."""
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body) if riff_size is None else riff_size) + body

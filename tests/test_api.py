@@ -97,6 +97,32 @@ def test_fir_stage_runs_without_scipy_signal():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_loss_runs_without_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from diffworld import cli\n"
+        "from diffworld.features import Waveform, write_wav\n"
+        "a, b = sys.argv[1:]\n"
+        "rs = np.random.default_rng(0)\n"
+        "write_wav(a, Waveform(rs.normal(size=800), 8000))\n"
+        "write_wav(b, Waveform(rs.normal(size=800), 8000))\n"
+        "assert cli.main(['loss', a, b]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.wav"),
+                           str(tmp_path / "b.wav")], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_runtime_depends_on_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+    assert any(req.startswith("scipy") for req in project["optional-dependencies"]["test"])
+
+
 def test_wav_writer_has_no_codec_option():
     assert list(inspect.signature(features.write_wav).parameters) == ["path", "wave"]
     assert list(inspect.signature(features.check_wav_rate).parameters) == ["sample_rate"]

@@ -385,6 +385,18 @@ class TestLossAndSpectrogram:
         assert cli.main(["loss", str(p), str(p)]) == cli.EXIT_VALIDATION
         assert "signal is empty" in capsys.readouterr().err
 
+    def test_wav_cut_in_its_header_is_format_error(self, tmp_path, capsys):
+        # a header cut mid-chunk is a format problem, never an internal error
+        p = tmp_path / "x.wav"
+        write_wav(p, Waveform(np.zeros(SR // 2), SR))
+        p.write_bytes(p.read_bytes()[:30])
+        assert cli.main(["loss", str(p), str(p)]) == cli.EXIT_FORMAT
+        assert cli.main(["spectrogram", str(p), "-o", str(tmp_path / "s.csv")]) == \
+            cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert err.count("x.wav: truncated 'fmt ' chunk") == 2
+
     def test_loss_scales_beyond_largest_transform_rejected(self, tmp_path, capsys):
         p = tmp_path / "x.wav"
         write_wav(p, Waveform(np.zeros(SR // 2), SR))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from diffworld import features as ft
 from diffworld.errors import FormatError, ValidationError
+from helpers import wav_chunk, wav_file, wav_fmt
 
 
 def make_raw(t=12, fft_size=64, sample_rate=8000, hop=16, seed=0):
@@ -208,3 +210,106 @@ class TestWav:
         ft.write_wav(path, ft.Waveform(np.zeros(64), 8000))
         with pytest.raises(ValidationError, match="sample rate"):
             ft.read_wav(path, expect_sample_rate=22050)
+
+
+def scipy_wav(path):
+    """What the scipy-based reader returned: int16 / 32768, or float32, as float64."""
+    from scipy.io import wavfile
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)
+        rate, data = wavfile.read(path)
+    assert data.dtype in (np.int16, np.float32) and data.ndim == 1
+    scale = 32768.0 if data.dtype == np.int16 else 1.0
+    return rate, data.astype(np.float64) / scale
+
+
+def scipy_layouts() -> dict:
+    """Named WAV files that scipy.io.wavfile reads as 301 mono samples at 8 kHz."""
+    rs = np.random.default_rng(13)
+    pcm = rs.integers(-32768, 32768, size=301).astype("<i2").tobytes()
+    flt = rs.normal(size=301).astype("<f4").tobytes()
+    listing = wav_chunk(b"LIST", b"INFOabc")  # 7 bytes, then a pad byte
+    return {
+        "pcm16": wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16)), wav_chunk(b"data", pcm)),
+        "float32 with fact": wav_file(wav_chunk(b"fmt ", wav_fmt(3, 32) + b"\0\0"),
+                                      wav_chunk(b"fact", b"\x2d\x01\0\0"),
+                                      wav_chunk(b"data", flt)),
+        "extensible pcm16": wav_file(
+            wav_chunk(b"fmt ", wav_fmt(0xFFFE, 16, extensible_code=1)),
+            wav_chunk(b"data", pcm)),
+        "extensible float32": wav_file(
+            wav_chunk(b"fmt ", wav_fmt(0xFFFE, 32, extensible_code=3)),
+            wav_chunk(b"data", flt)),
+        "odd LIST before data": wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16)), listing,
+                                         wav_chunk(b"data", pcm)),
+        "RIFF size too large": wav_file(wav_chunk(b"fmt ", wav_fmt(3, 32)),
+                                        wav_chunk(b"data", flt), riff_size=2 ** 32 - 1),
+        "RIFF size too small": wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16)),
+                                        wav_chunk(b"data", pcm), riff_size=40),
+        "JUNK and trailing chunk": wav_file(
+            wav_chunk(b"JUNK", bytes(5)), wav_chunk(b"fmt ", wav_fmt(3, 32)),
+            wav_chunk(b"data", flt), listing),
+    }
+
+
+class TestWavCodec:
+    """The numpy WAV codec against scipy.io.wavfile, the reference it replaced."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 12345])
+    @pytest.mark.parametrize("rate", [8000, 22050, 2 ** 30 - 1])
+    def test_writer_is_byte_identical_to_scipy(self, tmp_path, n, rate):
+        from scipy.io import wavfile
+        x = np.random.default_rng(n).normal(size=n)
+        ft.write_wav(tmp_path / "ours.wav", ft.Waveform(x, rate))
+        wavfile.write(tmp_path / "scipy.wav", rate, x.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize("name", list(scipy_layouts()))
+    def test_reader_matches_scipy_on_what_scipy_accepts(self, tmp_path, name):
+        path = tmp_path / "x.wav"
+        path.write_bytes(scipy_layouts()[name])
+        rate, samples = scipy_wav(path)
+        back = ft.read_wav(path)
+        assert back.sample_rate == rate == 8000
+        assert samples.size == 301
+        np.testing.assert_array_equal(back.samples, samples)
+
+    def test_data_cut_short_is_format_error(self, tmp_path):
+        # the header promises 11008 samples and 10758 are left: no partial load
+        path = tmp_path / "a.wav"
+        ft.write_wav(path, ft.Waveform(np.zeros(11008), 22050))
+        path.write_bytes(path.read_bytes()[:-1000])
+        with pytest.raises(FormatError, match=r"a\.wav: truncated 'data' chunk "
+                           r"\(header describes 44032 bytes, have 43032\)"):
+            ft.read_wav(path)
+
+    @pytest.mark.parametrize("blob, error, message", [
+        (b"RIFX" + bytes(4) + b"WAVE", FormatError, "not a little-endian RIFF/WAVE"),
+        (b"RIFF", FormatError, "not a little-endian RIFF/WAVE"),
+        (wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16))), FormatError, "no data chunk"),
+        (wav_file(), FormatError, "no fmt chunk"),
+        (wav_file(wav_chunk(b"data", bytes(4)), wav_chunk(b"fmt ", wav_fmt(1, 16))),
+         FormatError, "data chunk before the fmt chunk"),
+        (wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16)[:14])), FormatError,
+         "14-byte fmt chunk"),
+        (wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16)), wav_chunk(b"data", bytes(5))),
+         FormatError, "5-byte data chunk is not a whole number of 2-byte samples"),
+        (wav_file(wav_chunk(b"fmt ", wav_fmt(0xFFFE, 16, extensible_code=2)),
+                  wav_chunk(b"data", bytes(4))), FormatError, "format 0x2, 16-bit"),
+        (wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16, channels=0)),
+                  wav_chunk(b"data", bytes(4))), ValidationError,
+         "0-channel audio; mono required"),
+    ], ids=["RIFX", "cut in RIFF header", "no data", "no chunks", "data first",
+            "short fmt", "odd PCM16 data", "unknown subformat", "no channels"])
+    def test_malformed_layouts_rejected(self, tmp_path, blob, error, message):
+        path = tmp_path / "x.wav"
+        path.write_bytes(blob)
+        with pytest.raises(error, match=message):
+            ft.read_wav(path)
+
+    def test_waveform_beyond_riff_size_rejected_before_any_copy(self, tmp_path):
+        # a broadcast view: the check must come before the float32 copy
+        samples = np.broadcast_to(np.float64(0.0), (ft.MAX_WAV_SAMPLES + 1,))
+        with pytest.raises(ValidationError, match="cannot be written as float32 WAV"):
+            ft.write_wav(tmp_path / "x.wav", ft.Waveform(samples, 8000))
+        assert not (tmp_path / "x.wav").exists()
