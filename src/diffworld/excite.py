@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import melcodec
 from . import tensor as dt
-from .synth import SynthConfig, _check_feature_frames, istft, stft
+from .synth import SynthConfig, _check_feature_frames, _spectral_shape, istft, stft
 
 ENVELOPE_FLOOR = 1e-10
 RATIO_LO = 1e-6
@@ -46,7 +46,5 @@ def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
     ratio = dt.clamp(dt.div(dt.clamp_min(sp_tgt, ENVELOPE_FLOOR),
                             dt.clamp_min(sp_src, ENVELOPE_FLOOR)),
                      RATIO_LO, RATIO_HI)
-    gain = dt.sqrt(ratio)
-    spec = stft(x, cfg.fft_size, cfg.hop)
-    shaped = dt.mul(spec, dt.reshape(gain, (sp_src.shape[0], 1, sp_src.shape[1])))
+    shaped = _spectral_shape(stft(x, cfg.fft_size, cfg.hop), dt.sqrt(ratio))
     return istft(shaped, cfg.fft_size, cfg.hop, x.shape[0])

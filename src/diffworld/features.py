@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, first_index
+from .errors import DiffworldError, FormatError, ValidationError, first_index
 
 WFEAT_MAGIC = b"WFEA"
 WFEAT_VERSION = 1
@@ -117,6 +117,13 @@ def check_ap(ap: np.ndarray) -> None:
             f"ap out of [0, 1] at frame {frame}, bin {bin_}: {ap[frame, bin_]}")
 
 
+def check_sample_rate(sample_rate, where: str = "sample_rate",
+                      error: type[DiffworldError] = ValidationError) -> None:
+    """Raise ``error`` unless ``sample_rate`` is at least 1 Hz."""
+    if not sample_rate >= 1:
+        raise error(f"{where} must be >= 1, got {sample_rate}")
+
+
 def check_framing(hop: int, fft_size: int) -> None:
     """Raise unless ``fft_size`` is in [1, MAX_FFT_SIZE] and ``hop >= 1``."""
     if not 1 <= fft_size <= MAX_FFT_SIZE:
@@ -176,6 +183,7 @@ def validate_features(feats):
     """Enforce the type invariants (including unvoiced ap coercion for raw)."""
     if not isinstance(feats, (WorldFeatures, CompressedFeatures)):
         raise TypeError(f"not a feature container: {type(feats).__name__}")
+    check_sample_rate(feats.sample_rate)
     check_framing(feats.hop, feats.fft_size)
     if isinstance(feats, WorldFeatures):
         return _validated_raw(feats)
@@ -267,6 +275,7 @@ def _wav_format(path, body: bytes) -> tuple[int, str]:
     if channels != 1:
         raise ValidationError(f"{path}: {channels}-channel audio; mono required "
                               "(downmix externally before loading)")
+    check_sample_rate(rate, f"{path}: sample rate", FormatError)
     if (code, bits, block) not in _WAV_CODECS:
         raise FormatError(f"{path}: unsupported sample codec (format {code:#x}, "
                           f"{bits}-bit, {block}-byte blocks); "

@@ -174,10 +174,11 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
 
     if init is not None:
         n_mels, ap_bands = init.n_mels, init.ap_bands
+    basis = melcodec.MelBasis.build(synth_cfg.sample_rate, synth_cfg.fft_size, n_mels)
+    if init is not None:
         s0, a0 = init.log_mel.copy(), init.coded_ap.copy()
     else:
         s0, a0 = _default_init(n_frames, n_mels, ap_bands, melcodec.DEFAULT_EPSILON)
-    basis = melcodec.MelBasis.build(synth_cfg.sample_rate, synth_cfg.fft_size, n_mels)
 
     # constant across steps: computed once
     spec_h, spec_n = excitation_spectra(f0, synth_cfg)

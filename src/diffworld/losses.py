@@ -5,13 +5,13 @@ of resolutions (window ``2 ** (5 + s)`` for scale ``s``, 75% overlap), with an
 L1 term on magnitudes and an L1 term on floored log magnitudes.  It is
 differentiable in the rendered signal ``y`` only: the reference ``x`` must
 be untracked, and a tracked ``x`` raises instead of losing its gradient.
-Each scale term is one graph node.  For a tracked ``y`` its forward pass
-runs in numpy, computes the whole gradient ``dL_s/dy`` at once and keeps
+Each scale term is one graph node, whose forward pass is one numpy loop over
+blocks of frames.  An untracked ``y`` gets blocks of ``2**15`` samples of
+frames, so no spectrum of the whole signal exists at once; the sums add up
+block by block, which can move the value's last bits.  A tracked ``y`` is one
+block, and after it the pass computes the whole gradient ``dL_s/dy`` and keeps
 only that; its backward pass scales it.  That arithmetic follows the order
 the composed tensor ops would use, so value and gradient keep their bits.
-Without a tracked ``y`` the term computes its value alone, a block of frames
-at a time, so no frames, spectrum or magnitudes of the whole signal exist at
-once; its sums add up block by block, which can move the value's last bits.
 When ``x`` is a constant compared many times (the target of a fit), its
 magnitudes and floored logs can be computed once with :func:`msl_target` and
 passed in its place.  The adversarial pieces operate on caller-supplied
@@ -98,34 +98,19 @@ class ScaleTarget(NamedTuple):
     log_mag: np.ndarray
 
 
+def _reference_rows(x, window: int, first: int = 0,
+                    stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitudes and floored logs of frames ``first..stop`` of a reference
+    ``x``: its :class:`ScaleTarget`, or its untracked samples."""
+    if isinstance(x, ScaleTarget):
+        return x.mag[first:stop], x.log_mag[first:stop]
+    mag = _magnitude(_spectrum(x, window, window // 4, first=first, stop=stop))
+    return mag, _floored_log(mag)
+
+
 def scale_target(x, window: int) -> ScaleTarget:
     """Magnitude spectrogram of an untracked ``x`` and its floored log."""
-    x = _reference(x, "scale_target")
-    mag = _magnitude(_spectrum(x, window, window // 4))
-    return ScaleTarget(window, mag, _floored_log(mag))
-
-
-def _value(x, y: np.ndarray, window: int) -> float:
-    """The term's value from blocks of frames; ``x`` is samples or a target."""
-    hop = window // 4
-    n_frames = n_frames_for(y.shape[0], hop)
-    per = max(1, _VALUE_BLOCK // window)
-    linear = logterm = 0.0
-    for first in range(0, n_frames, per):
-        stop = min(n_frames, first + per)
-        mag_y = _magnitude(_spectrum(y, window, hop, first=first, stop=stop))
-        if isinstance(x, ScaleTarget):
-            mag_x, log_x = x.mag[first:stop], x.log_mag[first:stop]
-        else:
-            mag_x = _magnitude(_spectrum(x, window, hop, first=first, stop=stop))
-            log_x = _floored_log(mag_x)
-        diff = np.subtract(mag_x, mag_y)
-        linear += np.sum(np.abs(diff, out=diff))
-        diff = _floored_log(mag_y)
-        np.subtract(log_x, diff, out=diff)
-        logterm += np.sum(np.abs(diff, out=diff))
-    n = float(n_frames * (window // 2 + 1))
-    return linear / n + logterm / n
+    return ScaleTarget(window, *_reference_rows(_reference(x, "scale_target"), window))
 
 
 def _l1_grad(diff: np.ndarray, inv_n: float) -> np.ndarray:
@@ -140,40 +125,6 @@ def _zero_unless(arr: np.ndarray, keep: np.ndarray) -> None:
     np.copyto(arr, 0.0, where=np.logical_not(keep, out=keep))
 
 
-def _value_and_spectrum_grad(spec: np.ndarray, target: ScaleTarget,
-                             mag_y: np.ndarray, ws: dt.Workspace | None) -> float:
-    """The term's value; overwrites ``spec`` (``Z``) with ``dL/dZ``.
-
-    Each step is the one the composed ops' backward passes would take, in
-    their order, so the bits match theirs.
-    """
-    def scratch(name, dtype=np.float64):
-        return dt._scratch(ws, name, mag_y.shape, dtype)
-
-    n = float(mag_y.size)
-    d_lin = np.subtract(target.mag, mag_y, out=scratch("d_lin"))
-    floored = np.maximum(mag_y, LOG_FLOOR, out=scratch("floored"))
-    d_log = np.log(floored, out=scratch("d_log"))
-    np.subtract(target.log_mag, d_log, out=d_log)
-    absolute = scratch("square")
-    value = (np.sum(np.abs(d_lin, out=absolute)) / n
-             + np.sum(np.abs(d_log, out=absolute)) / n)
-    # dL/d|Z|: the log term's share comes first, through the log and the
-    # clamp, which passes where |Z| >= LOG_FLOOR; then the linear term's
-    inv_n = 1.0 / n
-    keep = scratch("mask", bool)
-    g_mag = _l1_grad(d_log, inv_n)
-    g_mag /= floored
-    _zero_unless(g_mag, np.greater_equal(mag_y, LOG_FLOOR, out=keep))
-    g_mag += _l1_grad(d_lin, inv_n)
-    # dL/dZ = Z dL/d|Z| / |Z|, and 0 where |Z| = 0, as complex_abs has it
-    np.divide(g_mag, mag_y, out=g_mag, where=np.greater(mag_y, 0.0, out=keep))
-    _zero_unless(g_mag, keep)
-    np.multiply(spec.real, g_mag, out=spec.real)
-    np.multiply(spec.imag, g_mag, out=spec.imag)
-    return value
-
-
 def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None) -> dt.Tensor:
     """Single-resolution term: L1 on magnitudes plus L1 on floored logs.
 
@@ -186,28 +137,64 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None) -> dt.T
     y = dt.as_tensor(y)
     hop = window // 4
     _check_signal(y.data, window, hop)
+    n_frames = n_frames_for(y.shape[0], hop)
     if isinstance(x, ScaleTarget):
         if x.window != window:
             raise ValidationError(f"target computed at window {x.window} but the "
                                   f"loss asks for window {window}")
-        if x.mag.shape[0] != n_frames_for(y.shape[0], hop):
+        if x.mag.shape[0] != n_frames:
             raise ValidationError(f"target has {x.mag.shape[0]} frames at window "
-                                  f"{window}, a {y.shape[0]}-sample y has "
-                                  f"{n_frames_for(y.shape[0], hop)}")
+                                  f"{window}, a {y.shape[0]}-sample y has {n_frames}")
     else:
         x = _reference(x, "scale_loss")
         if x.shape != y.shape:
             raise ValidationError(f"signal lengths differ: {x.shape} vs {y.shape}")
+
+    def scratch(name, dtype=np.float64):
+        return dt._scratch(workspace, name, shape, dtype)
+
+    # a tracked term is one block: its gradient needs the whole spectrum, and
+    # blocks would regroup the additions of its sums
+    per = n_frames if y._tracked else max(1, _VALUE_BLOCK // window)
+    linear = logterm = 0.0
+    for first in range(0, n_frames, per):
+        stop = min(n_frames, first + per)
+        shape = (stop - first, window // 2 + 1)
+        mag_x, log_x = _reference_rows(x, window, first, stop)
+        spec = _spectrum(y.data, window, hop, workspace, first=first, stop=stop)
+        mag_y = _magnitude(spec, workspace)
+        d_lin = np.subtract(mag_x, mag_y, out=scratch("d_lin"))
+        del mag_x  # each array goes once used, to keep a block's peak low
+        linear += np.sum(np.abs(d_lin, out=scratch("square")))
+        floored = np.maximum(mag_y, LOG_FLOOR, out=scratch("floored"))
+        d_log = np.log(floored, out=scratch("d_log"))
+        np.subtract(log_x, d_log, out=d_log)
+        del log_x
+        logterm += np.sum(np.abs(d_log, out=scratch("square")))
+        if not y._tracked:  # free the block before the next one is made
+            del spec, mag_y, d_lin, floored, d_log
+    n = float(n_frames * (window // 2 + 1))
+    value = dt.Tensor(linear / n + logterm / n)
     if not y._tracked:
-        return dt.Tensor(_value(x, y.data, window))
-    if not isinstance(x, ScaleTarget):
-        x = scale_target(x, window)
-    spec = _spectrum(y.data, window, hop, workspace)
-    mag_y = _magnitude(spec, workspace)
-    value = _value_and_spectrum_grad(spec, x, mag_y, workspace)
-    del x, mag_y
+        return value
+    # dL/d|Z|: the log term's share comes first, through the log and the
+    # clamp, which passes where |Z| >= LOG_FLOOR; then the linear term's.
+    # Each step is the one the composed ops' backward passes would take, in
+    # their order, so the bits match theirs.
+    inv_n = 1.0 / n
+    keep = scratch("mask", bool)
+    g_mag = _l1_grad(d_log, inv_n)
+    g_mag /= floored
+    _zero_unless(g_mag, np.greater_equal(mag_y, LOG_FLOOR, out=keep))
+    g_mag += _l1_grad(d_lin, inv_n)
+    # dL/dZ = Z dL/d|Z| / |Z|, and 0 where |Z| = 0, as complex_abs has it
+    np.divide(g_mag, mag_y, out=g_mag, where=np.greater(mag_y, 0.0, out=keep))
+    _zero_unless(g_mag, keep)
+    np.multiply(spec.real, g_mag, out=spec.real)
+    np.multiply(spec.imag, g_mag, out=spec.imag)
+    del mag_y, d_lin, floored, d_log
     grad = _spectrum_adjoint(spec, window, hop, y.shape[0], workspace)
-    return dt._record((y,), dt.Tensor(value), lambda g: (g * grad,))
+    return dt._record((y,), value, lambda g: (g * grad,))
 
 
 class MslTarget(NamedTuple):

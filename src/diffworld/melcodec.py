@@ -60,6 +60,14 @@ class MelBasis:
               epsilon: float = DEFAULT_EPSILON) -> "MelBasis":
         """Triangular bands on an HTK mel grid from 0 Hz to Nyquist."""
         n_bins = fft_size // 2 + 1
+        if n_mels < 1:
+            raise ValidationError(f"n_mels must be >= 1, got {n_mels}")
+        unresolved = (f"{n_mels} bands cannot be resolved by {n_bins} bins at "
+                      f"sample rate {sample_rate}")
+        # each bin lies inside at most two triangles: fail before allocating
+        if n_mels > 2 * n_bins:
+            raise ValidationError(f"mel bands have no support: {unresolved} "
+                                  f"(at most {2 * n_bins})")
         nyquist = sample_rate / 2.0
         edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_mels + 2))
         bin_hz = np.linspace(0.0, nyquist, n_bins)
@@ -72,9 +80,7 @@ class MelBasis:
         row_sums = weights.sum(axis=1)
         empty = np.flatnonzero(row_sums == 0)
         if empty.size:
-            raise ValidationError(
-                f"mel band {empty[0]} has no support: {n_mels} bands cannot be "
-                f"resolved by {n_bins} bins at sample rate {sample_rate}")
+            raise ValidationError(f"mel band {empty[0]} has no support: {unresolved}")
         weights /= row_sums[:, None]
         pinv = np.linalg.pinv(weights, rcond=_PINV_RCOND)
         np.clip(pinv, 0.0, None, out=pinv)

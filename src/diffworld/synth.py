@@ -31,7 +31,7 @@ from . import melcodec
 from . import tensor as dt
 from .errors import ShapeError, ValidationError, first_index
 from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
-                       validate_features)
+                       check_sample_rate, validate_features)
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 
@@ -52,6 +52,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.hop is None:
             object.__setattr__(self, "hop", self.fft_size // 4)
+        check_sample_rate(self.sample_rate, "SynthConfig.sample_rate")
         check_framing(self.hop, self.fft_size)
         if self.fft_size % self.hop != 0:
             raise ValidationError(

@@ -7,8 +7,8 @@ from diffworld import cli
 from diffworld import losses as ls
 from diffworld import melcodec as mc
 from diffworld import synth as sy
-from diffworld.features import (Waveform, WorldFeatures, read_features,
-                                read_wav, write_features, write_wav)
+from diffworld.features import (CompressedFeatures, Waveform, WorldFeatures,
+                                read_features, read_wav, write_features, write_wav)
 from helpers import two_formant_envelope
 
 SR, FFT, HOP = 8000, 64, 16
@@ -128,6 +128,31 @@ class TestCompressDecompress:
                   "--mels", "16", "--ap-bands", "4"])
         code = cli.main(["compress", str(comp), "-o", str(tmp_path / "cc.wfeat")])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("mels", ["0", "-1"])
+    def test_mel_band_count_below_one_rejected(self, tmp_path, capsys, mels):
+        # --mels 0 used to exit 0, and --mels -1 with an internal error
+        feat_path, wav = tmp_path / "f.wfeat", tmp_path / "x.wav"
+        make_raw_file(feat_path, t=10)
+        write_wav(wav, Waveform(np.zeros(10 * HOP), SR))
+        for argv in (["compress", str(feat_path), "-o", str(tmp_path / "c.wfeat")],
+                     ["spectrogram", str(wav), "-o", str(tmp_path / "s.csv")],
+                     ["fit", str(wav), "--f0", str(feat_path), "-o",
+                      str(tmp_path / "fit.wfeat"), "--steps", "1"]):
+            assert cli.main(argv + ["--mels", mels]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.count(f"n_mels must be >= 1, got {mels}") == 3
+
+    def test_band_count_beyond_two_per_bin_rejected_before_allocating(
+            self, tmp_path, capsys):
+        # a 0-frame file whose header claims 2**32 - 1 bands: decompress used
+        # to exit with "Unable to allocate 32.0 GiB"
+        comp = tmp_path / "c.wfeat"
+        write_features(comp, CompressedFeatures(
+            f0=np.zeros(0), log_mel=np.zeros((0, 2 ** 32 - 1)),
+            coded_ap=np.zeros((0, 4)), sample_rate=SR, hop=HOP, fft_size=FFT))
+        code = cli.main(["decompress", str(comp), "-o", str(tmp_path / "d.wfeat")])
+        assert code == cli.EXIT_VALIDATION
+        assert "mel bands have no support" in capsys.readouterr().err
 
     def test_double_decompress_rejected(self, tmp_path):
         feat_path = tmp_path / "f.wfeat"
@@ -396,6 +421,18 @@ class TestLossAndSpectrogram:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert err.count("x.wav: truncated 'fmt ' chunk") == 2
+
+    def test_wav_sample_rate_zero_is_format_error(self, tmp_path, capsys):
+        # loss used to print 0.000000, and spectrogram to blame the mel codec
+        p = tmp_path / "r.wav"
+        write_wav(p, Waveform(np.zeros(SR // 2), SR))
+        blob = bytearray(p.read_bytes())
+        blob[24:28] = bytes(4)  # the fmt chunk's sample rate
+        p.write_bytes(bytes(blob))
+        assert cli.main(["loss", str(p), str(p)]) == cli.EXIT_FORMAT
+        assert cli.main(["spectrogram", str(p), "-o", str(tmp_path / "s.csv")]) == \
+            cli.EXIT_FORMAT
+        assert capsys.readouterr().err.count("r.wav: sample rate must be >= 1, got 0") == 2
 
     def test_loss_scales_beyond_largest_transform_rejected(self, tmp_path, capsys):
         p = tmp_path / "x.wav"

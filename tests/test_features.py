@@ -148,6 +148,8 @@ class TestWfeat:
         ("hop", 0, "hop must be >= 1"),
         ("fft_size", 0, "fft_size must be in"),
         ("fft_size", ft.MAX_FFT_SIZE + 2, "fft_size must be in"),
+        ("sample_rate", 0, "^sample_rate must be >= 1, got 0$"),
+        ("sample_rate", -8000, "^sample_rate must be >= 1, got -8000$"),
     ])
     def test_clock_fields_out_of_range_rejected(self, field, value, message):
         for feats in (make_raw(), make_compressed()):
@@ -299,8 +301,12 @@ class TestWavCodec:
         (wav_file(wav_chunk(b"fmt ", wav_fmt(1, 16, channels=0)),
                   wav_chunk(b"data", bytes(4))), ValidationError,
          "0-channel audio; mono required"),
+        (wav_file(wav_chunk(b"fmt ", wav_fmt(3, 32, rate=0)),
+                  wav_chunk(b"data", bytes(8))), FormatError,
+         r"x\.wav: sample rate must be >= 1, got 0"),
     ], ids=["RIFX", "cut in RIFF header", "no data", "no chunks", "data first",
-            "short fmt", "odd PCM16 data", "unknown subformat", "no channels"])
+            "short fmt", "odd PCM16 data", "unknown subformat", "no channels",
+            "rate 0"])
     def test_malformed_layouts_rejected(self, tmp_path, blob, error, message):
         path = tmp_path / "x.wav"
         path.write_bytes(blob)

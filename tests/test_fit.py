@@ -284,9 +284,9 @@ class TestFit:
         calls = []
         real = ls._spectrum
 
-        def counting(x, fft_size, hop, ws=None):
+        def counting(x, fft_size, hop, ws=None, first=0, stop=None):
             calls.append(fft_size)
-            return real(x, fft_size, hop, ws)
+            return real(x, fft_size, hop, ws, first, stop)
 
         monkeypatch.setattr(ls, "_spectrum", counting)
         target, f0 = desk_problem(t=40)

@@ -186,6 +186,22 @@ class TestFusedScaleTerm:
         assert value_peak < 24.0
         assert grad_peak < 64.0
 
+    def test_value_only_peak_memory_is_pinned(self):
+        # at most 2% above the peaks of the earlier value-only loop; each block
+        # now frees its arrays before the next is made, and a loop that kept
+        # one more array per block read 1.15 MiB at window 256
+        rs = np.random.default_rng(25)
+        x, y0 = rs.normal(size=220500), rs.normal(size=220500)
+        for window, pinned in ((64, 1.161), (256, 1.016), (2048, 1.006)):
+            ls.scale_loss(x[:4096], y0[:4096], window)  # caches its window
+            tracemalloc.start()
+            try:
+                ls.scale_loss(x, y0, window)
+                peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.02 * pinned, (window, peak)
+
 
 class TestMslTarget:
     def test_cached_target_is_bit_identical(self):

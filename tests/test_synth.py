@@ -33,6 +33,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"fft_size must be in \[1, 65536\]"):
             sy.SynthConfig(fft_size=fft_size)
 
+    @pytest.mark.parametrize("rate", [0, -8000])
+    def test_sample_rate_below_one_rejected(self, rate):
+        # it used to render NaN audio, with only a RuntimeWarning
+        with pytest.raises(ValidationError,
+                           match=f"SynthConfig.sample_rate must be >= 1, got {rate}"):
+            replace(DESK, sample_rate=rate)
+
 
 class TestInterpolateF0:
     def test_empty_contour_rejected(self):
