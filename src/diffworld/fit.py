@@ -14,12 +14,12 @@ the excitation spectra of the fixed pitch contour and noise
 log-magnitude spectrograms at every loss scale (:func:`losses.msl_target`).
 A step decodes the features, shapes and mixes the two spectra with one
 inverse STFT (:func:`synth.render`), evaluates the loss against the cached
-target, and back-propagates.  The loss's scratch buffers belong to the fit:
-one :class:`tensor.Workspace`, allocated in the first step and reused by
-every scale of every step, since the scales run one after another.  A
-non-finite loss or gradient stops the fit with :class:`FitDivergence`, which
-names the step, and for a gradient the parameter and the first non-finite
-index.
+target, and back-propagates.  The scratch buffers of the render and of the
+loss belong to the fit: one :class:`tensor.Workspace`, allocated in the first
+step and reused by the render and by every loss scale of every step, since
+they run one after another.  A non-finite loss or gradient stops the fit
+with :class:`FitDivergence`, which names the step, and for a gradient the
+parameter and the first non-finite index.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from .features import CompressedFeatures, Waveform
 from .losses import MslConfig, mse_features, msl, msl_target
 from .synth import (FirPostFilter, SynthConfig, check_clock, excitation_spectra,
                     n_frames_for, render)
-# stages that excitation_spectra and render run for fit; perfbench's tracer
-# and its smoke test expect to find them bound in this module too
+# stages that excitation_spectra and render run for fit (stft and istft no
+# longer); perfbench's tracer and its smoke test expect to find them bound in
+# this module too
 from .synth import interpolate_f0, istft, noise_excitation, pulse_train, stft  # noqa: F401
 
 
@@ -142,6 +143,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     optimized jointly and updated in place.  ``init`` and ``reference``
     must share the synth config's clock and ``f0``'s frame count.
     """
+    melcodec.check_ap_bands(ap_bands)
     if isinstance(target, Waveform):
         if synth_cfg is None:
             synth_cfg = SynthConfig(sample_rate=target.sample_rate)
@@ -196,7 +198,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
                   for key, value in params.items()}
         s_t, a_t = leaves["log_mel"], dt.sigmoid(leaves["ap_logit"])
         sp, ap = melcodec.decode(f0, s_t, a_t, basis)
-        y = render(spec_h, spec_n, sp, ap, synth_cfg)
+        y = render(spec_h, spec_n, sp, ap, synth_cfg, workspace)
         if fir is not None:
             y = fir.apply(y, synth_cfg, leaves["fir_free"])
         loss = msl(target_spec, y, cfg.msl, workspace)

@@ -28,17 +28,14 @@ import numpy as np
 from . import tensor as dt
 from .errors import ValidationError
 from .features import MAX_FFT_SIZE
-from .synth import _check_signal, _spectrum, _spectrum_adjoint, n_frames_for
+from .synth import (_VALUE_BLOCK, _check_signal, _spectrum, _spectrum_adjoint,
+                    n_frames_for)
 # no longer called here; perfbench's tracer and its smoke test expect to
 # find it bound in this module
 from .synth import stft  # noqa: F401
 
 MAX_SCALES = MAX_FFT_SIZE.bit_length() - 6  # the largest window 2**(5 + s) fits
 LOG_FLOOR = 1e-7  # magnitudes are clamped here before the log term
-# samples of frames per block of an untracked term: cli loss runs the terms
-# on worker threads, and glibc keeps whatever a thread's heap grew to below
-# its trim threshold, so the blocks stay small
-_VALUE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,14 @@ def decompress_sp(s, basis: MelBasis) -> dt.Tensor:
     return dt.mul(root, root)
 
 
+def check_ap_bands(ap_bands) -> None:
+    """The one aperiodicity band-count rule: an integer of at least 2, the
+    two ends of the coarse grid, which sit on the first and the last bin."""
+    if (isinstance(ap_bands, bool) or not isinstance(ap_bands, (int, np.integer))
+            or ap_bands < 2):
+        raise ValidationError(f"ap_bands must be an integer >= 2, got {ap_bands!r}")
+
+
 @functools.lru_cache(maxsize=32)
 def _resample_matrix(n_src: int, n_dst: int) -> np.ndarray:
     """(n_dst, n_src) linear-interpolation weights between regular grids.
@@ -165,6 +173,7 @@ def decode(f0: np.ndarray, log_mel, coded_ap,
 
 def compress(feats: WorldFeatures, n_mels: int = DEFAULT_N_MELS,
              ap_bands: int = DEFAULT_AP_BANDS) -> CompressedFeatures:
+    check_ap_bands(ap_bands)
     feats = validate_features(feats)
     basis = MelBasis.build(feats.sample_rate, feats.fft_size, n_mels)
     return CompressedFeatures(

@@ -7,13 +7,18 @@ shapes seeded white noise by ``ap * sqrt(sp)``.  Gradients flow into ``sp``
 and ``ap`` (and through the feature codec into their compressed forms); the
 pitch contour is a deterministic input and carries no gradient.
 
-Synthesis runs in two parts.  :func:`excitation_spectra` computes the STFTs
-of the pulse train and of the noise, which depend only on the pitch contour
-and the seed, so a caller that re-renders the same contour (``fit``, once
-per step) computes them once.  :func:`render` mixes the two shaped spectra,
-``g_h * (1 - ap) * sqrt(sp) * E_h + g_n * ap * sqrt(sp) * E_n``, in the STFT
-domain and runs a single inverse STFT; the inverse is linear, so this equals
-the sum of two separately inverted branches up to rounding.
+Synthesis is one pass over blocks of frames (:func:`_shaped_inverse`).
+Each block takes the spectra of its frames from each excitation, scales
+them by the gains ``g_h * (1 - ap) * sqrt(sp)`` and ``g_n * ap * sqrt(sp)``,
+sums them, inverts them with ``irfft`` and overlap-adds the windowed frames
+into the output; the inverse is linear, so this equals the sum of two
+separately inverted branches up to rounding.  A block's spectra come from a
+complex spectrum computed once, or from the excitation signal itself.
+:func:`excitation_spectra` computes the complex STFTs of the pulse train and
+of the noise, which depend only on the pitch contour and the seed, so a
+caller that re-renders the same contour (``fit``, once per step) computes
+them once and passes them to :func:`render`.  :func:`synthesize` passes the
+signals, so an untracked synthesis holds no spectrum of the whole clip.
 
 Two optional stages refine the raw output ``y``: a pluggable residual
 post-processor, ``y + postnet(y)``, and then a trainable causal FIR with a
@@ -34,6 +39,11 @@ from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
                        check_sample_rate, validate_features)
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
+# samples of frames per block of an untracked block loop (the loss's value,
+# the shaped inverse): cli loss runs scale terms on worker threads, and glibc
+# keeps whatever a thread's heap grew to below its trim threshold, so the
+# blocks stay small
+_VALUE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -288,25 +298,138 @@ def stft(x, fft_size: int, hop: int) -> dt.Tensor:
         _spectrum_adjoint(dt._to_complex(g), fft_size, hop, length),))
 
 
+def _inverse_span(fft_size: int, hop: int, n_frames: int, length: int) -> int:
+    """Samples of the buffer that the frames of an inverse overlap-add into."""
+    return max((n_frames - 1) * hop + -(-fft_size // hop) * hop, fft_size // 2 + length)
+
+
 def _window_norm(fft_size: int, hop: int, n_frames: int, length: int) -> np.ndarray:
+    """The overlap of the squared windows on the ``length`` output samples of
+    an inverse, 1 where it vanishes."""
     win_sq = np.broadcast_to(hann_window(fft_size) ** 2, (n_frames, fft_size))
-    total = max((n_frames - 1) * hop + fft_size, fft_size // 2 + length)
+    total = _inverse_span(fft_size, hop, n_frames, length)
     norm = dt._overlap_sum(win_sq, hop, total)[fft_size // 2: fft_size // 2 + length]
     return np.where(norm > 1e-12, norm, 1.0)
+
+
+def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: int,
+             hop: int, length: int, per: int, ws: dt.Workspace | None = None) -> np.ndarray:
+    """The one inverse STFT kernel: windowed ``irfft`` frames, overlap-added
+    and divided by the overlap of the squared windows.
+
+    ``rows(first, stop)`` gives the complex spectra of frames ``first..stop``.
+    They are inverted ``per >= 1`` frames at a time and added, in frame
+    order, into one buffer, so each sample sums its terms as one pass over
+    all frames would.  Returns ``length`` fresh samples; frame ``t`` is centered on
+    sample ``t * hop``.
+    """
+    window = hann_window(fft_size)
+    buf = dt._scratch(ws, "synthesis", (_inverse_span(fft_size, hop, n_frames, length),),
+                      zero=True)
+    for first in range(0, n_frames, per):
+        stop = min(n_frames, first + per)
+        frames = np.fft.irfft(rows(first, stop), n=fft_size, axis=-1,
+                              out=dt._scratch(ws, "frames", (stop - first, fft_size)))
+        frames *= window
+        dt._overlap_into(buf, frames, hop, first)
+    return np.multiply(buf[fft_size // 2: fft_size // 2 + length],
+                       1.0 / _window_norm(fft_size, hop, n_frames, length))
+
+
+def _inverse_adjoint(grad: np.ndarray, n_frames: int, fft_size: int, hop: int,
+                     length: int, ws: dt.Workspace | None = None) -> np.ndarray:
+    """Adjoint of :func:`_inverse` over all frames: the output gradient to the
+    gradient of the complex spectra, a view of ``ws`` when one is given.
+
+    The normalization, the frames that the overlap-add wrote, the window, then
+    ``irfft``'s adjoint.
+    """
+    padded = dt._scratch(ws, "synthesis", (_inverse_span(fft_size, hop, n_frames, length),),
+                         zero=True)
+    np.multiply(grad, 1.0 / _window_norm(fft_size, hop, n_frames, length),
+                out=padded[fft_size // 2: fft_size // 2 + length])
+    frames = np.multiply(dt._frames_view(padded, fft_size, hop, n_frames),
+                         hann_window(fft_size),
+                         out=dt._scratch(ws, "frames", (n_frames, fft_size)))
+    return dt._irfft_adjoint(frames, fft_size, out=dt._scratch(
+        ws, "spectrum", (n_frames, fft_size // 2 + 1), complex))
 
 
 def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
     """Overlap-add inverse with window-squared normalization.
 
-    Exact inverse of :func:`stft` (to rounding) wherever the squared windows
-    overlap, which at 75% overlap is every output sample.
+    Takes :func:`stft`'s ``(T, 2, fft_size // 2 + 1)`` planes; one graph node
+    when ``spec`` is tracked.  Exact inverse of :func:`stft` (to rounding)
+    wherever the squared windows overlap, which at 75% overlap is every
+    output sample.
     """
     spec = dt.as_tensor(spec)
-    n_frames = spec.shape[0]
-    frames = dt.irfft(spec, fft_size)
-    windowed = dt.mul(frames, dt.Tensor(hann_window(fft_size)))
-    summed = dt.overlap_add(windowed, hop, length, fft_size // 2)
-    return dt.mul(summed, dt.Tensor(1.0 / _window_norm(fft_size, hop, n_frames, length)))
+    dt._require_pow2(fft_size, "istft")
+    dt._require_hop(hop, "istft")
+    if spec.ndim != 3 or spec.shape[1:] != (2, fft_size // 2 + 1):
+        raise ShapeError(f"istft: expected (T, 2, {fft_size // 2 + 1}) planes, "
+                         f"got {spec.shape}")
+    rows = dt._to_complex(spec.data)
+    n_frames = rows.shape[0]
+    out = dt.Tensor(_inverse(lambda first, stop: rows[first:stop], n_frames,
+                             fft_size, hop, length, max(1, n_frames)))
+    return dt._record((spec,), out, lambda g: (dt._to_planes(
+        _inverse_adjoint(g, n_frames, fft_size, hop, length)),))
+
+
+def _shaped_inverse(sources, gains, fft_size: int, hop: int, length: int,
+                    ws: dt.Workspace | None = None) -> dt.Tensor:
+    """``istft(sum_i S_i * g_i)`` in one pass over blocks of frames.
+
+    One graph node, differentiable in the real ``(T, fft_size // 2 + 1)``
+    gains ``g_i`` only.  Each source ``S_i`` is a complex spectrum of ``T``
+    frames, or a signal of ``T`` frames whose rows :func:`_spectrum` computes
+    as a block needs them.  Untracked gains get ``_VALUE_BLOCK // fft_size``
+    frames per block (at least one), so no spectrum of the whole signal
+    exists at once.
+    Tracked gains get one block; the backward pass, the adjoint of the
+    inverse, maps the output gradient to the spectrum gradient ``G`` and
+    gives ``dg_i = Re(G) Re(S_i) + Im(G) Im(S_i)``.  Each product and sum is
+    the one that shaping, mixing and :func:`istft` as separate ops would
+    make, so the bits match theirs.  Scratch buffers are views of ``ws`` when
+    one is given; the output and the gradients never are.
+    """
+    gains = [dt.as_tensor(g) for g in gains]
+    n_frames, bins = gains[0].shape[0], fft_size // 2 + 1
+    for gain in gains:
+        if gain.shape != (n_frames, bins):
+            raise ShapeError(f"spectral gains must be ({n_frames}, {bins}), one row "
+                             f"per frame and one column per bin; got {gain.shape}")
+    for src in sources:
+        if not np.iscomplexobj(src):
+            _check_signal(src, fft_size, hop)
+    tracked = any(gain._tracked for gain in gains)
+    if tracked:  # the backward pass reads every row of every source
+        sources = [src if np.iscomplexobj(src) else _spectrum(src, fft_size, hop)
+                   for src in sources]
+
+    def rows(first: int, stop: int) -> np.ndarray:
+        mix = dt._scratch(ws, "mix", (stop - first, bins), complex)
+        part = dt._scratch(ws, "part", (stop - first, bins))
+        for i, (src, gain) in enumerate(zip(sources, gains)):
+            spec = (src[first:stop] if np.iscomplexobj(src)
+                    else _spectrum(src, fft_size, hop, ws, first, stop))
+            for mixed, plane in ((mix.real, spec.real), (mix.imag, spec.imag)):
+                if i == 0:
+                    np.multiply(plane, gain.data[first:stop], out=mixed)
+                else:
+                    mixed += np.multiply(plane, gain.data[first:stop], out=part)
+        return mix
+
+    per = max(1, n_frames if tracked else _VALUE_BLOCK // fft_size)
+    out = dt.Tensor(_inverse(rows, n_frames, fft_size, hop, length, per, ws))
+
+    def bwd(g):
+        grad = _inverse_adjoint(g, n_frames, fft_size, hop, length, ws)
+        return tuple(grad.real * src.real + grad.imag * src.imag if gain._tracked
+                     else None for src, gain in zip(sources, gains))
+
+    return dt._record(gains, out, bwd)
 
 
 def _check_feature_frames(name: str, arr, n_samples: int, hop: int) -> None:
@@ -317,57 +440,65 @@ def _check_feature_frames(name: str, arr, n_samples: int, hop: int) -> None:
             f"at hop {hop} has {n_frames} (ceil(n / hop))")
 
 
-def _spectral_shape(spec: dt.Tensor, gain) -> dt.Tensor:
-    """Scale complex frames by a per-frame, per-bin real gain."""
-    gain = dt.as_tensor(gain)
-    t, bins = gain.shape
-    return dt.mul(spec, dt.reshape(gain, (t, 1, bins)))
-
-
 # ---------------------------------------------------------------------------
 # full synthesis
 # ---------------------------------------------------------------------------
 
-def excitation_spectra(f0: np.ndarray, cfg: SynthConfig) -> tuple[dt.Tensor, dt.Tensor]:
+def _excitations(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The pulse train and the noise for a frame-rate f0 contour, ``T * hop``
+    samples each."""
+    freq, mask = interpolate_f0(f0, cfg.hop)
+    return pulse_train(freq, mask, cfg), noise_excitation(freq.shape[0], cfg.noise_seed)
+
+
+def excitation_spectra(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
     """STFTs of the pulse train and of the noise for a frame-rate f0 contour.
 
     Both are constants of the contour and ``cfg.noise_seed``, returned as
-    untracked ``(T, 2, fft_size // 2 + 1)`` tensors for :func:`render`.  The
+    complex ``(T, fft_size // 2 + 1)`` arrays for :func:`render`.  The
     excitations span ``T * hop`` samples.
     """
-    freq, mask = interpolate_f0(f0, cfg.hop)
-    e_h = pulse_train(freq, mask, cfg)
-    e_n = noise_excitation(freq.shape[0], cfg.noise_seed)
-    return stft(e_h, cfg.fft_size, cfg.hop), stft(e_n, cfg.fft_size, cfg.hop)
+    e_h, e_n = _excitations(f0, cfg)
+    return _spectrum(e_h, cfg.fft_size, cfg.hop), _spectrum(e_n, cfg.fft_size, cfg.hop)
 
 
-def render(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
-    """Shape both excitation spectra, mix them and invert once.
+def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig,
+           workspace: dt.Workspace | None = None) -> dt.Tensor:
+    """Shape both excitation spectra, mix them and invert them.
 
     Computes ``istft(g_h * (1 - ap) * sqrt(sp) * E_h + g_n * ap * sqrt(sp) *
-    E_n)``, differentiable in ``sp`` and ``ap``; ``ap`` must lie in [0, 1]
+    E_n)`` from :func:`excitation_spectra`'s complex ``(T, fft_size // 2 +
+    1)`` arrays, ``T`` being ``sp``'s frame count; differentiable in ``sp``
+    and ``ap``, and ``ap`` must lie in [0, 1]
     (:func:`~diffworld.features.check_ap`).  Output length is ``T * hop``.
+    ``workspace`` holds the scratch buffers of a caller that renders again
+    and again (``fit``).
     """
-    spec_h, spec_n = dt.as_tensor(spec_h), dt.as_tensor(spec_n)
+    sp = dt.as_tensor(sp)
+    want = (sp.shape[0], cfg.fft_size // 2 + 1)
+    for name, spec in (("pulse-train", spec_h), ("noise", spec_n)):
+        if not (isinstance(spec, np.ndarray) and np.iscomplexobj(spec)
+                and spec.shape == want):
+            kind = spec.dtype if isinstance(spec, np.ndarray) else type(spec).__name__
+            raise ValidationError(
+                f"render: the {name} spectrum must be a complex {want} array, one "
+                f"row per frame of sp; got {kind} of shape {np.shape(spec)}")
+    return _render((spec_h, spec_n), sp.shape[0], sp, ap, cfg, workspace)
+
+
+def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig,
+            ws: dt.Workspace | None = None) -> dt.Tensor:
+    """:func:`render` from excitation spectra or signals of ``n_frames`` frames."""
     sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
-    if spec_n.shape != spec_h.shape:
-        raise ValidationError(
-            f"noise STFT shape {spec_n.shape} differs from the pulse-train "
-            f"STFT shape {spec_h.shape}")
-    n_samples = spec_h.shape[0] * cfg.hop
+    n_samples = n_frames * cfg.hop
     _check_feature_frames("sp", sp, n_samples, cfg.hop)
     _check_feature_frames("ap", ap, n_samples, cfg.hop)
     check_ap(ap.data)
-    return istft(_mix(spec_h, spec_n, sp, ap, cfg), cfg.fft_size, cfg.hop, n_samples)
-
-
-def _mix(spec_h, spec_n, sp, ap, cfg: SynthConfig) -> dt.Tensor:
-    # a function of its own so that, untracked, the gains are freed before
-    # the inverse STFT allocates its frames
     root = dt.sqrt(sp)
-    gain_h = dt.mul(cfg.gain_harmonic, dt.mul(dt.sub(1.0, ap), root))
-    gain_n = dt.mul(cfg.gain_noise, dt.mul(ap, root))
-    return dt.add(_spectral_shape(spec_h, gain_h), _spectral_shape(spec_n, gain_n))
+    gains = (dt.mul(cfg.gain_harmonic, dt.mul(dt.sub(1.0, ap), root)),
+             dt.mul(cfg.gain_noise, dt.mul(ap, root)))
+    del root  # untracked, it goes before the inverse allocates
+    return _shaped_inverse(sources, gains, cfg.fft_size, cfg.hop, n_samples, ws)
 
 
 def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor:
@@ -376,8 +507,8 @@ def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor
     ``sp`` and ``ap`` may be tensors with gradients attached; ``f0`` is a
     plain contour.  Output length is ``n_frames * hop``.
     """
-    spec_h, spec_n = excitation_spectra(f0, cfg)
-    return render(spec_h, spec_n, sp, ap, cfg)
+    e_h, e_n = _excitations(f0, cfg)
+    return _render((e_h, e_n), e_h.shape[0] // cfg.hop, sp, ap, cfg)
 
 
 def synthesize(feats, cfg: SynthConfig | None = None,

@@ -413,6 +413,21 @@ def _rfft_adjoint(spec: np.ndarray, n: int, out: np.ndarray | None = None) -> np
     return np.fft.irfft(spec, n=n, axis=-1, norm="forward", out=out)
 
 
+def _irfft_adjoint(grad: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of the size-``n`` inverse real FFT along the last axis.
+
+    A complex half spectrum: the ``rfft`` of ``grad`` with every bin divided
+    by ``n`` and the interior ones, which ``irfft`` counts twice, doubled.
+    """
+    spec = np.fft.rfft(grad, n=n, axis=-1, out=out)
+    scale = np.full(n // 2 + 1, 2.0 / n)
+    scale[0] = 1.0 / n
+    scale[-1] = 1.0 / n
+    np.multiply(spec.real, scale, out=spec.real)
+    np.multiply(spec.imag, scale, out=spec.imag)
+    return spec
+
+
 def rfft(a, n: int) -> Tensor:
     """Real-input FFT along the last axis, zero-padded to ``n``.
 
@@ -441,18 +456,7 @@ def irfft(z, n: int) -> Tensor:
     if z.shape[-2] != 2 or z.shape[-1] != n // 2 + 1:
         raise ShapeError(f"irfft: expected (..., 2, {n // 2 + 1}) planes, got {z.shape}")
     out = Tensor(np.fft.irfft(_to_complex(z.data), n=n, axis=-1))
-
-    def bwd(g):
-        gspec = np.fft.rfft(g, n=n, axis=-1)
-        scale = np.full(n // 2 + 1, 2.0 / n)
-        scale[0] = 1.0 / n
-        scale[-1] = 1.0 / n
-        gz = np.empty(gspec.shape[:-1] + (2, n // 2 + 1))
-        np.multiply(gspec.real, scale, out=gz[..., 0, :])
-        np.multiply(gspec.imag, scale, out=gz[..., 1, :])
-        return (gz,)
-
-    return _record((z,), out, bwd)
+    return _record((z,), out, lambda g: (_to_planes(_irfft_adjoint(g, n)),))
 
 
 def complex_abs(z) -> Tensor:
@@ -486,27 +490,36 @@ def _require_hop(hop: int, op: str) -> None:
         raise ShapeError(f"{op}: hop must be at least 1, got {hop}")
 
 
-def _overlap_sum(frames: np.ndarray, hop: int, total: int,
-                 ws: Workspace | None = None) -> np.ndarray:
-    """Sum ``(T, frame_len)`` frames placed at ``t * hop`` into ``total`` samples.
+def _overlap_into(buf: np.ndarray, frames: np.ndarray, hop: int, first: int = 0) -> None:
+    """Add ``(T, frame_len)`` frames into ``buf``, frame ``t`` at ``(first + t) * hop``.
 
-    Each frame is cut into ``ceil(frame_len / hop)`` hop-long chunks (the
+    Each frame is cut into ``k = ceil(frame_len / hop)`` hop-long chunks (the
     last one zero-padded), so chunk ``j`` of every frame lands on block
-    ``t + j`` of a ``(T + k - 1, hop)`` buffer: ``k`` strided slice-adds
+    ``t + j`` of a ``(T + k - 1, hop)`` view: ``k`` strided slice-adds
     instead of a loop over frames.  Chunks go in from the last to the first,
-    which gives every sample its terms in frame order, as a frame loop would.
-    The result is a view of ``ws`` when one is given.
+    which gives every sample its terms in frame order, as a frame loop would;
+    so do calls for consecutive runs of frames made in frame order.  ``buf``
+    must hold ``(first + T + k - 1) * hop`` samples.
     """
     n_frames, frame_len = frames.shape
     k = -(-frame_len // hop)
     if k * hop != frame_len:
         frames = np.pad(frames, ((0, 0), (0, k * hop - frame_len)))
     n_blocks = n_frames + k - 1
-    buf = _scratch(ws, "overlap", (max(total, n_blocks * hop),), frames.dtype, zero=True)
-    blocks = buf[: n_blocks * hop].reshape(n_blocks, hop)
+    blocks = buf[first * hop: (first + n_blocks) * hop].reshape(n_blocks, hop)
     chunks = frames.reshape(n_frames, k, hop)
     for j in reversed(range(k)):
         blocks[j: j + n_frames] += chunks[:, j]
+
+
+def _overlap_sum(frames: np.ndarray, hop: int, total: int,
+                 ws: Workspace | None = None) -> np.ndarray:
+    """Sum ``(T, frame_len)`` frames placed at ``t * hop`` into ``total`` samples
+    (:func:`_overlap_into` on zeros); a view of ``ws`` when one is given."""
+    n_frames, frame_len = frames.shape
+    n_blocks = n_frames + -(-frame_len // hop) - 1
+    buf = _scratch(ws, "overlap", (max(total, n_blocks * hop),), frames.dtype, zero=True)
+    _overlap_into(buf, frames, hop)
     return buf[:total]
 
 

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 
+from diffworld import synth as sy
 from diffworld import tensor as dt
 
 
@@ -132,6 +133,49 @@ def composed_scale_loss(x, y, window, floor=1e-7):
     linear = dt.mean(dt.abs(dt.sub(mag_x, mag_y)))
     logterm = dt.mean(dt.abs(dt.sub(floored_log(mag_x), floored_log(mag_y))))
     return dt.add(linear, logterm)
+
+
+def composed_istft(spec, fft_size, hop, length):
+    """Reference inverse STFT as a graph of tensor ops: ``irfft``, window
+    ``mul``, ``overlap_add`` and a ``mul`` by the inverse window norm."""
+    hann = dt.Tensor(0.5 - 0.5 * np.cos(2 * np.pi * np.arange(fft_size) / fft_size))
+    spec = dt.as_tensor(spec)
+    summed = dt.overlap_add(dt.mul(dt.irfft(spec, fft_size), hann), hop, length,
+                            fft_size // 2)
+    norm = sy._window_norm(fft_size, hop, spec.shape[0], length)
+    return dt.mul(summed, dt.Tensor(1.0 / norm))
+
+
+def composed_spectral_shape(spec, gain):
+    """Scale ``(T, 2, B)`` real/imag planes by a per-frame, per-bin real gain."""
+    gain = dt.as_tensor(gain)
+    t, bins = gain.shape
+    return dt.mul(spec, dt.reshape(gain, (t, 1, bins)))
+
+
+def composed_render(spec_h, spec_n, sp, ap, cfg):
+    """Reference ``render`` as a graph of tensor ops.
+
+    The form the library's one-node shaped inverse replaced: ``sqrt``/
+    ``sub``/``mul`` gains, each complex spectrum shaped as planes, an
+    ``add`` and :func:`composed_istft`.  Its output and its ``sp``/``ap``
+    gradients are the bits the fused node must reproduce.
+    """
+    root = dt.sqrt(sp)
+    gain_h = dt.mul(cfg.gain_harmonic, dt.mul(dt.sub(1.0, ap), root))
+    gain_n = dt.mul(cfg.gain_noise, dt.mul(ap, root))
+    mix = dt.add(composed_spectral_shape(dt.Tensor(dt._to_planes(spec_h)), gain_h),
+                 composed_spectral_shape(dt.Tensor(dt._to_planes(spec_n)), gain_n))
+    return composed_istft(mix, cfg.fft_size, cfg.hop, spec_h.shape[0] * cfg.hop)
+
+
+def composed_transform(x, sp_src, sp_tgt, cfg, floor=1e-10, lo=1e-6, hi=1e6):
+    """Reference ``transform_formants`` as a graph of tensor ops: the clipped
+    envelope ratio's ``sqrt`` shapes ``stft(x)``, then :func:`composed_istft`."""
+    ratio = dt.clamp(dt.div(dt.clamp_min(sp_tgt, floor), dt.clamp_min(sp_src, floor)),
+                     lo, hi)
+    shaped = composed_spectral_shape(sy.stft(x, cfg.fft_size, cfg.hop), dt.sqrt(ratio))
+    return composed_istft(shaped, cfg.fft_size, cfg.hop, len(x))
 
 
 # KSDATAFORMAT_SUBTYPE_PCM / _IEEE_FLOAT after the format code (RFC 2361)

@@ -142,6 +142,20 @@ class TestCompressDecompress:
             assert cli.main(argv + ["--mels", mels]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.count(f"n_mels must be >= 1, got {mels}") == 3
 
+    @pytest.mark.parametrize("bands", ["-1", "0", "1"])
+    def test_ap_band_count_below_two_rejected(self, tmp_path, capsys, bands):
+        # the errors used to name neither the option nor its rule, and fit
+        # --ap-bands -1 exited with an internal error
+        feat_path, wav = tmp_path / "f.wfeat", tmp_path / "x.wav"
+        make_raw_file(feat_path, t=10)
+        write_wav(wav, Waveform(np.zeros(10 * HOP), SR))
+        for argv in (["compress", str(feat_path), "-o", str(tmp_path / "c.wfeat")],
+                     ["fit", str(wav), "--f0", str(feat_path), "-o",
+                      str(tmp_path / "fit.wfeat"), "--steps", "1"]):
+            assert cli.main(argv + ["--ap-bands", bands]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count(f"ap_bands must be an integer >= 2, got {bands}") == 2
+
     def test_band_count_beyond_two_per_bin_rejected_before_allocating(
             self, tmp_path, capsys):
         # a 0-frame file whose header claims 2**32 - 1 bands: decompress used

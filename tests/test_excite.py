@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from diffworld import synth as sy
 from diffworld import tensor as dt
 from diffworld.errors import ValidationError
 from diffworld.features import WorldFeatures
-from helpers import central_diff, rel_grad_err, rel_l2, two_formant_envelope
+from helpers import (central_diff, composed_transform, rel_grad_err, rel_l2,
+                     two_formant_envelope)
 
 CFG = sy.SynthConfig()
 DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)
@@ -135,3 +139,56 @@ class TestTransformFormants:
         grads = dt.backward(loss)
         fd = central_diff(lambda s: loss_of(s)[0].item(), s0)
         assert rel_grad_err(grads[s_t], fd) < 1e-4
+
+    @pytest.mark.parametrize("cfg, n", [(CFG, 220500), (DESK, 40 * 16 - 3),
+                                        (DESK, 512 * 16), (DESK, 1100 * 16 + 5),
+                                        (replace(DESK, fft_size=1 << 16, hop=1 << 14),
+                                         12 * (1 << 14) - 5)],
+                             ids=["fft1024-10s", "fft64-40", "fft64-512", "fft64-1101",
+                                  "fft65536-12"])
+    def test_matches_composed_graph(self, cfg, n):
+        # an untracked transform takes 32768 // fft_size frames per block, and at
+        # least one: 32 at fft 1024, 512 at fft 64 and 1 at fft 65536, so these
+        # run one block, one full block, several blocks with a partial last one
+        # and one block per frame
+        rs = np.random.default_rng(n)
+        x = rs.normal(size=n)
+        n_frames = sy.n_frames_for(n, cfg.hop)
+        bins = cfg.fft_size // 2 + 1
+        sp_src = rs.uniform(0.01, 2.0, size=(n_frames, bins))
+        sp_tgt = rs.uniform(0.01, 2.0, size=(n_frames, bins))
+        want = composed_transform(x, sp_src, sp_tgt, cfg).data
+        np.testing.assert_array_equal(ex.transform_formants(x, sp_src, sp_tgt, cfg).data,
+                                      want)
+        weights = dt.Tensor(rs.normal(size=n))
+        runs = []
+        for transform in (ex.transform_formants, composed_transform):
+            tgt = dt.Tensor(sp_tgt, requires_grad=True)
+            y = transform(x, sp_src, tgt, cfg)
+            runs.append((y.data, dt.backward(dt.sum(dt.mul(y, weights)))[tgt]))
+        for got, expected in zip(*runs):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_tracked_signal_rejected(self):
+        x = dt.Tensor(np.zeros(8 * DESK.hop), requires_grad=True)
+        sp = np.ones((8, DESK.fft_size // 2 + 1))
+        with pytest.raises(ValidationError,
+                           match="transform_formants: the signal x is tracked"):
+            ex.transform_formants(x, sp, sp, DESK)
+
+    def test_ten_second_peak_memory_is_pinned(self):
+        # untracked, a block of frames at a time: no spectrum of the whole
+        # recording exists.  At most 2% above the measured peak; the composed
+        # graph's was 28.84 MiB
+        rs = np.random.default_rng(26)
+        x = rs.normal(size=861 * CFG.hop)
+        sp_src = smooth_envelope(861, CFG, centers=(500.0, 1800.0))
+        sp_tgt = smooth_envelope(861, CFG, centers=(600.0, 2100.0))
+        ex.transform_formants(x, sp_src, sp_tgt, CFG)  # fills the window cache first
+        tracemalloc.start()
+        try:
+            ex.transform_formants(x, sp_src, sp_tgt, CFG)
+            peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 10.11, peak
