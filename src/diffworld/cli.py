@@ -10,6 +10,7 @@ threads; results do not depend on the thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -157,7 +158,10 @@ def cmd_spectrogram(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is,
+    so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="diffworld",
         description="Differentiable WORLD-style vocoder toolkit")

@@ -6,10 +6,10 @@ moves formants while leaving the source (pitch, phase) untouched.
 :func:`transform_formants` applies both steps as one gain,
 ``sqrt(sp_tgt / sp_src)``, so no excitation signal is ever synthesized.
 The gain, the STFT and the inverse run as one pass over blocks of frames
-(:func:`synth._shaped_inverse`): each block computes the spectra of its own
-frames of ``x``, so no spectrum of the whole recording exists on an
-untracked transform.  With identical envelopes the transform is an
-identity, which the synthesis branch cannot offer.
+(:func:`synth._shaped_inverse`): each block computes the gain and the
+spectra of its own frames of ``x``, so neither a gain nor a spectrum of the
+whole recording exists on an untracked transform.  With identical envelopes
+the transform is an identity, which the synthesis branch cannot offer.
 
 Envelopes are floored and the envelope ratio is clipped before the square
 root: near-silent analysis frames would otherwise blow the division up.
@@ -60,7 +60,11 @@ def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
     sp_tgt = dt.as_tensor(sp_tgt)
     _check_feature_frames("sp_src", sp_src, x.shape[0], cfg.hop)
     _check_feature_frames("sp_tgt", sp_tgt, x.shape[0], cfg.hop)
-    gain = dt.sqrt(dt.clamp(dt.div(dt.clamp_min(sp_tgt, ENVELOPE_FLOOR),
-                                   dt.clamp_min(sp_src, ENVELOPE_FLOOR)),
-                            RATIO_LO, RATIO_HI))
-    return _shaped_inverse((x,), (gain,), cfg.fft_size, cfg.hop, x.shape[0])
+
+    def gain(sp_src, sp_tgt):
+        return (dt.sqrt(dt.clamp(dt.div(dt.clamp_min(sp_tgt, ENVELOPE_FLOOR),
+                                        dt.clamp_min(sp_src, ENVELOPE_FLOOR)),
+                                 RATIO_LO, RATIO_HI)),)
+
+    return _shaped_inverse((x,), gain, (sp_src, sp_tgt), cfg.fft_size, cfg.hop,
+                           x.shape[0])

@@ -117,6 +117,13 @@ def check_ap(ap: np.ndarray) -> None:
             f"ap out of [0, 1] at frame {frame}, bin {bin_}: {ap[frame, bin_]}")
 
 
+def _check_sp(sp: np.ndarray, error: type[DiffworldError] = ValidationError) -> None:
+    """Raise ``error`` unless ``sp`` is non-negative, naming the frame and bin."""
+    if np.any(sp < 0):
+        frame, bin_ = first_index(sp < 0)
+        raise error(f"sp is negative at frame {frame}, bin {bin_}")
+
+
 def check_sample_rate(sample_rate, where: str = "sample_rate",
                       error: type[DiffworldError] = ValidationError) -> None:
     """Raise ``error`` unless ``sample_rate`` is at least 1 Hz."""
@@ -158,9 +165,7 @@ def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
         raise ValidationError(
             f"expected {bins} bins for fft_size {feats.fft_size}, "
             f"got sp {sp.shape[1]}, ap {ap.shape[1]}")
-    if np.any(sp < 0):
-        frame, bin_ = first_index(sp < 0)
-        raise ValidationError(f"sp is negative at frame {frame}, bin {bin_}")
+    _check_sp(sp)
     check_ap(ap)
     unvoiced = f0 == 0
     if np.any(unvoiced):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as dt
-from .errors import DomainError, ValidationError, first_index
-from .features import CompressedFeatures, WorldFeatures, validate_features
+from .errors import DomainError, ValidationError
+from .features import CompressedFeatures, WorldFeatures, _check_sp, validate_features
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_N_MELS = 80
@@ -96,9 +96,7 @@ class MelBasis:
 def compress_sp(sp, basis: MelBasis) -> dt.Tensor:
     """Envelope (T, n_bins) -> log mel (T, n_mels), differentiable."""
     sp = dt.as_tensor(sp)
-    if np.any(sp.data < 0):
-        frame, bin_ = first_index(sp.data < 0)
-        raise DomainError(f"sp is negative at frame {frame}, bin {bin_}")
+    _check_sp(sp.data, DomainError)
     if sp.shape[-1] != basis.n_bins:
         raise ValidationError(f"expected {basis.n_bins} bins, got {sp.shape[-1]}")
     banded = dt.matmul(dt.sqrt(sp), dt.Tensor(basis.weights.T))

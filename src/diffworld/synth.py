@@ -13,12 +13,17 @@ them by the gains ``g_h * (1 - ap) * sqrt(sp)`` and ``g_n * ap * sqrt(sp)``,
 sums them, inverts them with ``irfft`` and overlap-adds the windowed frames
 into the output; the inverse is linear, so this equals the sum of two
 separately inverted branches up to rounding.  A block's spectra come from a
-complex spectrum computed once, or from the excitation signal itself.
+complex spectrum computed once, or from the excitation signal itself, whose
+frames are read in place.
 :func:`excitation_spectra` computes the complex STFTs of the pulse train and
 of the noise, which depend only on the pitch contour and the seed, so a
 caller that re-renders the same contour (``fit``, once per step) computes
 them once and passes them to :func:`render`.  :func:`synthesize` passes the
-signals, so an untracked synthesis holds no spectrum of the whole clip.
+signals, and an untracked block makes its own rows of the gains, so an
+untracked synthesis holds no spectrum and no gain of the whole clip.  Nor do
+the excitations make whole-clip temporaries: the pitch contour is built on a
+``(frames, hop)`` grid and the pulse train in chunks of samples.  What is
+left at the peak is the two excitations and the inverse's buffers.
 
 Two optional stages refine the raw output ``y``: a pluggable residual
 post-processor, ``y + postnet(y)``, and then a trainable causal FIR with a
@@ -27,6 +32,7 @@ zero leading tap, ``gain_dry * y + gain_fir * fir(y)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,9 +40,9 @@ import numpy as np
 
 from . import melcodec
 from . import tensor as dt
-from .errors import ShapeError, ValidationError, first_index
+from .errors import DomainError, ShapeError, ValidationError, first_index
 from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
-                       check_sample_rate, validate_features)
+                       _check_sp, check_sample_rate, validate_features)
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 # samples of frames per block of an untracked block loop (the loss's value,
@@ -67,6 +73,14 @@ class SynthConfig:
         if self.fft_size % self.hop != 0:
             raise ValidationError(
                 f"hop {self.hop} must divide fft_size {self.fft_size}")
+        for name in ("gain_harmonic", "gain_noise", "gain_dry", "gain_fir"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"SynthConfig.{name} must be finite, got {value}")
+        seed = self.noise_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError(
+                f"SynthConfig.noise_seed must be an integer >= 0, got {seed!r}")
 
     @property
     def harmonic_count(self) -> int:
@@ -132,27 +146,36 @@ def interpolate_f0(f0: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
     the frequency is interpolated linearly; across a voiced/unvoiced boundary
     it is held from the voiced side while the mask ramps linearly over the
     hop, reaching zero at the unvoiced frame's center.  The mask is binary
-    away from boundaries.  (The one-hop amplitude ramp is an anti-click
-    measure, not part of the synthesis contract.)
+    away from boundaries, and the last frame holds its own value.  (The
+    one-hop amplitude ramp is an anti-click measure, not part of the
+    synthesis contract.)
+
+    Both are built on a ``(T, hop)`` grid, row ``t`` being the hop that
+    starts at frame ``t``'s center: each row is its frame's case written
+    over the hop's fractions ``s / hop``, so no per-sample index exists.
     """
     f0 = np.asarray(f0, dtype=np.float64)
     if f0.ndim != 1 or f0.shape[0] == 0:
         raise ValidationError("f0 must be 1-D with at least one frame")
     check_f0(f0)
-    n_frames = f0.shape[0]
-    t = np.arange(n_frames * hop)
-    left = np.minimum(t // hop, n_frames - 1)
-    right = np.minimum(left + 1, n_frames - 1)
-    frac = np.where(right > left, (t - left * hop) / hop, 0.0)
-    f_left, f_right = f0[left], f0[right]
+    frac = np.arange(hop) / hop
+    f_left, f_right = f0[:, None], np.append(f0[1:], f0[-1])[:, None]
     v_left, v_right = f_left > 0, f_right > 0
+    both = v_left & v_right
 
-    freq = np.where(v_left & v_right, (1.0 - frac) * f_left + frac * f_right,
-                    np.where(v_left, f_left, f_right))
-    mask = np.where(v_left & v_right, 1.0,
-                    np.where(v_left, 1.0 - frac,
-                             np.where(v_right, frac, 0.0)))
-    return freq, mask
+    freq = np.empty((f0.shape[0], hop))
+    mask = np.empty_like(freq)
+    # between voiced frames, (1 - frac) * f_left + frac * f_right; the mask
+    # holds the second term until it is overwritten below
+    np.multiply(1.0 - frac, f_left, out=freq)
+    freq += np.multiply(frac, f_right, out=mask)
+    np.copyto(freq, np.where(v_left, f_left, f_right), where=~both)
+    freq[-1] = f0[-1]
+    np.copyto(mask, 1.0, where=both)
+    np.copyto(mask, 1.0 - frac, where=v_left & ~v_right)
+    np.copyto(mask, frac, where=v_right & ~v_left)
+    np.copyto(mask, 0.0, where=~(v_left | v_right))
+    return freq.reshape(-1), mask.reshape(-1)
 
 
 def pulse_train(f0_audio: np.ndarray, mask: np.ndarray, cfg: SynthConfig) -> np.ndarray:
@@ -170,23 +193,36 @@ def pulse_train(f0_audio: np.ndarray, mask: np.ndarray, cfg: SynthConfig) -> np.
     pulse period to unit energy (K sinusoids of amplitude A have mean power
     K * A^2 / 2 over the fs / f0 samples of one period).  Deterministic;
     carries no gradient.
+
+    The phase is one ``cumsum`` over the whole contour, since every sample's
+    phase sums all the samples before it.  The rest is per sample, so it
+    runs in chunks of ``_VALUE_BLOCK`` samples, each written over its own
+    span of the ``cumsum``'s buffer, which becomes the output: only a
+    chunk's temporaries exist besides it.
     """
     f0_audio = np.asarray(f0_audio, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     fs = float(cfg.sample_rate)
-    cycles = np.cumsum(f0_audio) / fs
-    phi = 2.0 * np.pi * (cycles - np.floor(cycles + 0.5))
+    out = np.cumsum(f0_audio)
+    for lo in range(0, out.shape[0], _VALUE_BLOCK):
+        span = slice(lo, lo + _VALUE_BLOCK)
+        f0_span = f0_audio[span]
+        cycles = out[span] / fs
+        phi = 2.0 * np.pi * (cycles - np.floor(cycles + 0.5))
 
-    # harmonics below Nyquist at this instant (strict: k * f0 >= nyquist is out)
-    k = np.where(f0_audio > 0, np.ceil(fs / 2.0 / np.maximum(f0_audio, 1e-12)) - 1.0, 0.0)
-    k = np.clip(k, 0, cfg.harmonic_count)
-    amp = np.where(k > 0, np.sqrt(2.0 * f0_audio / (np.maximum(k, 1.0) * fs)), 0.0) * mask
+        # harmonics below Nyquist at this instant (strict: k * f0 >= nyquist is out)
+        k = np.where(f0_span > 0, np.ceil(fs / 2.0 / np.maximum(f0_span, 1e-12)) - 1.0, 0.0)
+        k = np.clip(k, 0, cfg.harmonic_count)
+        amp = np.where(k > 0, np.sqrt(2.0 * f0_span / (np.maximum(k, 1.0) * fs)),
+                       0.0) * mask[span]
 
-    half = np.sin(0.5 * phi)
-    singular = np.abs(half) < 1e-150
-    dirichlet = (np.sin(0.5 * k * phi) * np.sin(0.5 * (k + 1.0) * phi)
-                 / np.where(singular, 1.0, half))
-    return np.where(singular, 0.5 * k * (k + 1.0) * phi, dirichlet) * amp
+        half = np.sin(0.5 * phi)
+        singular = np.abs(half) < 1e-150
+        dirichlet = (np.sin(0.5 * k * phi) * np.sin(0.5 * (k + 1.0) * phi)
+                     / np.where(singular, 1.0, half))
+        np.multiply(np.where(singular, 0.5 * k * (k + 1.0) * phi, dirichlet), amp,
+                    out=out[span])
+    return out
 
 
 def noise_excitation(n_samples: int, seed: int) -> np.ndarray:
@@ -245,8 +281,11 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int,
     Frame ``t`` covers samples ``[t * hop - fft_size // 2, t * hop + fft_size
     // 2)`` of ``x``, reading zeros outside it, and is Hann-windowed and
     transformed.  ``x`` has ``n_frames_for(len(x), hop)`` frames; ``stop``
-    defaults to that.  Only the ``(stop - first, fft_size // 2 + 1)``
-    spectrum outlives the call, and it is a view of ``ws`` when one is given.
+    defaults to that.  Frames that lie inside ``x`` are read in place,
+    through a read-only strided view; only a run of frames that reaches past
+    either end is copied, into a zero-padded buffer.  Only the ``(stop -
+    first, fft_size // 2 + 1)`` spectrum outlives the call, and it is a view
+    of ``ws`` when one is given.
     """
     _check_signal(x, fft_size, hop)
     # a cache entry: made before the buffers, so that a worker thread's heap
@@ -255,13 +294,16 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int,
     if stop is None:
         stop = n_frames_for(x.shape[0], hop)
     total, start, lo, hi = _frame_span(x.shape[0], fft_size, hop, first, stop)
-    padded = dt._scratch(ws, "padded", (total,))
-    padded[:lo] = 0.0
-    padded[lo:hi] = x[start + lo: start + hi]
-    padded[hi:] = 0.0
+    if lo == 0 and hi == total:
+        samples = x[start: start + total]
+    else:
+        samples = dt._scratch(ws, "padded", (total,))
+        samples[:lo] = 0.0
+        samples[lo:hi] = x[start + lo: start + hi]
+        samples[hi:] = 0.0
     frames = dt._scratch(ws, "frames", (stop - first, fft_size))
-    np.multiply(dt._frames_view(padded, fft_size, hop, stop - first), window, out=frames)
-    del padded  # freed before the transform allocates, unless ws owns it
+    np.multiply(dt._frames_view(samples, fft_size, hop, stop - first), window, out=frames)
+    del samples  # a padded copy goes before the transform allocates, unless ws owns it
     spec = dt._scratch(ws, "spectrum", (stop - first, fft_size // 2 + 1), complex)
     return np.fft.rfft(frames, axis=-1, out=spec)
 
@@ -332,8 +374,10 @@ def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: in
                               out=dt._scratch(ws, "frames", (stop - first, fft_size)))
         frames *= window
         dt._overlap_into(buf, frames, hop, first)
-    return np.multiply(buf[fft_size // 2: fft_size // 2 + length],
-                       1.0 / _window_norm(fft_size, hop, n_frames, length))
+    # the norm's buffer takes its reciprocal and then the output
+    out = _window_norm(fft_size, hop, n_frames, length)
+    np.divide(1.0, out, out=out)
+    return np.multiply(buf[fft_size // 2: fft_size // 2 + length], out, out=out)
 
 
 def _inverse_adjoint(grad: np.ndarray, n_frames: int, fft_size: int, hop: int,
@@ -377,52 +421,65 @@ def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
         _inverse_adjoint(g, n_frames, fft_size, hop, length)),))
 
 
-def _shaped_inverse(sources, gains, fft_size: int, hop: int, length: int,
+def _shaped_inverse(sources, gain_fn: Callable[..., tuple[dt.Tensor, ...]], inputs,
+                    fft_size: int, hop: int, length: int,
                     ws: dt.Workspace | None = None) -> dt.Tensor:
     """``istft(sum_i S_i * g_i)`` in one pass over blocks of frames.
 
-    One graph node, differentiable in the real ``(T, fft_size // 2 + 1)``
-    gains ``g_i`` only.  Each source ``S_i`` is a complex spectrum of ``T``
-    frames, or a signal of ``T`` frames whose rows :func:`_spectrum` computes
-    as a block needs them.  Untracked gains get ``_VALUE_BLOCK // fft_size``
-    frames per block (at least one), so no spectrum of the whole signal
-    exists at once.
-    Tracked gains get one block; the backward pass, the adjoint of the
-    inverse, maps the output gradient to the spectrum gradient ``G`` and
-    gives ``dg_i = Re(G) Re(S_i) + Im(G) Im(S_i)``.  Each product and sum is
-    the one that shaping, mixing and :func:`istft` as separate ops would
-    make, so the bits match theirs.  Scratch buffers are views of ``ws`` when
-    one is given; the output and the gradients never are.
+    The real gains are ``(g_1, ...) = gain_fn(*inputs)``, one per source.
+    Each input is a ``(T, fft_size // 2 + 1)`` tensor, and ``gain_fn`` is
+    made of elementwise tensor ops, so any run of rows of the inputs gives
+    the same run of rows of the gains.  Each source ``S_i`` is a complex
+    spectrum of ``T`` frames, or a signal of ``T`` frames whose rows
+    :func:`_spectrum` computes as a block needs them.
+
+    Untracked inputs get ``_VALUE_BLOCK // fft_size`` frames per block (at
+    least one), and ``gain_fn`` runs on each block's rows, so neither a
+    spectrum nor a gain of the whole signal exists at once.  Tracked inputs
+    get one block: ``gain_fn`` runs once on the whole inputs and records its
+    graph, and the result is one more graph node, differentiable in the
+    gains only.  Its backward pass, the adjoint of the inverse, maps the
+    output gradient to the spectrum gradient ``G`` and gives ``dg_i = Re(G)
+    Re(S_i) + Im(G) Im(S_i)``.  Each product and sum is the one that
+    shaping, mixing and :func:`istft` as separate ops would make, so the
+    bits match theirs.  Scratch buffers are views of ``ws`` when one is
+    given; the output and the gradients never are.
     """
-    gains = [dt.as_tensor(g) for g in gains]
-    n_frames, bins = gains[0].shape[0], fft_size // 2 + 1
-    for gain in gains:
-        if gain.shape != (n_frames, bins):
-            raise ShapeError(f"spectral gains must be ({n_frames}, {bins}), one row "
-                             f"per frame and one column per bin; got {gain.shape}")
+    inputs = [dt.as_tensor(x) for x in inputs]
+    n_frames, bins = inputs[0].shape[0], fft_size // 2 + 1
+    for x in inputs:
+        if x.shape != (n_frames, bins):
+            raise ShapeError(f"spectral gains must be ({n_frames}, {bins}), one row per "
+                             f"frame and one column per bin, and so must their "
+                             f"inputs; got {x.shape}")
     for src in sources:
         if not np.iscomplexobj(src):
             _check_signal(src, fft_size, hop)
-    tracked = any(gain._tracked for gain in gains)
-    if tracked:  # the backward pass reads every row of every source
+    tracked = any(x._tracked for x in inputs)
+    if tracked:  # the backward pass reads every row of every gain and source
+        gains = gain_fn(*inputs)
         sources = [src if np.iscomplexobj(src) else _spectrum(src, fft_size, hop)
                    for src in sources]
 
     def rows(first: int, stop: int) -> np.ndarray:
+        block = (gains if tracked  # one block of every row
+                 else gain_fn(*(dt.Tensor(x.data[first:stop]) for x in inputs)))
         mix = dt._scratch(ws, "mix", (stop - first, bins), complex)
         part = dt._scratch(ws, "part", (stop - first, bins))
-        for i, (src, gain) in enumerate(zip(sources, gains)):
+        for i, (src, gain) in enumerate(zip(sources, block)):
             spec = (src[first:stop] if np.iscomplexobj(src)
                     else _spectrum(src, fft_size, hop, ws, first, stop))
             for mixed, plane in ((mix.real, spec.real), (mix.imag, spec.imag)):
                 if i == 0:
-                    np.multiply(plane, gain.data[first:stop], out=mixed)
+                    np.multiply(plane, gain.data, out=mixed)
                 else:
-                    mixed += np.multiply(plane, gain.data[first:stop], out=part)
+                    mixed += np.multiply(plane, gain.data, out=part)
         return mix
 
     per = max(1, n_frames if tracked else _VALUE_BLOCK // fft_size)
     out = dt.Tensor(_inverse(rows, n_frames, fft_size, hop, length, per, ws))
+    if not tracked:
+        return out
 
     def bwd(g):
         grad = _inverse_adjoint(g, n_frames, fft_size, hop, length, ws)
@@ -448,7 +505,9 @@ def _excitations(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarr
     """The pulse train and the noise for a frame-rate f0 contour, ``T * hop``
     samples each."""
     freq, mask = interpolate_f0(f0, cfg.hop)
-    return pulse_train(freq, mask, cfg), noise_excitation(freq.shape[0], cfg.noise_seed)
+    pulses = pulse_train(freq, mask, cfg)
+    del freq, mask  # the contour goes before the noise is drawn
+    return pulses, noise_excitation(pulses.shape[0], cfg.noise_seed)
 
 
 def excitation_spectra(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -469,7 +528,7 @@ def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig,
     Computes ``istft(g_h * (1 - ap) * sqrt(sp) * E_h + g_n * ap * sqrt(sp) *
     E_n)`` from :func:`excitation_spectra`'s complex ``(T, fft_size // 2 +
     1)`` arrays, ``T`` being ``sp``'s frame count; differentiable in ``sp``
-    and ``ap``, and ``ap`` must lie in [0, 1]
+    and ``ap``.  ``sp`` must be non-negative and ``ap`` must lie in [0, 1]
     (:func:`~diffworld.features.check_ap`).  Output length is ``T * hop``.
     ``workspace`` holds the scratch buffers of a caller that renders again
     and again (``fit``).
@@ -494,11 +553,15 @@ def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig,
     _check_feature_frames("sp", sp, n_samples, cfg.hop)
     _check_feature_frames("ap", ap, n_samples, cfg.hop)
     check_ap(ap.data)
-    root = dt.sqrt(sp)
-    gains = (dt.mul(cfg.gain_harmonic, dt.mul(dt.sub(1.0, ap), root)),
-             dt.mul(cfg.gain_noise, dt.mul(ap, root)))
-    del root  # untracked, it goes before the inverse allocates
-    return _shaped_inverse(sources, gains, cfg.fft_size, cfg.hop, n_samples, ws)
+    # checked here on the whole clip: the gains may be made a block at a time
+    _check_sp(sp.data, DomainError)
+
+    def gains(sp, ap):
+        root = dt.sqrt(sp)
+        return (dt.mul(cfg.gain_harmonic, dt.mul(dt.sub(1.0, ap), root)),
+                dt.mul(cfg.gain_noise, dt.mul(ap, root)))
+
+    return _shaped_inverse(sources, gains, (sp, ap), cfg.fft_size, cfg.hop, n_samples, ws)
 
 
 def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor:

@@ -109,6 +109,58 @@ def direct_pulse_train(f0_audio, mask, sample_rate, harmonic_cap):
     return total * amp * np.asarray(mask, dtype=float)
 
 
+def indexed_interpolate_f0(f0, hop):
+    """Reference ``interpolate_f0``: every sample gathers its two frames
+    through whole-clip index arrays, as the library did before it built the
+    contour on a ``(frames, hop)`` grid.  Its bits are the ones to match."""
+    f0 = np.asarray(f0, dtype=np.float64)
+    n_frames = f0.shape[0]
+    t = np.arange(n_frames * hop)
+    left = np.minimum(t // hop, n_frames - 1)
+    right = np.minimum(left + 1, n_frames - 1)
+    frac = np.where(right > left, (t - left * hop) / hop, 0.0)
+    f_left, f_right = f0[left], f0[right]
+    v_left, v_right = f_left > 0, f_right > 0
+    freq = np.where(v_left & v_right, (1.0 - frac) * f_left + frac * f_right,
+                    np.where(v_left, f_left, f_right))
+    mask = np.where(v_left & v_right, 1.0,
+                    np.where(v_left, 1.0 - frac,
+                             np.where(v_right, frac, 0.0)))
+    return freq, mask
+
+
+def whole_clip_pulse_train(f0_audio, mask, cfg):
+    """Reference ``pulse_train``: the closed form over the whole clip at once,
+    as the library computed it before it worked in chunks of samples.  Its
+    bits are the ones to match."""
+    f0_audio = np.asarray(f0_audio, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    fs = float(cfg.sample_rate)
+    cycles = np.cumsum(f0_audio) / fs
+    phi = 2.0 * np.pi * (cycles - np.floor(cycles + 0.5))
+    k = np.where(f0_audio > 0, np.ceil(fs / 2.0 / np.maximum(f0_audio, 1e-12)) - 1.0, 0.0)
+    k = np.clip(k, 0, cfg.harmonic_count)
+    amp = np.where(k > 0, np.sqrt(2.0 * f0_audio / (np.maximum(k, 1.0) * fs)), 0.0) * mask
+    half = np.sin(0.5 * phi)
+    singular = np.abs(half) < 1e-150
+    dirichlet = (np.sin(0.5 * k * phi) * np.sin(0.5 * (k + 1.0) * phi)
+                 / np.where(singular, 1.0, half))
+    return np.where(singular, 0.5 * k * (k + 1.0) * phi, dirichlet) * amp
+
+
+def padded_spectrum(x, fft_size, hop, first, stop):
+    """Reference ``synth._spectrum`` of frames ``first..stop``: the frames are
+    copied into one zero-padded buffer, then windowed and transformed, as the
+    library did for every block before it read interior frames in place."""
+    total = (stop - first - 1) * hop + fft_size
+    start = first * hop - fft_size // 2
+    lo, hi = max(0, -start), max(0, min(total, len(x) - start))
+    padded = np.zeros(total)
+    padded[lo:hi] = x[start + lo: start + hi]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, fft_size)[::hop]
+    return np.fft.rfft(frames[:stop - first] * sy.hann_window(fft_size), axis=-1)
+
+
 def composed_scale_loss(x, y, window, floor=1e-7):
     """Reference scale term of the spectral loss as a graph of tensor ops.
 

@@ -103,6 +103,29 @@ class TestSynth:
                          "-o", str(tmp_path / "y.wav")])
         assert code == cli.EXIT_FORMAT
 
+    def test_negative_seed_names_noise_seed(self, tmp_path, capsys):
+        # it used to exit 1 with numpy's "expected non-negative integer"
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=10)
+        assert cli.main(["synth", str(feat_path), "-o", str(tmp_path / "y.wav"),
+                         "--seed", "-1"]) == cli.EXIT_VALIDATION
+        assert "SynthConfig.noise_seed must be an integer >= 0, got -1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "y.wav").exists()
+
+    @pytest.mark.parametrize("flag", ["--gain-harmonic", "--gain-noise", "--gain-dry",
+                                      "--gain-fir"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_gain_names_the_gain(self, tmp_path, capsys, flag, value):
+        # --gain-harmonic nan used to blame a non-finite output sample
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=10)
+        assert cli.main(["synth", str(feat_path), "-o", str(tmp_path / "y.wav"),
+                         f"{flag}={value}"]) == cli.EXIT_VALIDATION
+        name = flag[2:].replace("-", "_")
+        assert f"SynthConfig.{name} must be finite, got {float(value)}" in \
+            capsys.readouterr().err
+
 
 class TestCompressDecompress:
     def test_roundtrip_restores_bin_count(self, tmp_path):
@@ -317,6 +340,19 @@ class TestFit:
         assert code == cli.EXIT_VALIDATION
         assert "learning_rate must be finite" in capsys.readouterr().err
 
+    def test_negative_seed_names_noise_seed(self, tmp_path, capsys):
+        # it used to exit 1 with numpy's "expected non-negative integer"
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=8)
+        wav_path = tmp_path / "t.wav"
+        write_wav(wav_path, Waveform(np.zeros(8 * HOP), SR))
+        code = cli.main(["fit", str(wav_path), "--f0", str(feat_path),
+                         "-o", str(tmp_path / "o.wfeat"), "--steps", "2",
+                         "--mels", "16", "--ap-bands", "4", "--seed", "-5"])
+        assert code == cli.EXIT_VALIDATION
+        assert "SynthConfig.noise_seed must be an integer >= 0, got -5" in \
+            capsys.readouterr().err
+
 
 @pytest.mark.parametrize("n", [12 * HOP - 1, 12 * HOP, 12 * HOP + 1])
 class TestBoundaryLengths:
@@ -470,3 +506,25 @@ class TestLossAndSpectrogram:
         rows = out.read_text().strip().split("\n")
         assert len(rows) == sy.n_frames_for(2 * SR, 16)
         assert all(len(row.split(",")) == 16 for row in rows)
+
+
+class TestParser:
+    def test_built_once_and_left_as_it_was_by_each_call(self, tmp_path, capsys):
+        # it used to be rebuilt on every call of main, about 1.2 ms each
+        assert cli.build_parser() is cli.build_parser()
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=10)
+
+        def synth(name, *flags):
+            out = tmp_path / f"{name}.wav"
+            assert cli.main(["synth", str(feat_path), "-o", str(out), *flags]) == 0
+            return out.read_bytes()
+
+        plain = synth("plain")
+        assert synth("tuned", "--seed", "7", "--gain-noise", "0.5") != plain
+        # a usage error and another subcommand in between change nothing
+        assert cli.main(["synth", str(feat_path)]) == cli.EXIT_FORMAT
+        assert cli.main(["loss", str(tmp_path / "plain.wav"),
+                         str(tmp_path / "plain.wav")]) == 0
+        capsys.readouterr()
+        assert synth("again") == plain

@@ -192,3 +192,20 @@ class TestTransformFormants:
         finally:
             tracemalloc.stop()
         assert peak <= 1.02 * 10.11, peak
+
+    def test_ten_second_peak_memory_with_gains_per_block_is_pinned(self):
+        # the gain is made a block of rows at a time too, and interior frames
+        # are read in place, so no (T, bins) array is made at all.  At most 2%
+        # above the measured peak; with whole-clip gains it was 10.11 MiB
+        rs = np.random.default_rng(26)
+        x = rs.normal(size=861 * CFG.hop)
+        sp_src = smooth_envelope(861, CFG, centers=(500.0, 1800.0))
+        sp_tgt = smooth_envelope(861, CFG, centers=(600.0, 2100.0))
+        ex.transform_formants(x, sp_src, sp_tgt, CFG)  # fills the window cache first
+        tracemalloc.start()
+        try:
+            ex.transform_formants(x, sp_src, sp_tgt, CFG)
+            peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 5.506, peak

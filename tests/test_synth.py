@@ -6,9 +6,10 @@ import pytest
 
 from diffworld import synth as sy
 from diffworld import tensor as dt
-from diffworld.errors import ShapeError, ValidationError
+from diffworld.errors import DomainError, ShapeError, ValidationError
 from diffworld.features import WorldFeatures, read_features, write_features
-from helpers import composed_render, direct_pulse_train, rel_l2, two_formant_envelope
+from helpers import (composed_render, direct_pulse_train, indexed_interpolate_f0,
+                     padded_spectrum, rel_l2, two_formant_envelope, whole_clip_pulse_train)
 
 CFG = sy.SynthConfig()                      # 22050 / 1024 / 256
 DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)  # hop 16
@@ -39,6 +40,23 @@ class TestConfig:
         with pytest.raises(ValidationError,
                            match=f"SynthConfig.sample_rate must be >= 1, got {rate}"):
             replace(DESK, sample_rate=rate)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+    def test_noise_seed_must_be_an_integer_at_least_zero(self, seed):
+        # a negative seed used to fail inside numpy's generator, far from the field
+        with pytest.raises(ValidationError, match=r"SynthConfig.noise_seed must be an "
+                                                  r"integer >= 0, got " + repr(seed)):
+            replace(DESK, noise_seed=seed)
+        assert replace(DESK, noise_seed=np.int64(3)).noise_seed == 3
+
+    @pytest.mark.parametrize("name", ["gain_harmonic", "gain_noise", "gain_dry", "gain_fir"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_rejected_naming_it(self, name, bad):
+        # gain_noise=inf used to render NaN audio, with only a RuntimeWarning
+        feats = desk_features()
+        with pytest.raises(ValidationError, match=f"SynthConfig.{name} must be finite, "
+                                                  f"got {bad}"):
+            sy.synthesize(feats, sy.SynthConfig.for_features(feats, **{name: bad}))
 
 
 class TestInterpolateF0:
@@ -205,6 +223,51 @@ class TestPulseTrainClosedForm:
         assert np.all(np.isfinite(out))
 
 
+def sweep_contour(rs, n_frames):
+    """A random contour whose unvoiced runs include both ends, single
+    unvoiced and voiced frames and a frame of -0.0."""
+    f0 = rs.uniform(60.0, 400.0, size=n_frames)
+    f0[rs.uniform(size=n_frames) < 0.15] = 0.0
+    f0[: max(1, n_frames // 10)] = 0.0
+    f0[-max(1, n_frames // 10):] = 0.0
+    f0[n_frames // 2] = -0.0
+    return f0
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestExcitationBits:
+    """The grid contour and the chunked pulse train against the whole-clip
+    index-array forms they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("hop", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+    def test_contour_and_pulses_match_whole_clip_forms(self, hop, rate):
+        rs = np.random.default_rng(hop * 100_000 + rate)
+        cfg = sy.SynthConfig(sample_rate=rate, fft_size=4 * hop, hop=hop)
+        # three chunks and a part: two chunk boundaries and a partial last chunk
+        n_frames = (3 * sy._VALUE_BLOCK + sy._VALUE_BLOCK // 3) // hop
+        for f0 in (sweep_contour(rs, n_frames), sweep_contour(rs, 1 + int(rs.integers(9)))):
+            freq, mask = sy.interpolate_f0(f0, hop)
+            want_freq, want_mask = indexed_interpolate_f0(f0, hop)
+            assert_same_bits(freq, want_freq)
+            assert_same_bits(mask, want_mask)
+            assert_same_bits(sy.pulse_train(freq, mask, cfg),
+                             whole_clip_pulse_train(freq, mask, cfg))
+
+    def test_chunk_boundary_inside_a_pulse(self):
+        # a steady 220.5 Hz at 22.05 kHz puts a pulse every 100 samples; the
+        # chunk boundary, 32768, falls 68 samples into one
+        n_frames = 2 * sy._VALUE_BLOCK // CFG.hop
+        freq, mask = sy.interpolate_f0(np.full(n_frames, 220.5), CFG.hop)
+        assert sy._VALUE_BLOCK % 100 == 68
+        out = sy.pulse_train(freq, mask, CFG)
+        assert_same_bits(out, whole_clip_pulse_train(freq, mask, CFG))
+
+
 class TestStft:
     def test_zeros(self):
         spec = sy.stft(np.zeros(4096), 1024, 256)
@@ -255,6 +318,35 @@ class TestStft:
             win[0] = 1.0
         np.testing.assert_array_equal(
             win, 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(64) / 64))
+
+    @pytest.mark.parametrize("fft_size", [4, 16, 64, 256, 1024, 4096, 65536])
+    def test_blocks_match_the_padded_copy_bit_for_bit(self, fft_size):
+        # interior blocks read their frames in place, edge blocks from a padded
+        # copy; every block must equal the copy path.  The frame counts are 1
+        # (a signal shorter than one frame), one block, one block and a frame,
+        # and several blocks with interior ones and a partial last one; one hop
+        # does not divide the frame
+        rs = np.random.default_rng(fft_size)
+        per = max(1, sy._VALUE_BLOCK // fft_size)
+        for hop in (max(1, fft_size // 4), 3 * fft_size // 4):
+            for n_frames in (1, per, per + 1, 3 * per + per // 2 + 1):
+                n = n_frames * hop - int(rs.integers(hop))
+                x = rs.normal(size=n)
+                assert sy.n_frames_for(n, hop) == n_frames
+                for first in range(0, n_frames, per):
+                    stop = min(n_frames, first + per)
+                    want = padded_spectrum(x, fft_size, hop, first, stop)
+                    for ws in (None, dt.Workspace()):
+                        np.testing.assert_array_equal(
+                            sy._spectrum(x, fft_size, hop, ws, first, stop), want)
+
+    def test_interior_frames_are_not_copied(self):
+        x = np.random.default_rng(5).normal(size=4096)
+        ws = dt.Workspace()
+        sy._spectrum(x, 64, 16, ws, first=10, stop=200)
+        assert ("padded", np.dtype(np.float64)) not in ws._flat
+        sy._spectrum(x, 64, 16, ws, first=200, stop=256)  # reaches past the end
+        assert ("padded", np.dtype(np.float64)) in ws._flat
 
     def test_window_norm_matches_frame_loop(self):
         for fft_size, hop, n_frames, length in ((1024, 256, 20, 5000),
@@ -615,6 +707,54 @@ class TestShapedInverse:
         with pytest.raises(ShapeError, match=r"spectral gains must be \(10, 33\).* "
                                              r"got \(10, 1\)"):
             sy.synthesize_components(f0, sp[:, :1], ap[:, :1], DESK)
+
+    def test_negative_sp_past_the_first_block_names_its_frame(self):
+        # untracked gains are made a block of 32 frames at a time, so the rule
+        # runs on the whole clip first
+        f0, sp, ap = shaped_problem(CFG, 861, 8)
+        sp[700, 5] = -1e-3
+        spec_h, spec_n = sy.excitation_spectra(f0, CFG)
+        for call in (lambda: sy.synthesize_components(f0, sp, ap, CFG),
+                     lambda: sy.render(spec_h, spec_n, sp, ap, CFG),
+                     lambda: sy.render(spec_h, spec_n, dt.Tensor(sp, requires_grad=True),
+                                       ap, CFG)):
+            with pytest.raises(DomainError, match="sp is negative at frame 700, bin 5"):
+                call()
+
+    def test_untracked_gains_are_made_a_block_at_a_time(self):
+        # 100 frames at fft 1024 are blocks of 32, 32, 32 and 4 rows; tracked
+        # inputs make their gains once, on every row
+        rs = np.random.default_rng(9)
+        x = rs.normal(size=100 * CFG.hop)
+        env = rs.uniform(0.5, 2.0, size=(100, 513))
+        for inputs, want in (((env,), [32, 32, 32, 4]),
+                             ((dt.Tensor(env, requires_grad=True),), [100])):
+            rows = []
+
+            def gain(e):
+                rows.append(e.shape[0])
+                return (dt.sqrt(e),)
+
+            y = sy._shaped_inverse((x,), gain, inputs, CFG.fft_size, CFG.hop, len(x))
+            assert rows == want
+            assert y._tracked == (len(want) == 1)
+
+    @pytest.mark.parametrize("n_frames, pinned", [(861, 8.877), (5168, 51.905)],
+                             ids=["10s", "60s"])
+    def test_untracked_synthesis_peak_memory_is_pinned(self, n_frames, pinned):
+        # the contour on a (frames, hop) grid, the pulse train in chunks and the
+        # gains per block leave the excitations and the inverse's buffers: about
+        # 5.2 times the output (1.68 MiB at 10 s); the whole-clip temporaries
+        # reached 17.45 and 104.7 MiB.  At most 2% above the measured peak
+        f0, sp, ap = shaped_problem(CFG, n_frames, 7)
+        sy.synthesize_components(f0[:8], sp[:8], ap[:8], CFG)  # fills the window cache
+        tracemalloc.start()
+        try:
+            sy.synthesize_components(f0, sp, ap, CFG)
+            peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * pinned, peak
 
     def test_ten_second_peak_memory_is_pinned(self):
         # untracked, a block of frames at a time: no spectrum of the whole clip

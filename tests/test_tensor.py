@@ -253,6 +253,26 @@ class TestFramingOps:
         grads2 = dt.backward(dt.sum(dt.mul(dt.overlap_add(t2, 8, 48, 8), dt.Tensor(w))))
         assert rel_grad_err(grads2[t2], central_diff(f2, fr0)) < 1e-6
 
+    def test_frames_view_is_a_read_only_view_of_the_signal(self):
+        x = np.arange(10.0)
+        view = dt._frames_view(x, 4, 3, 3)
+        np.testing.assert_array_equal(view, [[0, 1, 2, 3], [3, 4, 5, 6], [6, 7, 8, 9]])
+        assert np.shares_memory(view, x)
+        assert not view.flags.writeable
+        # a strided signal is framed by its own stride
+        np.testing.assert_array_equal(dt._frames_view(x[::2], 2, 2, 2), [[0, 2], [4, 6]])
+        assert dt._frames_view(x, 16, 3, 0).shape == (0, 16)
+
+    @pytest.mark.parametrize("frame_len, hop, n_frames, need", [(4, 3, 4, 13), (11, 1, 1, 11),
+                                                                 (2, 5, 3, 12)])
+    def test_frames_view_rejects_more_frames_than_the_signal_holds(self, frame_len, hop,
+                                                                   n_frames, need):
+        # a sliding-window view used to return fewer frames without a word
+        with pytest.raises(ShapeError, match=rf"{n_frames} frames of {frame_len} samples "
+                                             rf"at hop {hop} need {need} samples, the "
+                                             r"signal has 10"):
+            dt._frames_view(np.arange(10.0), frame_len, hop, n_frames)
+
     def test_causal_fir_matches_brute_force(self):
         rs = np.random.default_rng(43)
         x = rs.normal(size=30)
