@@ -10,7 +10,12 @@ Framing convention (one rule, :func:`diffworld.synth.n_frames_for`): frame
 ``t`` is centered on sample ``t * hop``, and a clip of ``n`` samples spans
 ``ceil(n / hop)`` frames.  ``T`` frames synthesize to ``T * hop`` samples;
 ``excite-transform``, ``loss`` and ``spectrogram`` keep their input's length.
-Files carry ``hop`` explicitly so any analyzer setting is honored.
+Files carry ``hop`` explicitly so any analyzer setting is honored.  A WFEAT
+reader checks the payload's size against the file's before it allocates
+anything that the header sizes, then reads each array in place, straight
+into a buffer of its own.  Range checks (finite, non-negative, in [0, 1])
+are ``min``/``max`` reductions; a mask is built only to name the first
+offender, so a valid array costs no temporary of its own size.
 
 Audio is mono WAV, read and written by a small RIFF/WAVE codec on ``struct``
 and numpy, so the runtime needs numpy only.  It reads 16-bit integer or
@@ -21,6 +26,7 @@ A truncated or malformed file raises :class:`FormatError`.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -108,19 +114,44 @@ def check_f0(f0: np.ndarray) -> None:
         raise ValidationError(f"f0 is negative at frame {bad[0]}: {f0[bad[0]]}")
 
 
+def _nonfinite_at(x: np.ndarray) -> tuple | None:
+    """Index of the first non-finite entry of ``x``, or None.  Two reductions
+    decide; the mask that finds the entry is made only when there is one."""
+    if x.size == 0 or (np.isfinite(x.min()) and np.isfinite(x.max())):
+        return None
+    return first_index(~np.isfinite(x))
+
+
+def _check_finite(name: str, x: np.ndarray) -> None:
+    """Raise unless every entry of ``x`` is finite, naming the first that is not."""
+    where = _nonfinite_at(x)
+    if where is not None:
+        raise ValidationError(f"{name} contains a non-finite value at {where}")
+
+
+def _check_unit(x: np.ndarray, name: str, column: str) -> None:
+    """Raise unless the (T, width) ``x`` is in [0, 1] (NaN is not), naming the
+    frame and column; a mask is made only when the reductions fail."""
+    if x.size == 0 or (x.min() >= 0 and x.max() <= 1):
+        return
+    frame, col = first_index(~((x >= 0) & (x <= 1)))
+    raise ValidationError(
+        f"{name} out of [0, 1] at frame {frame}, {column} {col}: {x[frame, col]}")
+
+
 def check_ap(ap: np.ndarray) -> None:
     """Raise unless ``ap`` is in [0, 1] (NaN is not), naming the frame and bin."""
-    bad = ~((ap >= 0) & (ap <= 1))
-    if np.any(bad):
-        frame, bin_ = first_index(bad)
-        raise ValidationError(
-            f"ap out of [0, 1] at frame {frame}, bin {bin_}: {ap[frame, bin_]}")
+    _check_unit(ap, "ap", "bin")
 
 
 def _check_sp(sp: np.ndarray, error: type[DiffworldError] = ValidationError) -> None:
-    """Raise ``error`` unless ``sp`` is non-negative, naming the frame and bin."""
-    if np.any(sp < 0):
-        frame, bin_ = first_index(sp < 0)
+    """Raise ``error`` unless ``sp`` is non-negative, naming the frame and bin;
+    a NaN is not negative, so a NaN minimum falls back to the mask."""
+    if sp.size == 0 or sp.min() >= 0:
+        return
+    bad = sp < 0
+    if np.any(bad):
+        frame, bin_ = first_index(bad)
         raise error(f"sp is negative at frame {frame}, bin {bin_}")
 
 
@@ -152,9 +183,7 @@ def _frame_arrays(feats, first: str, second: str) -> tuple[np.ndarray, ...]:
         raise ValidationError(f"frame counts differ: f0 has {t}, {first} has "
                               f"{x.shape[0]}, {second} has {y.shape[0]}")
     check_f0(f0)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"{first} contains a non-finite value at {first_index(~np.isfinite(x))}")
+    _check_finite(first, x)
     return f0, x, y
 
 
@@ -167,20 +196,17 @@ def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
             f"got sp {sp.shape[1]}, ap {ap.shape[1]}")
     _check_sp(sp)
     check_ap(ap)
+    # unvoiced frames are pure noise by convention; ap is copied only to set them
     unvoiced = f0 == 0
-    if np.any(unvoiced):
+    if ap.min(where=unvoiced[:, None], initial=1.0) < 1.0:
         ap = ap.copy()
-        ap[unvoiced, :] = 1.0  # unvoiced frames are pure noise by convention
+        ap[unvoiced, :] = 1.0
     return replace(feats, f0=f0, sp=sp, ap=ap)
 
 
 def _validated_compressed(feats: CompressedFeatures) -> CompressedFeatures:
     f0, s, a = _frame_arrays(feats, "log_mel", "coded_ap")
-    bad = ~((a >= 0) & (a <= 1))  # NaN is out of range too
-    if np.any(bad):
-        frame, band = first_index(bad)
-        raise ValidationError(
-            f"coded_ap out of [0, 1] at frame {frame}, band {band}: {a[frame, band]}")
+    _check_unit(a, "coded_ap", "band")
     return replace(feats, f0=f0, log_mel=s, coded_ap=a)
 
 
@@ -217,16 +243,28 @@ def write_features(path, feats) -> None:
 
 
 def read_features(path):
-    """Read a WFEAT file, returning validated raw or compressed features."""
+    """Read a WFEAT file, returning validated raw or compressed features.
+
+    The payload's size is checked against the file's before anything that
+    the header sizes is allocated; then ``f0`` and the two ``(T, width)``
+    arrays are each read straight into a buffer of their own.
+    """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            feats = _read_wfeat(fh, path)
     except OSError as err:
         raise FormatError(f"cannot read {path}: {err}") from err
-    if len(blob) < _HEADER.size:
+    return validate_features(feats)
+
+
+def _read_wfeat(fh, path):
+    """The unvalidated container that an open WFEAT file holds."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
     magic, version, sample_rate, hop, fft_size, t, kind, m_or_bins, a_bands = \
-        _HEADER.unpack_from(blob)
+        _HEADER.unpack(head)
     if magic != WFEAT_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != WFEAT_VERSION:
@@ -242,15 +280,18 @@ def read_features(path):
     else:
         raise FormatError(f"{path}: unknown feature kind {kind}")
     # f0, then two (t, width) arrays, as float64; no byte more or less
-    need, have = 8 * t * (1 + sum(widths)), len(blob) - _HEADER.size
+    need = 8 * t * (1 + sum(widths))
+    have = os.fstat(fh.fileno()).st_size - _HEADER.size
     if have != need:
         raise FormatError(f"{path}: {'truncated' if have < need else 'overlong'} "
                           f"payload (header describes {need} bytes, have {have})")
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    f0, first, second = (part.copy() for part in np.split(flat, [t, t * (1 + widths[0])]))
-    feats = container(f0, first.reshape(t, widths[0]), second.reshape(t, widths[1]),
-                      sample_rate=sample_rate, hop=hop, fft_size=fft_size)
-    return validate_features(feats)
+    arrays = tuple(np.empty(shape, "<f8")
+                   for shape in ((t,), (t, widths[0]), (t, widths[1])))
+    for arr in arrays:
+        if fh.readinto(arr) != arr.nbytes:
+            raise FormatError(f"{path}: truncated payload (the file shrank while "
+                              "it was read)")
+    return container(*arrays, sample_rate=sample_rate, hop=hop, fft_size=fft_size)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +360,9 @@ def read_wav(path, expect_sample_rate: int | None = None) -> Waveform:
     samples = np.frombuffer(blob, dtype, size // width, start).astype(np.float64)
     if dtype == "<i2":
         samples /= 32768.0
-    if not np.all(np.isfinite(samples)):
-        raise ValidationError(f"{path}: non-finite sample at index "
-                              f"{first_index(~np.isfinite(samples))[0]}")
+    bad = _nonfinite_at(samples)
+    if bad is not None:
+        raise ValidationError(f"{path}: non-finite sample at index {bad[0]}")
     if expect_sample_rate is not None and rate != expect_sample_rate:
         raise ValidationError(f"{path}: sample rate {rate} does not match "
                               f"expected {expect_sample_rate}")
@@ -343,9 +384,9 @@ def write_wav(path, wave: Waveform) -> None:
     if samples.size > MAX_WAV_SAMPLES:
         raise ValidationError(f"{samples.size} samples cannot be written as float32 "
                               f"WAV (at most {MAX_WAV_SAMPLES})")
-    if not np.all(np.isfinite(samples)):
-        raise ValidationError(f"non-finite sample at index "
-                              f"{first_index(~np.isfinite(samples))[0]}")
+    bad = _nonfinite_at(samples)
+    if bad is not None:
+        raise ValidationError(f"non-finite sample at index {bad[0]}")
     check_wav_rate(wave.sample_rate)
     data = samples.astype("<f4")
     rate = wave.sample_rate

@@ -42,7 +42,7 @@ from . import melcodec
 from . import tensor as dt
 from .errors import DomainError, ShapeError, ValidationError, first_index
 from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
-                       _check_sp, check_sample_rate, validate_features)
+                       _check_finite, _check_sp, check_sample_rate, validate_features)
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 # samples of frames per block of an untracked block loop (the loss's value,
@@ -347,11 +347,36 @@ def _inverse_span(fft_size: int, hop: int, n_frames: int, length: int) -> int:
 
 def _window_norm(fft_size: int, hop: int, n_frames: int, length: int) -> np.ndarray:
     """The overlap of the squared windows on the ``length`` output samples of
-    an inverse, 1 where it vanishes."""
-    win_sq = np.broadcast_to(hann_window(fft_size) ** 2, (n_frames, fft_size))
-    total = _inverse_span(fft_size, hop, n_frames, length)
-    norm = dt._overlap_sum(win_sq, hop, total)[fft_size // 2: fft_size // 2 + length]
-    return np.where(norm > 1e-12, norm, 1.0)
+    an inverse, 1 where it vanishes.
+
+    In blocks of ``hop`` samples, with ``k = ceil(fft_size / hop)``: block
+    ``b`` sums the terms of frames ``b - k + 1..b`` in frame order, so every
+    block from ``k - 1`` to ``n_frames - 1`` sums the same ``k`` terms in the
+    same order.  Only ``min(n_frames, k)`` frames are overlap-summed, which
+    gives both edges and one interior block; that block is tiled in between.
+    """
+    k = -(-fft_size // hop)
+    summed = min(n_frames, k)
+    win_sq = np.broadcast_to(hann_window(fft_size) ** 2, (summed, fft_size))
+    head = dt._overlap_sum(win_sq, hop, (summed + k - 1) * hop)
+    head = np.where(head > 1e-12, head, 1.0).reshape(summed + k - 1, hop)
+    # the blocks that output samples [fft_size // 2, fft_size // 2 + length) lie in
+    first, stop = fft_size // 2 // hop, -(-(fft_size // 2 + length) // hop)
+    norm = np.ones((stop - first, hop))
+
+    def put(block: int, rows: np.ndarray) -> None:
+        lo, hi = max(block, first), min(block + rows.shape[0], stop)
+        if lo < hi:
+            norm[lo - first: hi - first] = rows[lo - block: hi - block]
+
+    if n_frames > k:
+        put(0, head[:k - 1])
+        put(k - 1, np.broadcast_to(head[k - 1], (n_frames - k + 1, hop)))
+        put(n_frames, head[k:])
+    else:
+        put(0, head)
+    offset = fft_size // 2 - first * hop
+    return norm.reshape(-1)[offset: offset + length]
 
 
 def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: int,
@@ -568,8 +593,12 @@ def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor
     """Harmonic-plus-noise synthesis from frame-rate tensors.
 
     ``sp`` and ``ap`` may be tensors with gradients attached; ``f0`` is a
-    plain contour.  Output length is ``n_frames * hop``.
+    plain contour.  ``sp`` must be finite, by the rule that
+    :func:`~diffworld.features.validate_features` applies.  Output length is
+    ``n_frames * hop``.
     """
+    sp = dt.as_tensor(sp)
+    _check_finite("sp", sp.data)
     e_h, e_n = _excitations(f0, cfg)
     return _render((e_h, e_n), e_h.shape[0] // cfg.hop, sp, ap, cfg)
 

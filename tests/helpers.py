@@ -253,3 +253,12 @@ def wav_file(*chunks: bytes, riff_size=None) -> bytes:
     """RIFF/WAVE around the given chunks; ``riff_size`` overrides the size field."""
     body = b"WAVE" + b"".join(chunks)
     return b"RIFF" + struct.pack("<I", len(body) if riff_size is None else riff_size) + body
+
+
+def overlap_sum_window_norm(fft_size, hop, n_frames, length):
+    """The inverse's window norm as one overlap-sum over every frame: the
+    reference that ``synth._window_norm``'s edges-and-period form must match."""
+    win_sq = np.broadcast_to(sy.hann_window(fft_size) ** 2, (n_frames, fft_size))
+    total = sy._inverse_span(fft_size, hop, n_frames, length)
+    norm = dt._overlap_sum(win_sq, hop, total)[fft_size // 2: fft_size // 2 + length]
+    return np.where(norm > 1e-12, norm, 1.0)

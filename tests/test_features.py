@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -162,6 +164,103 @@ class TestWfeat:
         back = ft.read_features(path)
         for arr in (back.f0, back.sp, back.ap):
             assert np.all(np.isfinite(arr))
+
+
+class TestReadInPlace:
+    """WFEAT arrays are read straight into their own buffers, and the range
+    rules decide by reductions, making a mask only to name an offender."""
+
+    def test_ten_second_read_peak_memory_is_pinned(self, tmp_path):
+        # the three arrays (6.75 MiB) and nothing else: no file-sized blob, no
+        # second copy, and no copy of ap, whose unvoiced rows are already 1.
+        # At most 2% above the measured peak; reading a blob and copying each
+        # array out of it peaked at 16.87 MiB
+        feats = make_raw(t=861, fft_size=1024, sample_rate=22050, hop=256, seed=4)
+        feats.ap[feats.f0 == 0] = 1.0
+        path = tmp_path / "raw.wfeat"
+        ft.write_features(path, feats)
+        ft.read_features(path)
+        tracemalloc.start()
+        try:
+            back = ft.read_features(path)
+            peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 6.757, peak
+        for name in ("f0", "sp", "ap"):  # each array owns its buffer
+            assert getattr(back, name).base is None, name
+            np.testing.assert_array_equal(getattr(back, name), getattr(feats, name))
+
+    def test_header_claiming_two_to_the_31_frames_rejected_before_allocating(
+            self, tmp_path):
+        path = tmp_path / "huge.wfeat"
+        path.write_bytes(ft._HEADER.pack(ft.WFEAT_MAGIC, ft.WFEAT_VERSION, 22050, 256,
+                                         1024, 2 ** 31, ft.KIND_RAW, 513, 0))
+        assert path.stat().st_size == 36
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"truncated payload \(header "
+                                                  r"describes 17643725651968 bytes, have 0\)"):
+                ft.read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_unvoiced_rows_already_one_are_not_copied(self):
+        feats = make_raw()
+        ap = feats.ap.copy()
+        ap[feats.f0 == 0] = 1.0
+        assert ft.validate_features(replace(feats, ap=ap)).ap is ap
+        # otherwise the caller's array is left as it was
+        back = ft.validate_features(feats)
+        assert back.ap is not feats.ap
+        assert np.all(feats.ap[feats.f0 == 0] < 1.0)
+        np.testing.assert_array_equal(back.ap[feats.f0 == 0], 1.0)
+
+    @pytest.mark.parametrize("value, shown", [
+        (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+        (-0.5, r"-0\.5"), (1.5, r"1\.5")])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    @pytest.mark.parametrize("target", ["sp", "ap", "coded_ap", "wav read",
+                                        "wav write"])
+    def test_offender_named_as_by_a_mask(self, tmp_path, target, position, value,
+                                         shown):
+        # the reductions only pass or fail an array; the mask that names the
+        # first offender must agree with them on every value, first or last
+        if target in ("sp", "ap", "coded_ap"):
+            feats = make_compressed() if target == "coded_ap" else make_raw()
+            arr = getattr(feats, target).copy()
+            frame, col = (0, 0) if position == "first" else (arr.shape[0] - 1,
+                                                             arr.shape[1] - 1)
+            arr[frame, col] = value
+            call = lambda: ft.validate_features(replace(feats, **{target: arr}))
+            if target != "sp":
+                column = "band" if target == "coded_ap" else "bin"
+                message = (rf"^{target} out of \[0, 1\] at frame {frame}, "
+                           rf"{column} {col}: {shown}$")
+            elif not np.isfinite(value):
+                message = rf"^sp contains a non-finite value at \({frame}, {col}\)$"
+            else:
+                message = rf"^sp is negative at frame {frame}, bin {col}$" if value < 0 else None
+        else:
+            samples = np.linspace(-0.9, 0.9, 50)
+            index = 0 if position == "first" else samples.size - 1
+            samples[index] = value
+            path = tmp_path / "x.wav"
+            if target == "wav read":
+                path.write_bytes(wav_file(wav_chunk(b"fmt ", wav_fmt(3, 32)), wav_chunk(
+                    b"data", samples.astype("<f4").tobytes())))
+                call, prefix = (lambda: ft.read_wav(path)), re.escape(f"{path}: ")
+            else:
+                call, prefix = (lambda: ft.write_wav(path, ft.Waveform(samples, 8000))), ""
+            message = (None if np.isfinite(value)
+                       else rf"^{prefix}non-finite sample at index {index}$")
+        if message is None:
+            call()
+        else:
+            with pytest.raises(ValidationError, match=message):
+                call()
 
 
 class TestWav:
