@@ -238,8 +238,8 @@ def write_features(path, feats) -> None:
                           feats.fft_size, feats.n_frames, kind, m_or_bins, a_bands)
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for arr in arrays:  # the array's own buffer when it is already <f8 in C order
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_features(path):

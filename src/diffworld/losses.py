@@ -5,13 +5,19 @@ of resolutions (window ``2 ** (5 + s)`` for scale ``s``, 75% overlap), with an
 L1 term on magnitudes and an L1 term on floored log magnitudes.  It is
 differentiable in the rendered signal ``y`` only: the reference ``x`` must
 be untracked, and a tracked ``x`` raises instead of losing its gradient.
-Each scale term is one graph node, whose forward pass is one numpy loop over
-blocks of frames.  An untracked ``y`` gets blocks of ``2**15`` samples of
-frames, so no spectrum of the whole signal exists at once; the sums add up
-block by block, which can move the value's last bits.  A tracked ``y`` is one
-block, and after it the pass computes the whole gradient ``dL_s/dy`` and keeps
-only that; its backward pass scales it.  That arithmetic follows the order
-the composed tensor ops would use, so value and gradient keep their bits.
+Each scale term is a numpy loop over blocks of frames, ``2**15`` samples of
+frames to a block whether ``y`` is tracked or not, so no spectrum of the
+whole signal exists at once.  An untracked ``y`` sums the value block by
+block, which can move its last bits.  A tracked ``y`` keeps ``|d|`` of every
+frame and sums those whole arrays, as the composed tensor ops' means do, so
+its value keeps their bits; each block runs the gradient tail and the
+adjoint of its spectrum and overlap-adds its frames into one padded buffer,
+which then holds ``dL_s/dy`` and is the term's graph node.  That arithmetic
+follows the order the composed tensor ops would use, and none of its sums
+crosses a block, so the gradient keeps their bits too.  :func:`msl` adds its
+scales' gradients into one ``y``-sized buffer, from the last scale to the
+first, which is the order ``backward`` would sum them in, and records one
+node.
 When ``x`` is a constant compared many times (the target of a fit), its
 magnitudes and floored logs can be computed once with :func:`msl_target` and
 passed in its place.  The adversarial pieces operate on caller-supplied
@@ -28,8 +34,8 @@ import numpy as np
 from . import tensor as dt
 from .errors import ValidationError
 from .features import MAX_FFT_SIZE
-from .synth import (_VALUE_BLOCK, _check_signal, _spectrum, _spectrum_adjoint,
-                    n_frames_for)
+from .synth import (_block_frames, _check_signal, _inverse_span, _spectrum,
+                    _spectrum_adjoint, n_frames_for)
 # no longer called here; perfbench's tracer and its smoke test expect to
 # find it bound in this module
 from .synth import stft  # noqa: F401
@@ -110,11 +116,15 @@ def scale_target(x, window: int) -> ScaleTarget:
     return ScaleTarget(window, *_reference_rows(_reference(x, "scale_target"), window))
 
 
-def _l1_grad(diff: np.ndarray, inv_n: float) -> np.ndarray:
-    """``d mean|a - b| / db = -(1/N) sign(a - b)``, in place in ``diff``."""
-    np.sign(diff, out=diff)
-    diff *= inv_n
-    return np.negative(diff, out=diff)
+def _l1_grad(diff: np.ndarray, neg_inv_n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``d mean|a - b| / db = -(1/N) sign(a - b)`` into ``out``, not ``diff``:
+    numpy's ``sign`` runs several times slower in place.
+
+    ``neg_inv_n`` is the row of ``-1/N`` per column (bin); the spectrum
+    adjoint's halving of the interior bins is folded into it.
+    """
+    np.sign(diff, out=out)
+    return np.multiply(out, neg_inv_n, out=out)
 
 
 def _zero_unless(arr: np.ndarray, keep: np.ndarray) -> None:
@@ -122,12 +132,15 @@ def _zero_unless(arr: np.ndarray, keep: np.ndarray) -> None:
     np.copyto(arr, 0.0, where=np.logical_not(keep, out=keep))
 
 
-def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None) -> dt.Tensor:
+def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
+               _into: np.ndarray | None = None) -> dt.Tensor:
     """Single-resolution term: L1 on magnitudes plus L1 on floored logs.
 
     ``x`` is an untracked signal as long as ``y``, or its
-    :class:`ScaleTarget` at the same window.  The term is one graph node on
-    ``y``.  ``workspace`` holds the scratch buffers of a caller that
+    :class:`ScaleTarget` at the same window.  A tracked term is one graph
+    node on ``y``; given ``_into``, a ``y``-sized buffer that :func:`msl`
+    passes, it adds its gradient there instead and returns its value
+    untracked.  ``workspace`` holds the scratch buffers of a caller that
     evaluates a tracked term again and again (``fit``); without one, each
     call allocates its own.  The gradient never lives in the workspace.
     """
@@ -150,48 +163,70 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None) -> dt.T
     def scratch(name, dtype=np.float64):
         return dt._scratch(workspace, name, shape, dtype)
 
-    # a tracked term is one block: its gradient needs the whole spectrum, and
-    # blocks would regroup the additions of its sums
-    per = n_frames if y._tracked else max(1, _VALUE_BLOCK // window)
+    def l1(d: np.ndarray, whole: np.ndarray | None) -> float:
+        """``sum|d|`` of a block; a tracked term keeps ``|d|`` in its rows of
+        ``whole`` and sums that once, as the composed ops' mean does."""
+        if whole is None:
+            return np.sum(np.abs(d, out=scratch("square")))
+        np.abs(d, out=whole[first:stop])
+        return 0.0
+
+    bins = window // 2 + 1
+    n = float(n_frames * bins)
+    tracked = y._tracked
+    abs_lin = abs_log = None
+    if tracked:
+        abs_lin, abs_log = (dt._scratch(workspace, name, (n_frames, bins))
+                            for name in ("abs_lin", "abs_log"))
+        # -1/N per bin, halved on the interior bins for the spectrum adjoint
+        neg_inv_n = np.full(bins, -0.5 / n)
+        neg_inv_n[[0, -1]] = -1.0 / n
+        buf = dt._scratch(workspace, "overlap",
+                          (_inverse_span(window, hop, n_frames, y.shape[0]),), zero=True)
+    per = _block_frames(window)
     linear = logterm = 0.0
     for first in range(0, n_frames, per):
         stop = min(n_frames, first + per)
-        shape = (stop - first, window // 2 + 1)
+        shape = (stop - first, bins)
         mag_x, log_x = _reference_rows(x, window, first, stop)
         spec = _spectrum(y.data, window, hop, workspace, first=first, stop=stop)
         mag_y = _magnitude(spec, workspace)
         d_lin = np.subtract(mag_x, mag_y, out=scratch("d_lin"))
         del mag_x  # each array goes once used, to keep a block's peak low
-        linear += np.sum(np.abs(d_lin, out=scratch("square")))
+        linear += l1(d_lin, abs_lin)
         floored = np.maximum(mag_y, LOG_FLOOR, out=scratch("floored"))
         d_log = np.log(floored, out=scratch("d_log"))
         np.subtract(log_x, d_log, out=d_log)
         del log_x
-        logterm += np.sum(np.abs(d_log, out=scratch("square")))
-        if not y._tracked:  # free the block before the next one is made
+        logterm += l1(d_log, abs_log)
+        if not tracked:  # free the block before the next one is made
             del spec, mag_y, d_lin, floored, d_log
-    n = float(n_frames * (window // 2 + 1))
+            continue
+        # dL/d|Z|: the log term's share comes first, through the log and the
+        # clamp, which passes where |Z| >= LOG_FLOOR; then the linear term's.
+        # Each step is the one the composed ops' backward passes would take,
+        # in their order, so the bits match theirs.
+        keep = scratch("mask", bool)
+        g_mag = _l1_grad(d_log, neg_inv_n, scratch("g_mag"))
+        g_mag /= floored
+        _zero_unless(g_mag, np.greater_equal(mag_y, LOG_FLOOR, out=keep))
+        g_mag += _l1_grad(d_lin, neg_inv_n, d_log)  # d_log is spent
+        # dL/dZ = Z dL/d|Z| / |Z|, and 0 where |Z| = 0, as complex_abs has it
+        np.divide(g_mag, mag_y, out=g_mag, where=np.greater(mag_y, 0.0, out=keep))
+        _zero_unless(g_mag, keep)
+        np.multiply(spec.real, g_mag, out=spec.real)
+        np.multiply(spec.imag, g_mag, out=spec.imag)
+        _spectrum_adjoint(spec, window, hop, buf, first, workspace)
+    if tracked:
+        linear, logterm = np.sum(abs_lin), np.sum(abs_log)
     value = dt.Tensor(linear / n + logterm / n)
-    if not y._tracked:
+    if not tracked:
         return value
-    # dL/d|Z|: the log term's share comes first, through the log and the
-    # clamp, which passes where |Z| >= LOG_FLOOR; then the linear term's.
-    # Each step is the one the composed ops' backward passes would take, in
-    # their order, so the bits match theirs.
-    inv_n = 1.0 / n
-    keep = scratch("mask", bool)
-    g_mag = _l1_grad(d_log, inv_n)
-    g_mag /= floored
-    _zero_unless(g_mag, np.greater_equal(mag_y, LOG_FLOOR, out=keep))
-    g_mag += _l1_grad(d_lin, inv_n)
-    # dL/dZ = Z dL/d|Z| / |Z|, and 0 where |Z| = 0, as complex_abs has it
-    np.divide(g_mag, mag_y, out=g_mag, where=np.greater(mag_y, 0.0, out=keep))
-    _zero_unless(g_mag, keep)
-    np.multiply(spec.real, g_mag, out=spec.real)
-    np.multiply(spec.imag, g_mag, out=spec.imag)
-    del mag_y, d_lin, floored, d_log
-    grad = _spectrum_adjoint(spec, window, hop, y.shape[0], workspace)
-    return dt._record((y,), value, lambda g: (g * grad,))
+    grad = np.zeros(y.shape) if _into is None else _into
+    grad += buf[window // 2: window // 2 + y.shape[0]]
+    if _into is not None:
+        return value
+    return dt._record((y,), value, lambda g: (np.multiply(g, grad, out=grad),))
 
 
 class MslTarget(NamedTuple):
@@ -214,7 +249,8 @@ def msl(x, y, cfg: MslConfig = MslConfig(),
 
     Differentiable with respect to ``y``; ``x`` must be untracked, or an
     :class:`MslTarget` built with the same scales (:func:`scale_loss` checks
-    each scale's window).  ``workspace`` is passed to every scale term.
+    each scale's window).  ``workspace`` is passed to every scale term.  A
+    tracked ``y`` gets one graph node, its gradient the sum of the scales'.
     """
     y = dt.as_tensor(y)
     if isinstance(x, MslTarget):
@@ -227,10 +263,17 @@ def msl(x, y, cfg: MslConfig = MslConfig(),
         x_shape, sides = x.shape, (x,) * cfg.scales
     if x_shape != y.shape:
         raise ValidationError(f"signal lengths differ: {x_shape} vs {y.shape}")
+    # one gradient buffer for every scale, filled from the last scale to the
+    # first: the order in which backward would sum the terms' own gradients
+    grad = np.zeros(y.shape) if y._tracked else None
+    terms = [scale_loss(side, y, window, workspace, _into=grad)
+             for side, window in reversed(tuple(zip(sides, cfg.window_sizes)))]
     total = dt.Tensor(0.0)
-    for side, window in zip(sides, cfg.window_sizes):
-        total = dt.add(total, scale_loss(side, y, window, workspace))
-    return total
+    for term in reversed(terms):
+        total = dt.add(total, term)
+    if grad is None:
+        return total
+    return dt._record((y,), total, lambda g: (np.multiply(g, grad, out=grad),))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ of the noise, which depend only on the pitch contour and the seed, so a
 caller that re-renders the same contour (``fit``, once per step) computes
 them once and passes them to :func:`render`.  :func:`synthesize` passes the
 signals, and an untracked block makes its own rows of the gains, so an
-untracked synthesis holds no spectrum and no gain of the whole clip.  Nor do
+untracked synthesis holds no spectrum and no gain of the whole clip.  A
+tracked one holds its gains, which its graph needs, and its backward pass
+runs over the same blocks.  Nor do
 the excitations make whole-clip temporaries: the pitch contour is built on a
 ``(frames, hop)`` grid and the pulse train in chunks of samples.  What is
 left at the peak is the two excitations and the inverse's buffers.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,10 +47,11 @@ from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
                        _check_finite, _check_sp, check_sample_rate, validate_features)
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
-# samples of frames per block of an untracked block loop (the loss's value,
-# the shaped inverse): cli loss runs scale terms on worker threads, and glibc
-# keeps whatever a thread's heap grew to below its trim threshold, so the
-# blocks stay small
+# samples of frames per block of every block loop, tracked or not (the loss's
+# value and gradient, the shaped inverse and its adjoint; see _block_frames),
+# and samples per chunk of the pulse train: cli loss runs scale terms on
+# worker threads, and glibc keeps whatever a thread's heap grew to below its
+# trim threshold, so the blocks stay small
 _VALUE_BLOCK = 1 << 15
 
 
@@ -252,6 +255,12 @@ def n_frames_for(n_samples: int, hop: int) -> int:
     return -(-n_samples // hop)
 
 
+def _block_frames(fft_size: int) -> int:
+    """Frames per block of a block loop at ``fft_size``: ``_VALUE_BLOCK //
+    fft_size``, and at least one."""
+    return max(1, _VALUE_BLOCK // fft_size)
+
+
 def _frame_span(length: int, fft_size: int, hop: int, first: int,
                 stop: int) -> tuple[int, int, int, int]:
     """Frames ``first..stop`` of a ``length``-sample signal, padded: their
@@ -308,23 +317,26 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int,
     return np.fft.rfft(frames, axis=-1, out=spec)
 
 
-def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int,
-                      length: int, ws: dt.Workspace | None = None) -> np.ndarray:
-    """Adjoint of :func:`_spectrum` over all frames of a ``length``-sample signal.
+def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int, buf: np.ndarray,
+                      first: int = 0, ws: dt.Workspace | None = None) -> None:
+    """Adjoint of :func:`_spectrum` on frames ``first..first + len(grad_spec)``.
 
-    Maps the gradient of the spectrum, which it overwrites, to a fresh
-    gradient of the signal: the half-spectrum ``rfft`` adjoint, the window,
-    then the frames overlap-added back where they were read.
+    Maps the gradient of their spectra, whose interior bins the caller has
+    already halved, to the gradient of the samples they read: the
+    half-spectrum ``irfft``, the window, and the frames overlap-added into
+    ``buf`` where they were read, index 0 being sample ``-fft_size // 2``.
+    ``irfft`` counts each interior bin twice and ``rfft``'s adjoint once;
+    the halving is left to the caller so that it can fold it into the pass
+    that makes ``grad_spec``.  Blocks added in frame order give each sample
+    its terms in the order that one pass over all frames would.  For a
+    ``length``-sample signal, ``buf`` starts zeroed and :func:`_inverse_span`
+    long, and its samples ``[fft_size // 2, fft_size // 2 + length)`` end as
+    the signal's gradient.
     """
-    n_frames = grad_spec.shape[0]
-    frames = dt._rfft_adjoint(grad_spec, fft_size,
-                              out=dt._scratch(ws, "frames", (n_frames, fft_size)))
-    np.multiply(frames, hann_window(fft_size), out=frames)
-    total, start, lo, hi = _frame_span(length, fft_size, hop, 0, n_frames)
-    summed = dt._overlap_sum(frames, hop, total, ws)
-    grad = np.zeros(length)
-    grad[start + lo: start + hi] = summed[lo:hi]
-    return grad
+    frames = np.fft.irfft(grad_spec, n=fft_size, axis=-1, norm="forward",
+                          out=dt._scratch(ws, "frames", (grad_spec.shape[0], fft_size)))
+    frames *= hann_window(fft_size)
+    dt._overlap_into(buf, frames, hop, first)
 
 
 def stft(x, fft_size: int, hop: int) -> dt.Tensor:
@@ -336,8 +348,15 @@ def stft(x, fft_size: int, hop: int) -> dt.Tensor:
     x = dt.as_tensor(x)
     out = dt.Tensor(dt._to_planes(_spectrum(x.data, fft_size, hop)))
     length = x.shape[0]
-    return dt._record((x,), out, lambda g: (
-        _spectrum_adjoint(dt._to_complex(g), fft_size, hop, length),))
+
+    def bwd(g):
+        grad_spec = dt._to_complex(g)
+        grad_spec[:, 1:-1] *= 0.5
+        buf = np.zeros(_inverse_span(fft_size, hop, g.shape[0], length))
+        _spectrum_adjoint(grad_spec, fft_size, hop, buf)
+        return (buf[fft_size // 2: fft_size // 2 + length].copy(),)
+
+    return dt._record((x,), out, bwd)
 
 
 def _inverse_span(fft_size: int, hop: int, n_frames: int, length: int) -> int:
@@ -380,18 +399,18 @@ def _window_norm(fft_size: int, hop: int, n_frames: int, length: int) -> np.ndar
 
 
 def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: int,
-             hop: int, length: int, per: int, ws: dt.Workspace | None = None) -> np.ndarray:
+             hop: int, length: int, ws: dt.Workspace | None = None) -> np.ndarray:
     """The one inverse STFT kernel: windowed ``irfft`` frames, overlap-added
     and divided by the overlap of the squared windows.
 
     ``rows(first, stop)`` gives the complex spectra of frames ``first..stop``.
-    They are inverted ``per >= 1`` frames at a time and added, in frame
+    They are inverted :func:`_block_frames` at a time and added, in frame
     order, into one buffer, so each sample sums its terms as one pass over
     all frames would.  Returns ``length`` fresh samples; frame ``t`` is centered on
     sample ``t * hop``.
     """
-    window = hann_window(fft_size)
-    buf = dt._scratch(ws, "synthesis", (_inverse_span(fft_size, hop, n_frames, length),),
+    window, per = hann_window(fft_size), _block_frames(fft_size)
+    buf = dt._scratch(ws, "overlap", (_inverse_span(fft_size, hop, n_frames, length),),
                       zero=True)
     for first in range(0, n_frames, per):
         stop = min(n_frames, first + per)
@@ -406,22 +425,29 @@ def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: in
 
 
 def _inverse_adjoint(grad: np.ndarray, n_frames: int, fft_size: int, hop: int,
-                     length: int, ws: dt.Workspace | None = None) -> np.ndarray:
-    """Adjoint of :func:`_inverse` over all frames: the output gradient to the
-    gradient of the complex spectra, a view of ``ws`` when one is given.
+                     length: int, ws: dt.Workspace | None = None
+                     ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Adjoint of :func:`_inverse`, a block of frames at a time: yields
+    ``(first, stop, G)``, ``G`` being the gradient of the complex spectra of
+    frames ``first..stop`` for the output gradient ``grad``.
 
-    The normalization, the frames that the overlap-add wrote, the window, then
-    ``irfft``'s adjoint.
+    The normalization, once, then per block the frames that the overlap-add
+    wrote, the window and ``irfft``'s adjoint.  Blocks are the forward
+    pass's.  ``G`` is a view of ``ws`` when one is given, under a name that
+    :func:`_spectrum` does not use, and is overwritten by the next block.
     """
-    padded = dt._scratch(ws, "synthesis", (_inverse_span(fft_size, hop, n_frames, length),),
+    padded = dt._scratch(ws, "overlap", (_inverse_span(fft_size, hop, n_frames, length),),
                          zero=True)
     np.multiply(grad, 1.0 / _window_norm(fft_size, hop, n_frames, length),
                 out=padded[fft_size // 2: fft_size // 2 + length])
-    frames = np.multiply(dt._frames_view(padded, fft_size, hop, n_frames),
-                         hann_window(fft_size),
-                         out=dt._scratch(ws, "frames", (n_frames, fft_size)))
-    return dt._irfft_adjoint(frames, fft_size, out=dt._scratch(
-        ws, "spectrum", (n_frames, fft_size // 2 + 1), complex))
+    window, per = hann_window(fft_size), _block_frames(fft_size)
+    for first in range(0, n_frames, per):
+        stop = min(n_frames, first + per)
+        frames = np.multiply(dt._frames_view(padded[first * hop:], fft_size, hop,
+                                             stop - first), window,
+                             out=dt._scratch(ws, "frames", (stop - first, fft_size)))
+        yield first, stop, dt._irfft_adjoint(frames, fft_size, out=dt._scratch(
+            ws, "grad_spectrum", (stop - first, fft_size // 2 + 1), complex))
 
 
 def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
@@ -441,9 +467,16 @@ def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
     rows = dt._to_complex(spec.data)
     n_frames = rows.shape[0]
     out = dt.Tensor(_inverse(lambda first, stop: rows[first:stop], n_frames,
-                             fft_size, hop, length, max(1, n_frames)))
-    return dt._record((spec,), out, lambda g: (dt._to_planes(
-        _inverse_adjoint(g, n_frames, fft_size, hop, length)),))
+                             fft_size, hop, length))
+
+    def bwd(g):
+        planes = np.empty(spec.shape)
+        for first, stop, grad in _inverse_adjoint(g, n_frames, fft_size, hop, length):
+            planes[first:stop, 0] = grad.real
+            planes[first:stop, 1] = grad.imag
+        return (planes,)
+
+    return dt._record((spec,), out, bwd)
 
 
 def _shaped_inverse(sources, gain_fn: Callable[..., tuple[dt.Tensor, ...]], inputs,
@@ -458,17 +491,19 @@ def _shaped_inverse(sources, gain_fn: Callable[..., tuple[dt.Tensor, ...]], inpu
     spectrum of ``T`` frames, or a signal of ``T`` frames whose rows
     :func:`_spectrum` computes as a block needs them.
 
-    Untracked inputs get ``_VALUE_BLOCK // fft_size`` frames per block (at
-    least one), and ``gain_fn`` runs on each block's rows, so neither a
-    spectrum nor a gain of the whole signal exists at once.  Tracked inputs
-    get one block: ``gain_fn`` runs once on the whole inputs and records its
-    graph, and the result is one more graph node, differentiable in the
-    gains only.  Its backward pass, the adjoint of the inverse, maps the
-    output gradient to the spectrum gradient ``G`` and gives ``dg_i = Re(G)
-    Re(S_i) + Im(G) Im(S_i)``.  Each product and sum is the one that
-    shaping, mixing and :func:`istft` as separate ops would make, so the
-    bits match theirs.  Scratch buffers are views of ``ws`` when one is
-    given; the output and the gradients never are.
+    Every pass takes :func:`_block_frames` frames per block, tracked or not,
+    so no spectrum or frame of the whole signal exists at once.  Untracked
+    inputs make their gains per block too, so neither does a gain.  Tracked
+    inputs make them once, on the whole inputs, and record their graph; the
+    result is one more graph node, differentiable in the gains only.  Its
+    backward pass runs the adjoint of the inverse block by block: each
+    block's spectrum gradient ``G`` gives that block's rows of ``dg_i =
+    Re(G) Re(S_i) + Im(G) Im(S_i)``, written into the whole gain gradients,
+    with a signal's spectra computed again per block.  Each product and sum
+    is the one that shaping, mixing and :func:`istft` as separate ops would
+    make, and no sum crosses a block, so the bits match theirs.  Scratch
+    buffers are views of ``ws`` when one is given; the output and the
+    gradients never are.
     """
     inputs = [dt.as_tensor(x) for x in inputs]
     n_frames, bins = inputs[0].shape[0], fft_size // 2 + 1
@@ -481,35 +516,42 @@ def _shaped_inverse(sources, gain_fn: Callable[..., tuple[dt.Tensor, ...]], inpu
         if not np.iscomplexobj(src):
             _check_signal(src, fft_size, hop)
     tracked = any(x._tracked for x in inputs)
-    if tracked:  # the backward pass reads every row of every gain and source
+    if tracked:  # recorded once: the backward pass reads every row
         gains = gain_fn(*inputs)
-        sources = [src if np.iscomplexobj(src) else _spectrum(src, fft_size, hop)
-                   for src in sources]
+
+    def source_rows(src: np.ndarray, first: int, stop: int) -> np.ndarray:
+        return (src[first:stop] if np.iscomplexobj(src)
+                else _spectrum(src, fft_size, hop, ws, first, stop))
 
     def rows(first: int, stop: int) -> np.ndarray:
-        block = (gains if tracked  # one block of every row
+        block = (gains if tracked
                  else gain_fn(*(dt.Tensor(x.data[first:stop]) for x in inputs)))
         mix = dt._scratch(ws, "mix", (stop - first, bins), complex)
         part = dt._scratch(ws, "part", (stop - first, bins))
         for i, (src, gain) in enumerate(zip(sources, block)):
-            spec = (src[first:stop] if np.iscomplexobj(src)
-                    else _spectrum(src, fft_size, hop, ws, first, stop))
+            spec = source_rows(src, first, stop)
+            gain = gain.data[first:stop] if tracked else gain.data
             for mixed, plane in ((mix.real, spec.real), (mix.imag, spec.imag)):
                 if i == 0:
-                    np.multiply(plane, gain.data, out=mixed)
+                    np.multiply(plane, gain, out=mixed)
                 else:
-                    mixed += np.multiply(plane, gain.data, out=part)
+                    mixed += np.multiply(plane, gain, out=part)
         return mix
 
-    per = max(1, n_frames if tracked else _VALUE_BLOCK // fft_size)
-    out = dt.Tensor(_inverse(rows, n_frames, fft_size, hop, length, per, ws))
+    out = dt.Tensor(_inverse(rows, n_frames, fft_size, hop, length, ws))
     if not tracked:
         return out
 
     def bwd(g):
-        grad = _inverse_adjoint(g, n_frames, fft_size, hop, length, ws)
-        return tuple(grad.real * src.real + grad.imag * src.imag if gain._tracked
-                     else None for src, gain in zip(sources, gains))
+        grads = [np.empty((n_frames, bins)) if gain._tracked else None for gain in gains]
+        for first, stop, grad in _inverse_adjoint(g, n_frames, fft_size, hop, length, ws):
+            part = dt._scratch(ws, "part", (stop - first, bins))
+            for src, dg in zip(sources, grads):
+                if dg is not None:
+                    spec = source_rows(src, first, stop)
+                    np.multiply(grad.real, spec.real, out=dg[first:stop])
+                    dg[first:stop] += np.multiply(grad.imag, spec.imag, out=part)
+        return tuple(grads)
 
     return dt._record(gains, out, bwd)
 

@@ -1,9 +1,11 @@
 """Shared oracles for the test suite: finite differences and synthetic data."""
 
+import hashlib
 import struct
 
 import numpy as np
 
+from diffworld import fit as fi
 from diffworld import synth as sy
 from diffworld import tensor as dt
 
@@ -185,6 +187,32 @@ def composed_scale_loss(x, y, window, floor=1e-7):
     linear = dt.mean(dt.abs(dt.sub(mag_x, mag_y)))
     logterm = dt.mean(dt.abs(dt.sub(floored_log(mag_x), floored_log(mag_y))))
     return dt.add(linear, logterm)
+
+
+def composed_msl(x, y, scales):
+    """Reference spectral loss: :func:`composed_scale_loss` at every scale,
+    summed by ``add`` in scale order, so that ``backward`` sums the scales'
+    gradients from the last to the first."""
+    total = dt.Tensor(0.0)
+    for s in range(1, scales + 1):
+        total = dt.add(total, composed_scale_loss(x, y, 2 ** (5 + s)))
+    return total
+
+
+def fit_digest(problem, steps, learning_rate=0.03, **options):
+    """SHA-256 of a fit's loss trace and fitted ``log_mel`` and ``coded_ap``.
+
+    ``problem`` is ``(target, f0, synth_cfg)``; ``options`` go to ``fit``
+    (``n_mels``, ``ap_bands``, ...).  Two fits with the same digest did the
+    same arithmetic bit for bit, so a change that must not move a fit's bits
+    compares digests before and after.  OpenBLAS's thread count moves them,
+    so compare digests from one process, or pin ``OPENBLAS_NUM_THREADS``.
+    """
+    target, f0, synth_cfg = problem
+    fitted, trace = fi.fit(target, f0, synth_cfg=synth_cfg, **options,
+                           cfg=fi.FitConfig(steps=steps, learning_rate=learning_rate))
+    return hashlib.sha256(trace.tobytes() + fitted.log_mel.tobytes()
+                          + fitted.coded_ap.tobytes()).hexdigest()
 
 
 def composed_istft(spec, fft_size, hop, length):

@@ -142,15 +142,19 @@ class TestTransformFormants:
 
     @pytest.mark.parametrize("cfg, n", [(CFG, 220500), (DESK, 40 * 16 - 3),
                                         (DESK, 512 * 16), (DESK, 1100 * 16 + 5),
+                                        (DESK, 5), (CFG, 63 * 256 - 5), (CFG, 64 * 256),
+                                        (CFG, 64 * 256 + 1),
                                         (replace(DESK, fft_size=1 << 16, hop=1 << 14),
                                          12 * (1 << 14) - 5)],
                              ids=["fft1024-10s", "fft64-40", "fft64-512", "fft64-1101",
+                                  "fft64-1", "fft1024-63", "fft1024-64", "fft1024-65",
                                   "fft65536-12"])
     def test_matches_composed_graph(self, cfg, n):
-        # an untracked transform takes 32768 // fft_size frames per block, and at
-        # least one: 32 at fft 1024, 512 at fft 64 and 1 at fft 65536, so these
-        # run one block, one full block, several blocks with a partial last one
-        # and one block per frame
+        # a transform, tracked or not, takes 32768 // fft_size frames per block,
+        # and at least one: 32 at fft 1024, 512 at fft 64 and 1 at fft 65536, so
+        # these run one partial block, one full block, several blocks with a
+        # partial last one, a frame short of two blocks, two blocks and a frame
+        # past them, and one block per frame
         rs = np.random.default_rng(n)
         x = rs.normal(size=n)
         n_frames = sy.n_frames_for(n, cfg.hop)

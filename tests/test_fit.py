@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from diffworld import tensor as dt
 from diffworld.errors import ValidationError
 from diffworld.features import CompressedFeatures, WorldFeatures
 from diffworld.losses import MslConfig
-from helpers import smoothed_trace, two_formant_envelope
+from helpers import fit_digest, smoothed_trace, two_formant_envelope
 
 DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)
 
@@ -325,6 +326,38 @@ class TestFit:
                           cfg=fi.FitConfig(steps=1, learning_rate=0.0), synth_cfg=DESK)
         expected = ls.msl(target, sy.synthesize(fitted)).item()
         assert abs(trace[0] - expected) <= 1e-12 * expected
+
+
+class TestFitBlocks:
+    """Fit's tracked passes run over blocks of frames, as the untracked ones do."""
+
+    @pytest.mark.parametrize("block", [448, 1000, 64])
+    def test_digest_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        # 448 samples of frames are blocks of 7 frames at fft 64, 3 at window
+        # 128 and 1 from window 256 up; the default makes one block of every
+        # pass here, and 64 makes a block of every frame
+        problem = (*desk_problem(t=90, unvoiced=slice(30, 36)), DESK)
+        want = fit_digest(problem, 6, n_mels=16, ap_bands=4)
+        monkeypatch.setattr(sy, "_VALUE_BLOCK", block)
+        assert fit_digest(problem, 6, n_mels=16, ap_bands=4) == want
+
+    def test_ten_second_peak_memory_is_pinned(self):
+        # a 3-step fit of 861 frames at 22.05 kHz, fft 1024: at most 2% above
+        # the measured peak.  With each tracked pass one block of every frame
+        # and a gradient per loss scale it was 164.8 MiB
+        rs = np.random.default_rng(5)
+        f0 = 120.0 + 80.0 * rs.uniform(size=861)
+        f0[172:179] = 0.0
+        target = 0.1 * rs.normal(size=861 * 256)
+        cfg = fi.FitConfig(steps=3, learning_rate=0.03)
+        fi.fit(target[:8 * 256], f0[:8], cfg=cfg)  # fills the basis and window caches
+        tracemalloc.start()
+        try:
+            fi.fit(target, f0, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 127.15, peak
 
 
 class TestSmoothedTrace:

@@ -6,7 +6,17 @@ import pytest
 from diffworld import losses as ls
 from diffworld import tensor as dt
 from diffworld.errors import ValidationError
-from helpers import central_diff, composed_scale_loss, naive_msl, rel_grad_err
+from helpers import (central_diff, composed_msl, composed_scale_loss, naive_msl,
+                     rel_grad_err)
+
+
+# (n, window) with 1, 2 per - 1, 2 per and 2 per + 1 frames, per = 32768 //
+# window being the frames of a block; at window 65536 every frame is a block
+BOUNDARY_CASES = [(n, window) for window in (64, 256, 2048)
+                  for n in [5] + [frames * (window // 4) - 3 for frames in
+                                  (2 * 32768 // window - 1, 2 * 32768 // window,
+                                   2 * 32768 // window + 1)]]
+BOUNDARY_CASES.append((12 * (1 << 14) - 5, 1 << 16))
 
 
 class TestMseFeatures:
@@ -108,7 +118,7 @@ class TestFusedScaleTerm:
         np.testing.assert_array_equal(grad, np.zeros(700))
 
     @pytest.mark.parametrize("n, window", [(700, 64), (700, 2048), (100, 256),
-                                           (4096, 1024)])
+                                           (4096, 1024)] + BOUNDARY_CASES)
     def test_bit_identical_to_composed_graph(self, n, window):
         rs = np.random.default_rng(22)
         x, y0 = rs.normal(size=n), rs.normal(size=n)
@@ -121,6 +131,24 @@ class TestFusedScaleTerm:
             term = ls.scale_loss(side, t, window)
             assert term.item() == ref.item()
             np.testing.assert_array_equal(dt.backward(term)[t], ref_grad)
+
+    @pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 15872, 4700])
+    def test_msl_bit_identical_to_composed_graph(self, n):
+        # 16384 samples are two blocks at every window, and a sample more or
+        # less puts a frame on either side; 15872 samples are a frame short of
+        # two blocks at window 2048.  The scales' gradients share one buffer
+        rs = np.random.default_rng(27)
+        x, y0 = rs.normal(size=n), rs.normal(size=n)
+        y0[: n // 3] = 0.0
+        cfg = ls.MslConfig()
+        ref_y = dt.Tensor(y0, requires_grad=True)
+        ref = composed_msl(x, ref_y, cfg.scales)
+        ref_grad = dt.backward(ref)[ref_y]
+        for side in (x, ls.msl_target(x, cfg)):
+            t = dt.Tensor(y0, requires_grad=True)
+            loss = ls.msl(side, t, cfg)
+            assert loss.item() == ref.item()
+            np.testing.assert_array_equal(dt.backward(loss)[t], ref_grad)
 
     @pytest.mark.parametrize("n, window", [(700, 64), (100, 256), (30000, 64),
                                            (30000, 2048)])

@@ -689,14 +689,17 @@ def shaped_problem(cfg, t, seed):
     return f0, rs.uniform(0.01, 2.0, size=(t, bins)), rs.uniform(0.0, 1.0, size=(t, bins))
 
 
-# an untracked inverse takes 32768 // fft_size frames per block, and at least
-# one: 32 at fft 1024, 512 at fft 64 and 1 at fft 65536.  So these run several
-# blocks with a partial last one (861, 1100), one partial block (40), one full
-# block (512) and one block per frame (fft 65536)
+# an inverse, tracked or not, takes 32768 // fft_size frames per block, and at
+# least one: 32 at fft 1024, 512 at fft 64 and 1 at fft 65536.  So these run
+# several blocks with a partial last one (861, 1100), one partial block (40,
+# and 1 frame), one full block (512), a frame short of two blocks, two
+# blocks and a frame past them (63, 64, 65), and one block per frame (fft 65536)
 SHAPED_CASES = [(CFG, 861), (DESK, 40), (DESK, 512),
                 (replace(DESK, gain_harmonic=0.7, gain_noise=1.9), 1100),
+                (CFG, 1), (CFG, 63), (CFG, 64), (CFG, 65),
                 (replace(DESK, fft_size=1 << 16, hop=1 << 14), 12)]
-SHAPED_IDS = ["fft1024-861", "fft64-40", "fft64-512", "fft64-1100-gains", "fft65536-12"]
+SHAPED_IDS = ["fft1024-861", "fft64-40", "fft64-512", "fft64-1100-gains",
+              "fft1024-1", "fft1024-63", "fft1024-64", "fft1024-65", "fft65536-12"]
 
 
 class TestShapedInverse:
@@ -717,14 +720,19 @@ class TestShapedInverse:
         spec_h, spec_n = sy.excitation_spectra(f0, cfg)
         weights = dt.Tensor(np.random.default_rng(t).normal(size=t * cfg.hop))
         runs = []
-        for render in (sy.render, composed_render):
+        # the excitation signals as sources: their spectra are made again per
+        # block in the backward pass
+        for render in (sy.render, composed_render,
+                       lambda spec_h, spec_n, sp, ap, cfg:
+                       sy.synthesize_components(f0, sp, ap, cfg)):
             sp_t = dt.Tensor(sp, requires_grad=True)
             ap_t = dt.Tensor(ap, requires_grad=True)
             y = render(spec_h, spec_n, sp_t, ap_t, cfg)
             grads = dt.backward(dt.sum(dt.mul(y, weights)))
             runs.append((y.data, grads[sp_t], grads[ap_t]))
-        for got, want in zip(*runs):
-            np.testing.assert_array_equal(got, want)
+        for run in (runs[0], runs[2]):
+            for got, want in zip(run, runs[1]):
+                np.testing.assert_array_equal(got, want)
 
     def test_workspace_changes_no_bit_and_owns_no_result(self):
         f0, sp, ap = shaped_problem(DESK, 40, 3)
