@@ -8,8 +8,8 @@ moves formants while leaving the source (pitch, phase) untouched.
 The gain, the STFT and the inverse run as one pass over blocks of frames
 (:func:`synth._shaped_inverse`): each block computes the gain and the
 spectra of its own frames of ``x``, so neither a gain nor a spectrum of the
-whole recording exists on an untracked transform.  With identical envelopes
-the transform is an identity, which the synthesis branch cannot offer.
+whole recording exists, tracked or not.  With identical envelopes the
+transform is an identity, which the synthesis branch cannot offer.
 
 Envelopes are floored and the envelope ratio is clipped before the square
 root: near-silent analysis frames would otherwise blow the division up.
@@ -61,10 +61,24 @@ def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
     _check_feature_frames("sp_src", sp_src, x.shape[0], cfg.hop)
     _check_feature_frames("sp_tgt", sp_tgt, x.shape[0], cfg.hop)
 
-    def gain(sp_src, sp_tgt):
-        return (dt.sqrt(dt.clamp(dt.div(dt.clamp_min(sp_tgt, ENVELOPE_FLOOR),
-                                        dt.clamp_min(sp_src, ENVELOPE_FLOOR)),
-                                 RATIO_LO, RATIO_HI)),)
+    def ratio(sp_src, sp_tgt):
+        src = np.maximum(sp_src, ENVELOPE_FLOOR)
+        return src, np.maximum(sp_tgt, ENVELOPE_FLOOR) / src
 
-    return _shaped_inverse((x,), gain, (sp_src, sp_tgt), cfg.fft_size, cfg.hop,
-                           x.shape[0])
+    def value(sp_src, sp_tgt):
+        return (np.sqrt(np.clip(ratio(sp_src, sp_tgt)[1], RATIO_LO, RATIO_HI)),)
+
+    def adjoint(dgs, sp_src, sp_tgt):
+        # the composed graph's backward ops in its order: sqrt's subgradient,
+        # the clip, the division and each envelope's floor
+        src, q = ratio(sp_src, sp_tgt)
+        root = np.sqrt(np.clip(q, RATIO_LO, RATIO_HI))
+        positive = root > 0
+        denom = np.where(positive, 2.0 * root, 1.0)
+        d_q = np.where((q >= RATIO_LO) & (q <= RATIO_HI),
+                       np.where(positive, dgs[0] / denom, 0.0), 0.0)
+        return (np.where(sp_src >= ENVELOPE_FLOOR, -d_q * q / src, 0.0),
+                np.where(sp_tgt >= ENVELOPE_FLOOR, d_q / src, 0.0))
+
+    return _shaped_inverse((x,), value, adjoint, (sp_src, sp_tgt), cfg.fft_size,
+                           cfg.hop, x.shape[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as dt
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .features import CompressedFeatures, WorldFeatures, _check_sp, validate_features
 
 DEFAULT_EPSILON = 1e-5
@@ -104,13 +104,41 @@ def compress_sp(sp, basis: MelBasis) -> dt.Tensor:
 
 
 def decompress_sp(s, basis: MelBasis) -> dt.Tensor:
-    """Log mel (T, n_mels) -> approximate envelope (T, n_bins), >= 0."""
+    """Log mel (T, n_mels) -> approximate envelope (T, n_bins), >= 0.
+
+    ``sp = R * R`` with the clamped root ``R = max((10**s - eps) @ pinv.T,
+    0)``, one graph node on a tracked ``s``.  The node holds ``R`` and the
+    mask of the bins where the clamp passes the gradient, but not the (T,
+    n_bins) product that ``R`` clamps; the small (T, n_mels) power ``10**s``
+    is made again.  Its backward pass takes the composed ops' backward steps
+    in their order (``R * R``'s two terms, the clamp, the product, the
+    power), so the bits match theirs.
+    """
     s = dt.as_tensor(s)
     if s.shape[-1] != basis.n_mels:
         raise ValidationError(f"expected {basis.n_mels} mel bands, got {s.shape[-1]}")
-    amplitude = dt.sub(dt.pow(10.0, s), basis.epsilon)
-    root = dt.clamp_min(dt.matmul(amplitude, dt.Tensor(basis.pinv.T)), 0.0)
-    return dt.mul(root, root)
+    if s.ndim not in (1, 2):
+        raise ShapeError(f"decompress_sp: expected a (T, {basis.n_mels}) log mel, "
+                         f"got shape {s.shape}")
+    amplitude = np.power(10.0, s.data) - basis.epsilon
+    root = (amplitude.reshape(-1, basis.n_mels) @ basis.pinv.T).reshape(
+        s.shape[:-1] + (basis.n_bins,))
+    passes = root >= 0.0 if s._tracked else None
+    root = np.maximum(root, 0.0)
+    out = dt.Tensor(root * root)
+    if not s._tracked:
+        return out
+
+    def bwd(g):
+        grad = g * root
+        grad += grad
+        np.copyto(grad, 0.0, where=~passes)
+        grad = (grad.reshape(-1, basis.n_bins) @ basis.pinv).reshape(s.shape)
+        grad *= np.power(10.0, s.data)  # made again from the input the node holds
+        grad *= dt._LN10
+        return (grad,)
+
+    return dt._record((s,), out, bwd)
 
 
 def check_ap_bands(ap_bands) -> None:
@@ -156,13 +184,33 @@ def decode(f0: np.ndarray, log_mel, coded_ap,
            basis: MelBasis) -> tuple[dt.Tensor, dt.Tensor]:
     """Compressed features -> ``(sp, ap)``, differentiable in both inputs.
 
-    ``ap`` is clamped to [0, 1] (rounding crumbs at the ends) and is exactly
-    1 on unvoiced frames: ``ap * v + (1 - v)`` with the voiced mask ``v``.
+    ``sp`` is :func:`decompress_sp`'s.  ``ap`` is :func:`decompress_ap`'s,
+    clamped to [0, 1] (rounding crumbs at the ends) and exactly 1 on
+    unvoiced frames: ``ap * v + (1 - v)`` with the voiced mask ``v``.  Each
+    is one graph node on its tracked input; ``ap``'s holds only the mask of
+    the bins that the clamp passes, and its backward pass is the composed
+    ops' (the mask ``v``, the clamp, the resampling's adjoint) in their
+    order.  Both codec functions are called by their module names, so a
+    wrapper installed there sees every decode.
     """
     sp = decompress_sp(log_mel, basis)
-    ap = dt.clamp(decompress_ap(coded_ap, basis.n_bins), 0.0, 1.0)
+    coded_ap = dt.as_tensor(coded_ap)
     voiced = (np.asarray(f0) > 0).astype(np.float64)[:, None]
-    return sp, dt.add(dt.mul(ap, voiced), 1.0 - voiced)
+    if coded_ap.ndim != 2 or coded_ap.shape[0] != voiced.shape[0]:
+        raise ShapeError(f"decode: coded_ap must be ({voiced.shape[0]}, bands), one row "
+                         f"per frame of f0; got {coded_ap.shape}")
+    ap = decompress_ap(coded_ap.data, basis.n_bins).data
+    passes = (ap >= 0.0) & (ap <= 1.0) if coded_ap._tracked else None
+    ap = np.clip(ap, 0.0, 1.0)
+    ap = dt.Tensor(ap * voiced + (1.0 - voiced))
+    if not coded_ap._tracked:
+        return sp, ap
+    resample = _resample_matrix(coded_ap.shape[-1], basis.n_bins)
+
+    def bwd(g):
+        return (np.where(passes, g * voiced, 0.0) @ resample,)
+
+    return sp, dt._record((coded_ap,), ap, bwd)
 
 
 # ---------------------------------------------------------------------------

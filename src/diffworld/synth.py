@@ -19,10 +19,11 @@ frames are read in place.
 of the noise, which depend only on the pitch contour and the seed, so a
 caller that re-renders the same contour (``fit``, once per step) computes
 them once and passes them to :func:`render`.  :func:`synthesize` passes the
-signals, and an untracked block makes its own rows of the gains, so an
-untracked synthesis holds no spectrum and no gain of the whole clip.  A
-tracked one holds its gains, which its graph needs, and its backward pass
-runs over the same blocks.  Nor do
+signals.  Every block makes its own rows of the gains from rows of ``sp``
+and ``ap``, so a synthesis holds no spectrum and no gain of the whole clip.
+A tracked one is one graph node on ``sp`` and ``ap``, which holds nothing
+else: its backward pass runs over the same blocks and makes each block's
+gains again from their rows.  Nor do
 the excitations make whole-clip temporaries: the pitch contour is built on a
 ``(frames, hop)`` grid and the pulse train in chunks of samples.  What is
 left at the peak is the two excitations and the inverse's buffers.
@@ -479,30 +480,32 @@ def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
     return dt._record((spec,), out, bwd)
 
 
-def _shaped_inverse(sources, gain_fn: Callable[..., tuple[dt.Tensor, ...]], inputs,
+def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
+                    adjoint: Callable[..., tuple[np.ndarray, ...]], inputs,
                     fft_size: int, hop: int, length: int,
                     ws: dt.Workspace | None = None) -> dt.Tensor:
     """``istft(sum_i S_i * g_i)`` in one pass over blocks of frames.
 
-    The real gains are ``(g_1, ...) = gain_fn(*inputs)``, one per source.
-    Each input is a ``(T, fft_size // 2 + 1)`` tensor, and ``gain_fn`` is
-    made of elementwise tensor ops, so any run of rows of the inputs gives
-    the same run of rows of the gains.  Each source ``S_i`` is a complex
-    spectrum of ``T`` frames, or a signal of ``T`` frames whose rows
-    :func:`_spectrum` computes as a block needs them.
+    The real gains are a pair of numpy row functions of the inputs, each a
+    ``(T, fft_size // 2 + 1)`` tensor: ``value(*rows)`` gives one block of
+    gains per source from the same block of rows of every input, and
+    ``adjoint(dgs, *rows)`` maps the gradients ``dgs`` of those gains to one
+    gradient block per input.  Both are elementwise, so any run of rows of
+    the inputs gives the same run of rows of their results.  Each source
+    ``S_i`` is a complex spectrum of ``T`` frames, or a signal of ``T``
+    frames whose rows :func:`_spectrum` computes as a block needs them.
 
     Every pass takes :func:`_block_frames` frames per block, tracked or not,
-    so no spectrum or frame of the whole signal exists at once.  Untracked
-    inputs make their gains per block too, so neither does a gain.  Tracked
-    inputs make them once, on the whole inputs, and record their graph; the
-    result is one more graph node, differentiable in the gains only.  Its
-    backward pass runs the adjoint of the inverse block by block: each
-    block's spectrum gradient ``G`` gives that block's rows of ``dg_i =
-    Re(G) Re(S_i) + Im(G) Im(S_i)``, written into the whole gain gradients,
-    with a signal's spectra computed again per block.  Each product and sum
-    is the one that shaping, mixing and :func:`istft` as separate ops would
-    make, and no sum crosses a block, so the bits match theirs.  Scratch
-    buffers are views of ``ws`` when one is given; the output and the
+    and makes its gains per block, so no spectrum, frame or gain of the whole
+    signal exists at once.  Tracked inputs make the result one graph node on
+    the inputs, which holds nothing but them.  Its backward pass runs the
+    adjoint of the inverse block by block: each block's spectrum gradient
+    ``G`` gives that block's ``dg_i = Re(G) Re(S_i) + Im(G) Im(S_i)``, with a
+    signal's spectra computed again, and ``adjoint`` maps them to the block's
+    rows of the input gradients.  Each product and sum is the one that the
+    gains' tensor ops, shaping, mixing and :func:`istft` as separate ops
+    would make, and no sum crosses a block, so the bits match theirs.
+    Scratch buffers are views of ``ws`` when one is given; the output and the
     gradients never are.
     """
     inputs = [dt.as_tensor(x) for x in inputs]
@@ -515,22 +518,19 @@ def _shaped_inverse(sources, gain_fn: Callable[..., tuple[dt.Tensor, ...]], inpu
     for src in sources:
         if not np.iscomplexobj(src):
             _check_signal(src, fft_size, hop)
-    tracked = any(x._tracked for x in inputs)
-    if tracked:  # recorded once: the backward pass reads every row
-        gains = gain_fn(*inputs)
 
     def source_rows(src: np.ndarray, first: int, stop: int) -> np.ndarray:
         return (src[first:stop] if np.iscomplexobj(src)
                 else _spectrum(src, fft_size, hop, ws, first, stop))
 
+    def input_rows(first: int, stop: int) -> list[np.ndarray]:
+        return [x.data[first:stop] for x in inputs]
+
     def rows(first: int, stop: int) -> np.ndarray:
-        block = (gains if tracked
-                 else gain_fn(*(dt.Tensor(x.data[first:stop]) for x in inputs)))
         mix = dt._scratch(ws, "mix", (stop - first, bins), complex)
         part = dt._scratch(ws, "part", (stop - first, bins))
-        for i, (src, gain) in enumerate(zip(sources, block)):
+        for i, (src, gain) in enumerate(zip(sources, value(*input_rows(first, stop)))):
             spec = source_rows(src, first, stop)
-            gain = gain.data[first:stop] if tracked else gain.data
             for mixed, plane in ((mix.real, spec.real), (mix.imag, spec.imag)):
                 if i == 0:
                     np.multiply(plane, gain, out=mixed)
@@ -539,21 +539,26 @@ def _shaped_inverse(sources, gain_fn: Callable[..., tuple[dt.Tensor, ...]], inpu
         return mix
 
     out = dt.Tensor(_inverse(rows, n_frames, fft_size, hop, length, ws))
-    if not tracked:
-        return out
 
     def bwd(g):
-        grads = [np.empty((n_frames, bins)) if gain._tracked else None for gain in gains]
+        grads = [np.empty((n_frames, bins)) if x._tracked else None for x in inputs]
         for first, stop, grad in _inverse_adjoint(g, n_frames, fft_size, hop, length, ws):
             part = dt._scratch(ws, "part", (stop - first, bins))
-            for src, dg in zip(sources, grads):
-                if dg is not None:
-                    spec = source_rows(src, first, stop)
-                    np.multiply(grad.real, spec.real, out=dg[first:stop])
-                    dg[first:stop] += np.multiply(grad.imag, spec.imag, out=part)
+            dgs = []
+            for i, src in enumerate(sources):
+                # dg_i has a buffer of its own: the next source's spectra reuse
+                # this one's
+                spec = source_rows(src, first, stop)
+                dg = np.multiply(grad.real, spec.real,
+                                 out=dt._scratch(ws, f"gain_grad{i}", (stop - first, bins)))
+                dg += np.multiply(grad.imag, spec.imag, out=part)
+                dgs.append(dg)
+            for whole, block in zip(grads, adjoint(dgs, *input_rows(first, stop))):
+                if whole is not None:
+                    whole[first:stop] = block
         return tuple(grads)
 
-    return dt._record(gains, out, bwd)
+    return dt._record(inputs, out, bwd)
 
 
 def _check_feature_frames(name: str, arr, n_samples: int, hop: int) -> None:
@@ -620,15 +625,28 @@ def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig,
     _check_feature_frames("sp", sp, n_samples, cfg.hop)
     _check_feature_frames("ap", ap, n_samples, cfg.hop)
     check_ap(ap.data)
-    # checked here on the whole clip: the gains may be made a block at a time
+    # checked here on the whole clip: the gains are made a block at a time
     _check_sp(sp.data, DomainError)
 
-    def gains(sp, ap):
-        root = dt.sqrt(sp)
-        return (dt.mul(cfg.gain_harmonic, dt.mul(dt.sub(1.0, ap), root)),
-                dt.mul(cfg.gain_noise, dt.mul(ap, root)))
+    gain_h, gain_n = cfg.gain_harmonic, cfg.gain_noise
 
-    return _shaped_inverse(sources, gains, (sp, ap), cfg.fft_size, cfg.hop, n_samples, ws)
+    def value(sp, ap):
+        root = np.sqrt(sp)
+        return gain_h * ((1.0 - ap) * root), gain_n * (ap * root)
+
+    def adjoint(dgs, sp, ap):
+        # the composed graph's backward ops in its order: the two scalar gains,
+        # ap * root, (1 - ap) * root, 1 - ap, and sqrt's subgradient
+        d_h, d_n = gain_h * dgs[0], gain_n * dgs[1]
+        root = np.sqrt(sp)
+        d_ap = d_n * root + (-(d_h * root))
+        d_root = d_n * ap + d_h * (1.0 - ap)
+        positive = root > 0
+        denom = np.where(positive, 2.0 * root, 1.0)
+        return np.where(positive, d_root / denom, 0.0), d_ap
+
+    return _shaped_inverse(sources, value, adjoint, (sp, ap), cfg.fft_size, cfg.hop,
+                           n_samples, ws)
 
 
 def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor:

@@ -288,9 +288,9 @@ def abs(a) -> Tensor:  # noqa: A001
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    out_val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(out_val)
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    out = Tensor(np.where(x >= 0, 1.0, e) / (1.0 + e))
     y = out.data
     return _record((a,), out, lambda g: (g * y * (1.0 - y),))
 

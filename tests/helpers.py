@@ -6,6 +6,7 @@ import struct
 import numpy as np
 
 from diffworld import fit as fi
+from diffworld import melcodec as mc
 from diffworld import synth as sy
 from diffworld import tensor as dt
 
@@ -256,6 +257,24 @@ def composed_transform(x, sp_src, sp_tgt, cfg, floor=1e-10, lo=1e-6, hi=1e6):
                      lo, hi)
     shaped = composed_spectral_shape(sy.stft(x, cfg.fft_size, cfg.hop), dt.sqrt(ratio))
     return composed_istft(shaped, cfg.fft_size, cfg.hop, len(x))
+
+
+def composed_decode(f0, log_mel, coded_ap, basis):
+    """Reference ``melcodec.decode`` as a graph of tensor ops.
+
+    The form the library's two decode nodes replaced: ``pow``, ``sub``,
+    ``matmul``, ``clamp_min`` and ``mul`` make ``sp``; ``matmul``, ``clamp``,
+    ``mul`` by the voiced mask and ``add`` make ``ap``.  Its outputs and its
+    ``log_mel``/``coded_ap`` gradients are the bits the fused nodes must
+    reproduce.
+    """
+    amplitude = dt.sub(dt.pow(10.0, log_mel), basis.epsilon)
+    root = dt.clamp_min(dt.matmul(amplitude, dt.Tensor(basis.pinv.T)), 0.0)
+    coded_ap = dt.as_tensor(coded_ap)
+    resample = mc._resample_matrix(coded_ap.shape[-1], basis.n_bins)
+    ap = dt.clamp(dt.matmul(coded_ap, dt.Tensor(resample.T)), 0.0, 1.0)
+    voiced = (np.asarray(f0) > 0).astype(np.float64)[:, None]
+    return dt.mul(root, root), dt.add(dt.mul(ap, voiced), 1.0 - voiced)
 
 
 # KSDATAFORMAT_SUBTYPE_PCM / _IEEE_FLOAT after the format code (RFC 2361)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diffworld
@@ -136,6 +137,31 @@ def test_fit_decodes_through_the_one_decoder():
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "decode" in called
     assert called.isdisjoint({"decompress_sp", "decompress_ap"})
+
+
+def test_decode_and_fit_reach_the_codec_functions_by_module_name(monkeypatch):
+    # perfbench's tracer wraps melcodec.decompress_sp and decompress_ap where
+    # they are bound, and its fit.setup_ms looks for the first decompress_sp
+    # inside a fit: decode must call both through the module
+    calls = []
+    for name in ("decompress_sp", "decompress_ap"):
+        def counted(*args, _inner=getattr(melcodec, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(melcodec, name, counted)
+    basis = melcodec.MelBasis.build(8000, 64, n_mels=16)
+    f0 = np.full(8, 150.0)
+    for tracked in (False, True):
+        calls.clear()
+        log_mel = tensor.Tensor(np.full((8, 16), -2.0), requires_grad=tracked)
+        coded_ap = tensor.Tensor(np.full((8, 4), 0.5), requires_grad=tracked)
+        melcodec.decode(f0, log_mel, coded_ap, basis)
+        assert calls == ["decompress_sp", "decompress_ap"]
+    calls.clear()
+    cfg = synth.SynthConfig(sample_rate=8000, fft_size=64)
+    fit.fit(np.zeros(8 * cfg.hop), f0, cfg=fit.FitConfig(steps=2), synth_cfg=cfg,
+            n_mels=16, ap_bands=4)
+    assert calls == ["decompress_sp", "decompress_ap"] * 2
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")

@@ -173,6 +173,27 @@ class TestTransformFormants:
         for got, expected in zip(*runs):
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("scale", [None, 1.5], ids=["same", "scaled"])
+    def test_one_tensor_as_both_envelopes_sums_like_composed_graph(self, scale):
+        # the gradient of a tensor that reaches both envelopes is the sum of the
+        # source's and the target's terms, added in the composed graph's order.
+        # As both envelopes the ratio is 1 and the terms cancel to exact zeros;
+        # scaled into the target, the sum runs through a second node
+        rs = np.random.default_rng(31)
+        x = rs.normal(size=70 * CFG.hop)
+        sp = rs.uniform(0.01, 2.0, size=(70, 513))
+        sp[3, :5] = 0.0  # below the floor: neither term passes a gradient
+        weights = dt.Tensor(rs.normal(size=len(x)))
+        runs = []
+        for transform in (ex.transform_formants, composed_transform):
+            env = dt.Tensor(sp, requires_grad=True)
+            tgt = env if scale is None else dt.mul(env, scale)
+            y = transform(x, env, tgt, CFG)
+            runs.append((y.data, dt.backward(dt.sum(dt.mul(y, weights)))[env]))
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+        assert np.any(runs[0][1] != 0.0) == (scale is not None)
+
     def test_tracked_signal_rejected(self):
         x = dt.Tensor(np.zeros(8 * DESK.hop), requires_grad=True)
         sp = np.ones((8, DESK.fft_size // 2 + 1))

@@ -343,8 +343,9 @@ class TestFitBlocks:
 
     def test_ten_second_peak_memory_is_pinned(self):
         # a 3-step fit of 861 frames at 22.05 kHz, fft 1024: at most 2% above
-        # the measured peak.  With each tracked pass one block of every frame
-        # and a gradient per loss scale it was 164.8 MiB
+        # the measured peak, 57 times the 1.68 MiB output.  With each tracked
+        # pass one block of every frame and a gradient per loss scale it was
+        # 164.8 MiB, and 127.15 with the decode and gain graphs of tensor ops
         rs = np.random.default_rng(5)
         f0 = 120.0 + 80.0 * rs.uniform(size=861)
         f0[172:179] = 0.0
@@ -357,7 +358,7 @@ class TestFitBlocks:
             peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
         finally:
             tracemalloc.stop()
-        assert peak <= 1.02 * 127.15, peak
+        assert peak <= 1.02 * 95.23, peak
 
 
 class TestSmoothedTrace:

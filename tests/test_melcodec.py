@@ -5,8 +5,9 @@ from diffworld import losses as ls
 from diffworld import melcodec as mc
 from diffworld import synth as sy
 from diffworld import tensor as dt
-from diffworld.errors import DomainError, ValidationError
-from helpers import central_diff, rel_grad_err, rel_l2, two_formant_envelope
+from diffworld.errors import DomainError, ShapeError, ValidationError
+from helpers import (central_diff, composed_decode, rel_grad_err, rel_l2,
+                     two_formant_envelope)
 
 BASIS = mc.MelBasis.build(8000, 64, n_mels=16)
 FULL = mc.MelBasis.build(22050, 1024, n_mels=80)
@@ -182,6 +183,81 @@ class TestDecode:
         assert rel_grad_err(grads[a_t], fd_a) < 1e-4
         assert np.all(grads[a_t][5] == 0.0)
         assert np.any(grads[a_t][4] != 0.0)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# 10**-5 as numpy computes it: a log mel of exactly -5 then decodes an
+# amplitude of exactly 0, so every bin of its row has M == 0
+ZERO_EPS_BASIS = mc.MelBasis.build(8000, 64, n_mels=16,
+                                   epsilon=float(np.power(10.0, -5.0)))
+
+
+def decode_problem(basis, seed, n_frames=40):
+    """A log mel with amplitudes of both signs and one row of zeros, and a
+    coded aperiodicity that decodes outside [0, 1] and at both ends."""
+    rs = np.random.default_rng(seed)
+    f0 = np.full(n_frames, 150.0)
+    f0[[0, 7, 8, 9, n_frames - 1]] = 0.0
+    log_mel = np.log10(basis.epsilon) + rs.normal(scale=0.5, size=(n_frames, basis.n_mels))
+    log_mel[3] = -5.0
+    coded_ap = rs.uniform(-0.3, 1.3, size=(n_frames, 4))
+    coded_ap[5, :2] = (0.0, 1.0)
+    return f0, log_mel, coded_ap
+
+
+class TestDecodeNodes:
+    """``decode`` is two nodes that reproduce the composed graph's bits."""
+
+    @pytest.mark.parametrize("basis", [ZERO_EPS_BASIS, FULL], ids=["fft64", "fft1024"])
+    @pytest.mark.parametrize("tracked", [(True, True), (True, False), (False, True)],
+                             ids=["both", "log_mel", "coded_ap"])
+    def test_values_and_gradients_match_composed_graph(self, basis, tracked):
+        f0, log_mel, coded_ap = decode_problem(basis, basis.n_bins)
+        amplitude = np.power(10.0, log_mel) - basis.epsilon
+        product = amplitude @ basis.pinv.T
+        assert (product < 0).any() and (product > 0).any()
+        if basis is ZERO_EPS_BASIS:
+            assert np.all(product[3] == 0.0)
+        resampled = mc.decompress_ap(coded_ap, basis.n_bins).data
+        assert (resampled < 0).any() and (resampled > 1).any()
+        rs = np.random.default_rng(7)
+        weights = [dt.Tensor(rs.normal(size=(len(f0), basis.n_bins))) for _ in range(2)]
+        runs = []
+        for decode in (mc.decode, composed_decode):
+            s_t = dt.Tensor(log_mel, requires_grad=tracked[0])
+            a_t = dt.Tensor(coded_ap, requires_grad=tracked[1])
+            sp, ap = decode(f0, s_t, a_t, basis)
+            grads = dt.backward(dt.add(dt.sum(dt.mul(sp, weights[0])),
+                                       dt.sum(dt.mul(ap, weights[1]))))
+            runs.append([sp.data, ap.data] + [grads[t] for t in (s_t, a_t)
+                                              if t.requires_grad])
+        for got, want in zip(*runs):
+            assert_same_bits(got, want)
+        untracked = mc.decode(f0, log_mel, coded_ap, basis)
+        for got, want in zip(untracked, runs[1][:2]):
+            assert_same_bits(got.data, want)
+
+    def test_single_frame_log_mel_matches_composed_graph(self):
+        # a 1-D log mel goes through the same (1, n_mels) product as matmul's
+        s = np.log10(BASIS.epsilon) + np.random.default_rng(8).normal(size=16)
+        w = dt.Tensor(np.random.default_rng(9).normal(size=33))
+        runs = []
+        for decompress in (mc.decompress_sp,
+                           lambda s, basis: composed_decode([1.0], s, np.zeros((1, 4)),
+                                                            basis)[0]):
+            s_t = dt.Tensor(s, requires_grad=True)
+            sp = decompress(s_t, BASIS)
+            runs.append((sp.data, dt.backward(dt.sum(dt.mul(sp, w)))[s_t]))
+        for got, want in zip(*runs):
+            assert_same_bits(got, want)
+
+    def test_coded_ap_of_another_frame_count_rejected(self):
+        with pytest.raises(ShapeError, match=r"decode: coded_ap must be \(6, bands\)"):
+            mc.decode(np.full(6, 100.0), np.zeros((6, 16)), np.zeros((5, 4)), BASIS)
 
 
 class TestContainers:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diffworld import melcodec as mc
 from diffworld import synth as sy
 from diffworld import tensor as dt
 from diffworld.errors import DomainError, ShapeError, ValidationError
@@ -693,12 +694,16 @@ def shaped_problem(cfg, t, seed):
 # least one: 32 at fft 1024, 512 at fft 64 and 1 at fft 65536.  So these run
 # several blocks with a partial last one (861, 1100), one partial block (40,
 # and 1 frame), one full block (512), a frame short of two blocks, two
-# blocks and a frame past them (63, 64, 65), and one block per frame (fft 65536)
+# blocks and a frame past them (63, 64, 65), and one block per frame (fft
+# 65536).  The gains cases mix unit and other gains.
 SHAPED_CASES = [(CFG, 861), (DESK, 40), (DESK, 512),
                 (replace(DESK, gain_harmonic=0.7, gain_noise=1.9), 1100),
+                (replace(CFG, gain_harmonic=0.7, gain_noise=1.3), 70),
+                (replace(CFG, gain_noise=0.7), 70), (replace(CFG, gain_harmonic=1.3), 70),
                 (CFG, 1), (CFG, 63), (CFG, 64), (CFG, 65),
                 (replace(DESK, fft_size=1 << 16, hop=1 << 14), 12)]
 SHAPED_IDS = ["fft1024-861", "fft64-40", "fft64-512", "fft64-1100-gains",
+              "fft1024-70-gains", "fft1024-70-noise-gain", "fft1024-70-harmonic-gain",
               "fft1024-1", "fft1024-63", "fft1024-64", "fft1024-65", "fft65536-12"]
 
 
@@ -772,23 +777,58 @@ class TestShapedInverse:
             with pytest.raises(DomainError, match="sp is negative at frame 700, bin 5"):
                 call()
 
-    def test_untracked_gains_are_made_a_block_at_a_time(self):
-        # 100 frames at fft 1024 are blocks of 32, 32, 32 and 4 rows; tracked
-        # inputs make their gains once, on every row
+    def test_gains_are_made_a_block_at_a_time(self):
+        # 100 frames at fft 1024 are blocks of 32, 32, 32 and 4 rows: the
+        # forward pass makes the gains per block, tracked or not, and the
+        # backward pass maps their gradients to the input rows per block
         rs = np.random.default_rng(9)
         x = rs.normal(size=100 * CFG.hop)
         env = rs.uniform(0.5, 2.0, size=(100, 513))
-        for inputs, want in (((env,), [32, 32, 32, 4]),
-                             ((dt.Tensor(env, requires_grad=True),), [100])):
-            rows = []
+        blocks = [32, 32, 32, 4]
+        for tracked in (False, True):
+            values, adjoints = [], []
 
-            def gain(e):
-                rows.append(e.shape[0])
-                return (dt.sqrt(e),)
+            def value(e):
+                values.append(e.shape[0])
+                return (np.sqrt(e),)
 
-            y = sy._shaped_inverse((x,), gain, inputs, CFG.fft_size, CFG.hop, len(x))
-            assert rows == want
-            assert y._tracked == (len(want) == 1)
+            def adjoint(dgs, e):
+                adjoints.append((dgs[0].shape, e.shape))
+                return (dgs[0] / (2.0 * np.sqrt(e)),)
+
+            e_t = dt.Tensor(env, requires_grad=tracked)
+            y = sy._shaped_inverse((x,), value, adjoint, (e_t,), CFG.fft_size, CFG.hop,
+                                   len(x))
+            assert values == blocks
+            assert y._tracked == tracked
+            if tracked:
+                assert dt.backward(dt.sum(dt.mul(y, y)))[e_t].shape == env.shape
+            assert adjoints == ([((n, 513), (n, 513)) for n in blocks] if tracked else [])
+
+    def test_decode_and_tracked_render_hold_four_arrays(self):
+        # what a fit step holds between its forward and backward passes: sp
+        # and ap, decompress_sp's clamped root and mask, the clamp's mask
+        # and the output, about 3.75 arrays of (861, 513) float64 (3.37 MiB
+        # each).  At most 2% above the measured 12.64 MiB; the composed
+        # graphs held 46.56
+        f0, _, _ = shaped_problem(CFG, 861, 7)
+        basis = mc.MelBasis.build(CFG.sample_rate, CFG.fft_size)
+        rs = np.random.default_rng(14)
+        log_mel = rs.normal(-2.0, 0.5, size=(861, basis.n_mels))
+        coded_ap = rs.uniform(0.1, 0.9, size=(861, 16))
+        spec_h, spec_n = sy.excitation_spectra(f0, CFG)
+        for _ in range(2):  # the first pass fills the window and resampling caches
+            s_t = dt.Tensor(log_mel, requires_grad=True)
+            a_t = dt.Tensor(coded_ap, requires_grad=True)
+            tracemalloc.start()
+            try:
+                sp, ap = mc.decode(f0, s_t, a_t, basis)
+                y = sy.render(spec_h, spec_n, sp, ap, CFG)
+                held = tracemalloc.get_traced_memory()[0] / 2.0 ** 20
+            finally:
+                tracemalloc.stop()
+            del sp, ap, y
+        assert held <= 1.02 * 12.64, held
 
     @pytest.mark.parametrize("n_frames, pinned", [(861, 7.329), (5168, 40.54)],
                              ids=["10s", "60s"])

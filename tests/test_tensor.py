@@ -62,6 +62,19 @@ class TestElementwise:
             op(dt.Tensor([2.0, 0.0, -1.0]))
 
 
+def test_sigmoid_matches_the_three_exponential_form():
+    # the old expression took exp(-|x|) three times and both where branches;
+    # one exponential and one quotient give the same bits, signed zeros,
+    # subnormal-sized inputs, saturation and infinities included
+    tiny = [0.0, 1e-300, 5e-324, 1e-17, 0.5, 1.0, 20.0, 36.7, 40.0, 709.0, 745.0,
+            800.0, np.inf]
+    x = np.array(tiny + [-v for v in tiny] + [np.nan])
+    x = np.concatenate([x, np.random.default_rng(3).normal(scale=10.0, size=200)])
+    old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert dt.sigmoid(dt.Tensor(x)).data.tobytes() == old.tobytes()
+
+
 UNARY_CASES = [
     (dt.exp, (-1.0, 1.0)),
     (dt.log, (0.2, 3.0)),
