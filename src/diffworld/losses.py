@@ -81,10 +81,10 @@ def _reference(x, where: str) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _magnitude(spec: np.ndarray, ws: dt.Workspace | None = None) -> np.ndarray:
+def _magnitude(spec: np.ndarray) -> np.ndarray:
     """``|Z|`` as ``re * re + im * im``, then ``sqrt``, as ``complex_abs`` does."""
-    mag = np.multiply(spec.real, spec.real, out=dt._scratch(ws, "magnitude", spec.shape))
-    mag += np.multiply(spec.imag, spec.imag, out=dt._scratch(ws, "square", spec.shape))
+    mag = spec.real * spec.real
+    mag += spec.imag * spec.imag
     return np.sqrt(mag, out=mag)
 
 
@@ -140,9 +140,9 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
     :class:`ScaleTarget` at the same window.  A tracked term is one graph
     node on ``y``; given ``_into``, a ``y``-sized buffer that :func:`msl`
     passes, it adds its gradient there instead and returns its value
-    untracked.  ``workspace`` holds the scratch buffers of a caller that
-    evaluates a tracked term again and again (``fit``); without one, each
-    call allocates its own.  The gradient never lives in the workspace.
+    untracked.  ``workspace`` holds the whole-signal buffers of a caller
+    that evaluates a tracked term again and again (``fit``); without one,
+    each call allocates its own.  The gradient never lives in the workspace.
     """
     y = dt.as_tensor(y)
     hop = window // 4
@@ -160,14 +160,11 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
         if x.shape != y.shape:
             raise ValidationError(f"signal lengths differ: {x.shape} vs {y.shape}")
 
-    def scratch(name, dtype=np.float64):
-        return dt._scratch(workspace, name, shape, dtype)
-
     def l1(d: np.ndarray, whole: np.ndarray | None) -> float:
         """``sum|d|`` of a block; a tracked term keeps ``|d|`` in its rows of
         ``whole`` and sums that once, as the composed ops' mean does."""
         if whole is None:
-            return np.sum(np.abs(d, out=scratch("square")))
+            return np.sum(np.abs(d))
         np.abs(d, out=whole[first:stop])
         return 0.0
 
@@ -187,15 +184,14 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
     linear = logterm = 0.0
     for first in range(0, n_frames, per):
         stop = min(n_frames, first + per)
-        shape = (stop - first, bins)
         mag_x, log_x = _reference_rows(x, window, first, stop)
-        spec = _spectrum(y.data, window, hop, workspace, first=first, stop=stop)
-        mag_y = _magnitude(spec, workspace)
-        d_lin = np.subtract(mag_x, mag_y, out=scratch("d_lin"))
+        spec = _spectrum(y.data, window, hop, first, stop)
+        mag_y = _magnitude(spec)
+        d_lin = mag_x - mag_y
         del mag_x  # each array goes once used, to keep a block's peak low
         linear += l1(d_lin, abs_lin)
-        floored = np.maximum(mag_y, LOG_FLOOR, out=scratch("floored"))
-        d_log = np.log(floored, out=scratch("d_log"))
+        floored = np.maximum(mag_y, LOG_FLOOR)
+        d_log = np.log(floored)
         np.subtract(log_x, d_log, out=d_log)
         del log_x
         logterm += l1(d_log, abs_log)
@@ -206,17 +202,17 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
         # clamp, which passes where |Z| >= LOG_FLOOR; then the linear term's.
         # Each step is the one the composed ops' backward passes would take,
         # in their order, so the bits match theirs.
-        keep = scratch("mask", bool)
-        g_mag = _l1_grad(d_log, neg_inv_n, scratch("g_mag"))
+        g_mag = _l1_grad(d_log, neg_inv_n, np.empty_like(d_log))
         g_mag /= floored
-        _zero_unless(g_mag, np.greater_equal(mag_y, LOG_FLOOR, out=keep))
+        _zero_unless(g_mag, mag_y >= LOG_FLOOR)
         g_mag += _l1_grad(d_lin, neg_inv_n, d_log)  # d_log is spent
         # dL/dZ = Z dL/d|Z| / |Z|, and 0 where |Z| = 0, as complex_abs has it
-        np.divide(g_mag, mag_y, out=g_mag, where=np.greater(mag_y, 0.0, out=keep))
+        keep = mag_y > 0.0
+        np.divide(g_mag, mag_y, out=g_mag, where=keep)
         _zero_unless(g_mag, keep)
         np.multiply(spec.real, g_mag, out=spec.real)
         np.multiply(spec.imag, g_mag, out=spec.imag)
-        _spectrum_adjoint(spec, window, hop, buf, first, workspace)
+        _spectrum_adjoint(spec, window, hop, buf, first)
     if tracked:
         linear, logterm = np.sum(abs_lin), np.sum(abs_log)
     value = dt.Tensor(linear / n + logterm / n)

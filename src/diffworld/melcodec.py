@@ -55,11 +55,13 @@ class MelBasis:
         return self.weights.shape[1]
 
     @classmethod
-    @functools.lru_cache(maxsize=32)
+    @functools.lru_cache(maxsize=32, typed=True)  # typed: 80.0 and True are not 80 and 1
     def build(cls, sample_rate: int, fft_size: int, n_mels: int = DEFAULT_N_MELS,
               epsilon: float = DEFAULT_EPSILON) -> "MelBasis":
         """Triangular bands on an HTK mel grid from 0 Hz to Nyquist."""
         n_bins = fft_size // 2 + 1
+        if isinstance(n_mels, bool) or not isinstance(n_mels, (int, np.integer)):
+            raise ValidationError(f"n_mels must be an integer, got {n_mels!r}")
         if n_mels < 1:
             raise ValidationError(f"n_mels must be >= 1, got {n_mels}")
         unresolved = (f"{n_mels} bands cannot be resolved by {n_bins} bins at "
@@ -184,21 +186,23 @@ def decode(f0: np.ndarray, log_mel, coded_ap,
            basis: MelBasis) -> tuple[dt.Tensor, dt.Tensor]:
     """Compressed features -> ``(sp, ap)``, differentiable in both inputs.
 
-    ``sp`` is :func:`decompress_sp`'s.  ``ap`` is :func:`decompress_ap`'s,
-    clamped to [0, 1] (rounding crumbs at the ends) and exactly 1 on
-    unvoiced frames: ``ap * v + (1 - v)`` with the voiced mask ``v``.  Each
-    is one graph node on its tracked input; ``ap``'s holds only the mask of
-    the bins that the clamp passes, and its backward pass is the composed
-    ops' (the mask ``v``, the clamp, the resampling's adjoint) in their
-    order.  Both codec functions are called by their module names, so a
-    wrapper installed there sees every decode.
+    ``log_mel`` and ``coded_ap`` must be 2-D, one row per frame of ``f0``,
+    or ``ShapeError`` is raised.  ``sp`` is :func:`decompress_sp`'s.  ``ap``
+    is :func:`decompress_ap`'s, clamped to [0, 1] (rounding crumbs at the
+    ends) and exactly 1 on unvoiced frames: ``ap * v + (1 - v)`` with the
+    voiced mask ``v``.  Each is one graph node on its tracked input; ``ap``'s
+    holds only the mask of the bins that the clamp passes, and its backward
+    pass is the composed ops' (the mask ``v``, the clamp, the resampling's
+    adjoint) in their order.  Both codec functions are called by their
+    module names, so a wrapper installed there sees every decode.
     """
+    log_mel, coded_ap = dt.as_tensor(log_mel), dt.as_tensor(coded_ap)
+    for name, x, columns in (("log_mel", log_mel, "mels"), ("coded_ap", coded_ap, "bands")):
+        if x.ndim != 2 or x.shape[0] != len(f0):
+            raise ShapeError(f"decode: {name} must be ({len(f0)}, {columns}), one row "
+                             f"per frame of f0; got {x.shape}")
     sp = decompress_sp(log_mel, basis)
-    coded_ap = dt.as_tensor(coded_ap)
     voiced = (np.asarray(f0) > 0).astype(np.float64)[:, None]
-    if coded_ap.ndim != 2 or coded_ap.shape[0] != voiced.shape[0]:
-        raise ShapeError(f"decode: coded_ap must be ({voiced.shape[0]}, bands), one row "
-                         f"per frame of f0; got {coded_ap.shape}")
     ap = decompress_ap(coded_ap.data, basis.n_bins).data
     passes = (ap >= 0.0) & (ap <= 1.0) if coded_ap._tracked else None
     ap = np.clip(ap, 0.0, 1.0)

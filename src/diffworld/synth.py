@@ -283,8 +283,7 @@ def _check_signal(x: np.ndarray, fft_size: int, hop: int) -> None:
     dt._require_pow2(fft_size, "stft")
 
 
-def _spectrum(x: np.ndarray, fft_size: int, hop: int,
-              ws: dt.Workspace | None = None, first: int = 0,
+def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int = 0,
               stop: int | None = None) -> np.ndarray:
     """The one STFT kernel: the complex spectra of frames ``first..stop``.
 
@@ -294,8 +293,7 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int,
     defaults to that.  Frames that lie inside ``x`` are read in place,
     through a read-only strided view; only a run of frames that reaches past
     either end is copied, into a zero-padded buffer.  Only the ``(stop -
-    first, fft_size // 2 + 1)`` spectrum outlives the call, and it is a view
-    of ``ws`` when one is given.
+    first, fft_size // 2 + 1)`` spectrum outlives the call.
     """
     _check_signal(x, fft_size, hop)
     # a cache entry: made before the buffers, so that a worker thread's heap
@@ -307,19 +305,18 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int,
     if lo == 0 and hi == total:
         samples = x[start: start + total]
     else:
-        samples = dt._scratch(ws, "padded", (total,))
+        # not np.zeros: calloc hands out fresh pages, which fault on every call
+        samples = np.empty(total)
         samples[:lo] = 0.0
         samples[lo:hi] = x[start + lo: start + hi]
         samples[hi:] = 0.0
-    frames = dt._scratch(ws, "frames", (stop - first, fft_size))
-    np.multiply(dt._frames_view(samples, fft_size, hop, stop - first), window, out=frames)
-    del samples  # a padded copy goes before the transform allocates, unless ws owns it
-    spec = dt._scratch(ws, "spectrum", (stop - first, fft_size // 2 + 1), complex)
-    return np.fft.rfft(frames, axis=-1, out=spec)
+    frames = dt._frames_view(samples, fft_size, hop, stop - first) * window
+    del samples  # a padded copy goes before the transform allocates
+    return np.fft.rfft(frames, axis=-1)
 
 
 def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int, buf: np.ndarray,
-                      first: int = 0, ws: dt.Workspace | None = None) -> None:
+                      first: int = 0) -> None:
     """Adjoint of :func:`_spectrum` on frames ``first..first + len(grad_spec)``.
 
     Maps the gradient of their spectra, whose interior bins the caller has
@@ -334,8 +331,7 @@ def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int, buf: np.nd
     long, and its samples ``[fft_size // 2, fft_size // 2 + length)`` end as
     the signal's gradient.
     """
-    frames = np.fft.irfft(grad_spec, n=fft_size, axis=-1, norm="forward",
-                          out=dt._scratch(ws, "frames", (grad_spec.shape[0], fft_size)))
+    frames = np.fft.irfft(grad_spec, n=fft_size, axis=-1, norm="forward")
     frames *= hann_window(fft_size)
     dt._overlap_into(buf, frames, hop, first)
 
@@ -408,15 +404,14 @@ def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: in
     They are inverted :func:`_block_frames` at a time and added, in frame
     order, into one buffer, so each sample sums its terms as one pass over
     all frames would.  Returns ``length`` fresh samples; frame ``t`` is centered on
-    sample ``t * hop``.
+    sample ``t * hop``.  The buffer is ``ws``'s ``overlap`` when one is given.
     """
     window, per = hann_window(fft_size), _block_frames(fft_size)
     buf = dt._scratch(ws, "overlap", (_inverse_span(fft_size, hop, n_frames, length),),
                       zero=True)
     for first in range(0, n_frames, per):
         stop = min(n_frames, first + per)
-        frames = np.fft.irfft(rows(first, stop), n=fft_size, axis=-1,
-                              out=dt._scratch(ws, "frames", (stop - first, fft_size)))
+        frames = np.fft.irfft(rows(first, stop), n=fft_size, axis=-1)
         frames *= window
         dt._overlap_into(buf, frames, hop, first)
     # the norm's buffer takes its reciprocal and then the output
@@ -434,8 +429,8 @@ def _inverse_adjoint(grad: np.ndarray, n_frames: int, fft_size: int, hop: int,
 
     The normalization, once, then per block the frames that the overlap-add
     wrote, the window and ``irfft``'s adjoint.  Blocks are the forward
-    pass's.  ``G`` is a view of ``ws`` when one is given, under a name that
-    :func:`_spectrum` does not use, and is overwritten by the next block.
+    pass's.  The normalized gradient is padded in ``ws``'s ``overlap`` when
+    one is given.
     """
     padded = dt._scratch(ws, "overlap", (_inverse_span(fft_size, hop, n_frames, length),),
                          zero=True)
@@ -444,11 +439,8 @@ def _inverse_adjoint(grad: np.ndarray, n_frames: int, fft_size: int, hop: int,
     window, per = hann_window(fft_size), _block_frames(fft_size)
     for first in range(0, n_frames, per):
         stop = min(n_frames, first + per)
-        frames = np.multiply(dt._frames_view(padded[first * hop:], fft_size, hop,
-                                             stop - first), window,
-                             out=dt._scratch(ws, "frames", (stop - first, fft_size)))
-        yield first, stop, dt._irfft_adjoint(frames, fft_size, out=dt._scratch(
-            ws, "grad_spectrum", (stop - first, fft_size // 2 + 1), complex))
+        frames = dt._frames_view(padded[first * hop:], fft_size, hop, stop - first)
+        yield first, stop, dt._irfft_adjoint(frames * window, fft_size)
 
 
 def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
@@ -505,8 +497,7 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
     rows of the input gradients.  Each product and sum is the one that the
     gains' tensor ops, shaping, mixing and :func:`istft` as separate ops
     would make, and no sum crosses a block, so the bits match theirs.
-    Scratch buffers are views of ``ws`` when one is given; the output and the
-    gradients never are.
+    ``ws`` is passed to the inverse and its adjoint for their ``overlap``.
     """
     inputs = [dt.as_tensor(x) for x in inputs]
     n_frames, bins = inputs[0].shape[0], fft_size // 2 + 1
@@ -521,14 +512,14 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
 
     def source_rows(src: np.ndarray, first: int, stop: int) -> np.ndarray:
         return (src[first:stop] if np.iscomplexobj(src)
-                else _spectrum(src, fft_size, hop, ws, first, stop))
+                else _spectrum(src, fft_size, hop, first, stop))
 
     def input_rows(first: int, stop: int) -> list[np.ndarray]:
         return [x.data[first:stop] for x in inputs]
 
     def rows(first: int, stop: int) -> np.ndarray:
-        mix = dt._scratch(ws, "mix", (stop - first, bins), complex)
-        part = dt._scratch(ws, "part", (stop - first, bins))
+        mix = np.empty((stop - first, bins), complex)
+        part = np.empty((stop - first, bins))
         for i, (src, gain) in enumerate(zip(sources, value(*input_rows(first, stop)))):
             spec = source_rows(src, first, stop)
             for mixed, plane in ((mix.real, spec.real), (mix.imag, spec.imag)):
@@ -543,15 +534,11 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
     def bwd(g):
         grads = [np.empty((n_frames, bins)) if x._tracked else None for x in inputs]
         for first, stop, grad in _inverse_adjoint(g, n_frames, fft_size, hop, length, ws):
-            part = dt._scratch(ws, "part", (stop - first, bins))
             dgs = []
-            for i, src in enumerate(sources):
-                # dg_i has a buffer of its own: the next source's spectra reuse
-                # this one's
+            for src in sources:
                 spec = source_rows(src, first, stop)
-                dg = np.multiply(grad.real, spec.real,
-                                 out=dt._scratch(ws, f"gain_grad{i}", (stop - first, bins)))
-                dg += np.multiply(grad.imag, spec.imag, out=part)
+                dg = grad.real * spec.real
+                dg += grad.imag * spec.imag
                 dgs.append(dg)
             for whole, block in zip(grads, adjoint(dgs, *input_rows(first, stop))):
                 if whole is not None:
@@ -602,7 +589,7 @@ def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig,
     1)`` arrays, ``T`` being ``sp``'s frame count; differentiable in ``sp``
     and ``ap``.  ``sp`` must be non-negative and ``ap`` must lie in [0, 1]
     (:func:`~diffworld.features.check_ap`).  Output length is ``T * hop``.
-    ``workspace`` holds the scratch buffers of a caller that renders again
+    ``workspace`` holds the ``overlap`` buffer of a caller that renders again
     and again (``fit``).
     """
     sp = dt.as_tensor(sp)
@@ -673,7 +660,8 @@ def synthesize(feats, cfg: SynthConfig | None = None,
     features get ``ap`` forced to 1; compressed inputs are then
     decompressed through the mel/aperiodicity codec.  ``postnet`` is an
     audio-in/audio-out processor built from tensor ops (gradients pass
-    through) whose output is added to its input, ``y + postnet(y)``;
+    through) whose output, of its input's shape, is added to its input,
+    ``y + postnet(y)``;
     ``fir`` then appends the trainable causal filter stage
     (:meth:`FirPostFilter.apply`).  Each post stage engages only when
     supplied.
@@ -687,7 +675,11 @@ def synthesize(feats, cfg: SynthConfig | None = None,
 
     y = synthesize_components(feats.f0, feats.sp, feats.ap, cfg)
     if postnet is not None:
-        y = dt.add(y, postnet(y))
+        residual = dt.as_tensor(postnet(y))
+        if residual.shape != y.shape:
+            raise ShapeError(f"synthesize: the postnet returned shape {residual.shape} for "
+                             f"audio of shape {y.shape}; its output is added to its input")
+        y = dt.add(y, residual)
     if fir is not None:
         y = fir.apply(y, cfg)
     return y

@@ -1,15 +1,18 @@
 """Dense real tensors with reverse-mode differentiation.
 
-Every differentiable operation in the package bottoms out in the primitives
-defined here: broadcast pointwise arithmetic, matrix products, real-input
-FFTs, framing/overlap-add, and a strictly causal FIR.  Operations execute
-eagerly on numpy arrays and, whenever an input is being tracked, store their
-inputs and backward function on the output tensor, so each graph is owned by
-its tensors and is freed with them.  ``backward`` collects the nodes that
-the loss reaches and visits them in reverse creation order: a node's inputs
-are always created before it, so this is a reverse topological order.  It
-consumes the graph as it goes; a second ``backward`` that reaches a consumed
-node raises instead of treating it as a constant.
+Every differentiable operation in the package records its graph node here,
+through ``_record``: the primitives defined in this module (broadcast
+pointwise arithmetic, matrix products, real-input FFTs, framing/overlap-add
+and a strictly causal FIR) and the fused nodes of the other modules (the
+codec's decode, the shaped inverse STFT, each loss scale), whose forward and
+backward passes are numpy.  Operations execute eagerly on numpy arrays and,
+whenever an input is being tracked, store their inputs and backward function
+on the output tensor, so each graph is owned by its tensors and is freed
+with them.  ``backward`` collects the nodes that the loss reaches and visits
+them in reverse creation order: a node's inputs are always created before
+it, so this is a reverse topological order.  It consumes the graph as it
+goes; a second ``backward`` that reaches a consumed node raises instead of
+treating it as a constant.
 
 Tensor data is immutable after creation and graphs share no state but a
 creation counter, so independent pipelines (per clip, per spectrogram
@@ -111,9 +114,13 @@ class Workspace:
 
     :meth:`take` returns a C-contiguous view of the buffer called ``name``,
     which grows to the largest request seen and so serves requests of
-    several sizes in turn; its contents are undefined.  A caller that runs
-    the same computation repeatedly (``fit``, once per step) allocates its
-    scratch memory once instead of faulting in fresh pages every time.
+    several sizes in turn; its contents are undefined.  It holds the three
+    whole-signal buffers, whose pages malloc would give back and fault in
+    again on every call: ``overlap``, which an inverse STFT, its adjoint and
+    a tracked loss scale each fill, and a tracked loss scale's ``abs_lin``
+    and ``abs_log``.  A caller that runs the same computation repeatedly
+    (``fit``, once per step) reuses them and so faults fewer pages.
+    Per-block scratch is plain numpy, which malloc's free lists serve.
     """
 
     def __init__(self):
@@ -402,7 +409,7 @@ def _to_planes(spec: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _rfft_adjoint(spec: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def _rfft_adjoint(spec: np.ndarray, n: int) -> np.ndarray:
     """Adjoint of the size-``n`` half-spectrum DFT along the last axis.
 
     It is an unnormalized inverse of the full spectrum with the mirrored
@@ -410,16 +417,16 @@ def _rfft_adjoint(spec: np.ndarray, n: int, out: np.ndarray | None = None) -> np
     halved going in, in place in ``spec``.
     """
     spec[..., 1:-1] *= 0.5
-    return np.fft.irfft(spec, n=n, axis=-1, norm="forward", out=out)
+    return np.fft.irfft(spec, n=n, axis=-1, norm="forward")
 
 
-def _irfft_adjoint(grad: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def _irfft_adjoint(grad: np.ndarray, n: int) -> np.ndarray:
     """Adjoint of the size-``n`` inverse real FFT along the last axis.
 
     A complex half spectrum: the ``rfft`` of ``grad`` with every bin divided
     by ``n`` and the interior ones, which ``irfft`` counts twice, doubled.
     """
-    spec = np.fft.rfft(grad, n=n, axis=-1, out=out)
+    spec = np.fft.rfft(grad, n=n, axis=-1)
     scale = np.full(n // 2 + 1, 2.0 / n)
     scale[0] = 1.0 / n
     scale[-1] = 1.0 / n
@@ -512,13 +519,12 @@ def _overlap_into(buf: np.ndarray, frames: np.ndarray, hop: int, first: int = 0)
         blocks[j: j + n_frames] += chunks[:, j]
 
 
-def _overlap_sum(frames: np.ndarray, hop: int, total: int,
-                 ws: Workspace | None = None) -> np.ndarray:
+def _overlap_sum(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
     """Sum ``(T, frame_len)`` frames placed at ``t * hop`` into ``total`` samples
-    (:func:`_overlap_into` on zeros); a view of ``ws`` when one is given."""
+    (:func:`_overlap_into` on zeros)."""
     n_frames, frame_len = frames.shape
     n_blocks = n_frames + -(-frame_len // hop) - 1
-    buf = _scratch(ws, "overlap", (max(total, n_blocks * hop),), frames.dtype, zero=True)
+    buf = np.zeros(max(total, n_blocks * hop), frames.dtype)
     _overlap_into(buf, frames, hop)
     return buf[:total]
 

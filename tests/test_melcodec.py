@@ -29,6 +29,17 @@ class TestBasis:
         assert FULL.weights.shape == (80, 513)
         assert FULL.pinv.shape == (513, 80)
 
+    @pytest.mark.parametrize("n_mels", [16.5, 16.0, True, "16"])
+    def test_band_count_that_is_not_an_integer_rejected(self, n_mels):
+        # 16.0 and True would otherwise share the cache entries of 16 and 1
+        mc.MelBasis.build(8000, 64, 1)
+        with pytest.raises(ValidationError, match=r"n_mels must be an integer, got "):
+            mc.MelBasis.build(8000, 64, n_mels)
+
+    def test_numpy_integer_band_count_accepted(self):
+        basis = mc.MelBasis.build(8000, 64, np.int64(16))
+        np.testing.assert_array_equal(basis.pinv, BASIS.pinv)
+
 
 class TestSpCodec:
     def test_zero_envelope_maps_to_log_epsilon(self):
@@ -255,6 +266,15 @@ class TestDecodeNodes:
         for got, want in zip(*runs):
             assert_same_bits(got, want)
 
+    @pytest.mark.parametrize("f0, log_mel", [(np.full(10, 100.0), np.zeros((7, 16))),
+                                             (np.full(1, 100.0), np.zeros(16))],
+                             ids=["frames", "1-D"])
+    def test_log_mel_of_another_shape_rejected(self, f0, log_mel):
+        # it used to decode an sp of 7 frames beside an ap of 10, or a 1-D sp
+        want = rf"decode: log_mel must be \({len(f0)}, mels\), one row per frame of f0"
+        with pytest.raises(ShapeError, match=want):
+            mc.decode(f0, log_mel, np.zeros((len(f0), 4)), BASIS)
+
     def test_coded_ap_of_another_frame_count_rejected(self):
         with pytest.raises(ShapeError, match=r"decode: coded_ap must be \(6, bands\)"):
             mc.decode(np.full(6, 100.0), np.zeros((6, 16)), np.zeros((5, 4)), BASIS)
@@ -276,6 +296,14 @@ class TestContainers:
         assert back.sp.shape == (t, 513)
         assert back.ap.shape == (t, 513)
         np.testing.assert_array_equal(back.f0, feats.f0)
+
+    def test_compress_rejects_a_band_count_that_is_not_an_integer(self):
+        from diffworld.features import WorldFeatures
+        feats = WorldFeatures(f0=np.full(4, 120.0), sp=np.ones((4, 33)),
+                              ap=np.full((4, 33), 0.4), sample_rate=8000, hop=16,
+                              fft_size=64)
+        with pytest.raises(ValidationError, match="n_mels must be an integer, got 16.5"):
+            mc.compress(feats, n_mels=16.5, ap_bands=4)
 
     def test_decompress_coerces_unvoiced_ap(self):
         from diffworld.features import WorldFeatures

@@ -337,18 +337,23 @@ class TestStft:
                 assert sy.n_frames_for(n, hop) == n_frames
                 for first in range(0, n_frames, per):
                     stop = min(n_frames, first + per)
-                    want = padded_spectrum(x, fft_size, hop, first, stop)
-                    for ws in (None, dt.Workspace()):
-                        np.testing.assert_array_equal(
-                            sy._spectrum(x, fft_size, hop, ws, first, stop), want)
+                    np.testing.assert_array_equal(
+                        sy._spectrum(x, fft_size, hop, first, stop),
+                        padded_spectrum(x, fft_size, hop, first, stop))
 
-    def test_interior_frames_are_not_copied(self):
+    def test_interior_frames_are_not_copied(self, monkeypatch):
         x = np.random.default_rng(5).normal(size=4096)
-        ws = dt.Workspace()
-        sy._spectrum(x, 64, 16, ws, first=10, stop=200)
-        assert ("padded", np.dtype(np.float64)) not in ws._flat
-        sy._spectrum(x, 64, 16, ws, first=200, stop=256)  # reaches past the end
-        assert ("padded", np.dtype(np.float64)) in ws._flat
+        in_place = []
+        real = dt._frames_view
+
+        def recording(signal, *args):
+            in_place.append(np.shares_memory(signal, x))
+            return real(signal, *args)
+
+        monkeypatch.setattr(dt, "_frames_view", recording)
+        sy._spectrum(x, 64, 16, first=10, stop=200)
+        sy._spectrum(x, 64, 16, first=200, stop=256)  # reaches past the end
+        assert in_place == [True, False]
 
     def test_window_norm_matches_frame_loop(self):
         for fft_size, hop, n_frames, length in ((1024, 256, 20, 5000),
@@ -651,6 +656,19 @@ class TestSynthesize:
         base = sy.synthesize(feats, cfg).data
         mixed = sy.synthesize(feats, cfg, postnet=lambda t: dt.mul(0.5, t)).data
         np.testing.assert_allclose(mixed, 1.5 * base, rtol=1e-12)
+
+    @pytest.mark.parametrize("postnet, shape", [
+        (lambda t: dt.sum(t), r"\(\)"),
+        (lambda t: dt.Tensor(np.ones((3, 1))), r"\(3, 1\)"),
+        (lambda t: dt.Tensor(np.zeros(t.shape[0] - 1)), r"\(639,\)"),
+    ], ids=["scalar", "broadcasts", "length"])
+    def test_postnet_output_of_another_shape_rejected(self, postnet, shape):
+        # a scalar used to be added to every sample, a (3, 1) output made the
+        # audio (3, 640), and a wrong length failed inside add
+        feats = desk_features(t=40)
+        with pytest.raises(ShapeError, match=rf"synthesize: the postnet returned shape "
+                                             rf"{shape} for audio of shape \(640,\)"):
+            sy.synthesize(feats, postnet=postnet)
 
     def test_metadata_mismatch_rejected(self):
         feats = desk_features()
