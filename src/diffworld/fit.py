@@ -4,14 +4,16 @@ The compressed envelope is optimized directly; aperiodicity is parameterized
 through a sigmoid so its decompressed form stays inside [0, 1].  Both are
 decoded by :func:`melcodec.decode`, as in ``synthesize``, so the loss of the
 returned features is the loss of what ``synthesize`` renders.  The noise
-excitation is drawn once from the synth config's ``noise_seed`` and held
-fixed across steps, which makes the objective deterministic and lets a fit
-with a matched seed drive the loss to the noise-realization floor.
+excitation is drawn once from the synth config's ``noise_seed`` by
+``synthesize``'s counter-based generator (:func:`synth.noise_excitation`)
+and held fixed across steps, which makes the objective deterministic and
+lets a fit with a matched seed drive the loss to the noise-realization floor.
 
 Everything that does not depend on the parameters is computed once per fit:
 the excitation spectra of the fixed pitch contour and noise
-(:func:`synth.excitation_spectra`) and the target's magnitude and floored
-log-magnitude spectrograms at every loss scale (:func:`losses.msl_target`).
+(:func:`synth.excitation_spectra`) and the target's magnitude spectrograms
+at every loss scale (:func:`losses.msl_target`), whose floored logs each
+loss block makes again from its rows.
 A step decodes the features, shapes and mixes the two spectra with one
 inverse STFT (:func:`synth.render`), evaluates the loss against the cached
 target, and back-propagates.  The whole-signal scratch buffers of the render

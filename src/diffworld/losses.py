@@ -19,9 +19,11 @@ scales' gradients into one ``y``-sized buffer, from the last scale to the
 first, which is the order ``backward`` would sum them in, and records one
 node.
 When ``x`` is a constant compared many times (the target of a fit), its
-magnitudes and floored logs can be computed once with :func:`msl_target` and
-passed in its place.  The adversarial pieces operate on caller-supplied
-discriminator scores and feature maps; no discriminator network ships here.
+magnitudes can be computed once with :func:`msl_target` and passed in its
+place; each block makes its floored logs from them again, which costs less
+than holding a second spectrogram per scale.  The adversarial pieces operate
+on caller-supplied discriminator scores and feature maps; no discriminator
+network ships here.
 """
 
 from __future__ import annotations
@@ -94,26 +96,28 @@ def _floored_log(mag: np.ndarray) -> np.ndarray:
 
 
 class ScaleTarget(NamedTuple):
-    """One side of a scale term, computed once: magnitudes and floored logs."""
+    """One side of a scale term, computed once: its magnitudes."""
 
     window: int
     mag: np.ndarray
-    log_mag: np.ndarray
 
 
 def _reference_rows(x, window: int, first: int = 0,
                     stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes and floored logs of frames ``first..stop`` of a reference
-    ``x``: its :class:`ScaleTarget`, or its untracked samples."""
+    ``x``: its :class:`ScaleTarget`, or its untracked samples.  The logs are
+    made per block, from the magnitudes, in either case."""
     if isinstance(x, ScaleTarget):
-        return x.mag[first:stop], x.log_mag[first:stop]
-    mag = _magnitude(_spectrum(x, window, window // 4, first=first, stop=stop))
+        mag = x.mag[first:stop]
+    else:
+        mag = _magnitude(_spectrum(x, window, window // 4, first=first, stop=stop))
     return mag, _floored_log(mag)
 
 
 def scale_target(x, window: int) -> ScaleTarget:
-    """Magnitude spectrogram of an untracked ``x`` and its floored log."""
-    return ScaleTarget(window, *_reference_rows(_reference(x, "scale_target"), window))
+    """Magnitude spectrogram of an untracked ``x``."""
+    x = _reference(x, "scale_target")
+    return ScaleTarget(window, _magnitude(_spectrum(x, window, window // 4)))
 
 
 def _l1_grad(diff: np.ndarray, neg_inv_n: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -15,13 +15,15 @@ values inside [0, 1] because every output is a convex combination of inputs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as dt
 from .errors import DomainError, ShapeError, ValidationError
-from .features import CompressedFeatures, WorldFeatures, _check_sp, validate_features
+from .features import (MAX_FFT_SIZE, CompressedFeatures, WorldFeatures, _check_sp,
+                       check_sample_rate, validate_features)
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_N_MELS = 80
@@ -55,15 +57,37 @@ class MelBasis:
         return self.weights.shape[1]
 
     @classmethod
-    @functools.lru_cache(maxsize=32, typed=True)  # typed: 80.0 and True are not 80 and 1
     def build(cls, sample_rate: int, fft_size: int, n_mels: int = DEFAULT_N_MELS,
               epsilon: float = DEFAULT_EPSILON) -> "MelBasis":
-        """Triangular bands on an HTK mel grid from 0 Hz to Nyquist."""
-        n_bins = fft_size // 2 + 1
-        if isinstance(n_mels, bool) or not isinstance(n_mels, (int, np.integer)):
-            raise ValidationError(f"n_mels must be an integer, got {n_mels!r}")
+        """Triangular bands on an HTK mel grid from 0 Hz to Nyquist.
+
+        The arguments are checked before the cache sees them: an argument of
+        the wrong type would otherwise fail inside it, or share the entry of
+        the integer it equals (``80.0``, ``True``).
+        """
+        for name, value in (("sample_rate", sample_rate), ("fft_size", fft_size),
+                            ("n_mels", n_mels)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(
+                    f"MelBasis.build: {name} must be an integer, got {value!r}")
+        check_sample_rate(sample_rate, "MelBasis.build: sample_rate")
+        if not 1 <= fft_size <= MAX_FFT_SIZE:
+            raise ValidationError(f"MelBasis.build: fft_size must be in "
+                                  f"[1, {MAX_FFT_SIZE}], got {fft_size}")
         if n_mels < 1:
-            raise ValidationError(f"n_mels must be >= 1, got {n_mels}")
+            raise ValidationError(f"MelBasis.build: n_mels must be >= 1, got {n_mels}")
+        real = (int, float, np.integer, np.floating)
+        if (isinstance(epsilon, bool) or not isinstance(epsilon, real)
+                or not math.isfinite(epsilon) or epsilon < 0):
+            raise ValidationError(
+                f"MelBasis.build: epsilon must be a finite number >= 0, got {epsilon!r}")
+        return cls._build(int(sample_rate), int(fft_size), int(n_mels), float(epsilon))
+
+    @classmethod
+    @functools.lru_cache(maxsize=32)
+    def _build(cls, sample_rate: int, fft_size: int, n_mels: int,
+               epsilon: float) -> "MelBasis":
+        n_bins = fft_size // 2 + 1
         unresolved = (f"{n_mels} bands cannot be resolved by {n_bins} bins at "
                       f"sample rate {sample_rate}")
         # each bin lies inside at most two triangles: fail before allocating
@@ -92,7 +116,7 @@ class MelBasis:
         # floored rather than amplified.
         flat_gain = pinv @ (weights @ np.ones(n_bins))
         pinv /= np.maximum(flat_gain, 0.5)[:, None]
-        return cls(weights=weights, pinv=pinv, epsilon=float(epsilon))
+        return cls(weights=weights, pinv=pinv, epsilon=epsilon)
 
 
 def compress_sp(sp, basis: MelBasis) -> dt.Tensor:

@@ -3,9 +3,10 @@
 The harmonic branch drives a band-limited pulse train, a Dirichlet-kernel
 closed form that costs O(samples) (:func:`pulse_train`), through a per-frame
 spectral gain ``(1 - ap) * sqrt(sp)`` in the STFT domain; the noise branch
-shapes seeded white noise by ``ap * sqrt(sp)``.  Gradients flow into ``sp``
-and ``ap`` (and through the feature codec into their compressed forms); the
-pitch contour is a deterministic input and carries no gradient.
+shapes seeded white Gaussian noise (:func:`noise_excitation`) by ``ap *
+sqrt(sp)``.  Gradients flow into ``sp`` and ``ap`` (and through the feature
+codec into their compressed forms); the pitch contour is a deterministic
+input and carries no gradient.
 
 Synthesis is one pass over blocks of frames (:func:`_shaped_inverse`).
 Each block takes the spectra of its frames from each excitation, scales
@@ -23,10 +24,10 @@ signals.  Every block makes its own rows of the gains from rows of ``sp``
 and ``ap``, so a synthesis holds no spectrum and no gain of the whole clip.
 A tracked one is one graph node on ``sp`` and ``ap``, which holds nothing
 else: its backward pass runs over the same blocks and makes each block's
-gains again from their rows.  Nor do
-the excitations make whole-clip temporaries: the pitch contour is built on a
-``(frames, hop)`` grid and the pulse train in chunks of samples.  What is
-left at the peak is the two excitations and the inverse's buffers.
+gains again from their rows.  Nor do the excitations make whole-clip
+temporaries: the pitch contour is built on a ``(frames, hop)`` grid, and the
+pulse train and the noise in chunks of samples.  What is left at the peak is
+the two excitations and the inverse's buffers.
 
 Two optional stages refine the raw output ``y``: a pluggable residual
 post-processor, ``y + postnet(y)``, and then a trainable causal FIR with a
@@ -56,6 +57,14 @@ F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 _VALUE_BLOCK = 1 << 15
 
 
+def _check_seed(seed, where: str) -> None:
+    """Raise unless ``seed`` is an integer in [0, 2**64), the noise's seeds."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"{where} must be an integer >= 0, got {seed!r}")
+    if seed >= 2 ** 64:
+        raise ValidationError(f"{where} must be below 2**64, got {seed}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Clock, stage gains and noise seed; defaults target 22.05 kHz speech/singing."""
@@ -81,10 +90,7 @@ class SynthConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"SynthConfig.{name} must be finite, got {value}")
-        seed = self.noise_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValidationError(
-                f"SynthConfig.noise_seed must be an integer >= 0, got {seed!r}")
+        _check_seed(self.noise_seed, "SynthConfig.noise_seed")
 
     @property
     def harmonic_count(self) -> int:
@@ -229,9 +235,77 @@ def pulse_train(f0_audio: np.ndarray, mask: np.ndarray, cfg: SynthConfig) -> np.
     return out
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment of its
+# counter; _splitmix holds the multipliers of its output mix
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of a ``uint64`` array, in place, modulo 2**64."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _noise_key(seed: int) -> np.ndarray:
+    """The key of ``seed``'s noise: a one-element array, never a scalar, since
+    numpy warns when a ``uint64`` scalar wraps and not when an array does."""
+    return _splitmix(np.array([seed], dtype=np.uint64))
+
+
+def _noise_span(key: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """Samples ``lo..lo + len(out)`` of the noise of ``key``, written to ``out``.
+
+    Pair ``k`` is the mix of the counter ``key + (k + 1) * _GOLDEN``.  Box-Muller
+    makes its samples ``2k`` and ``2k + 1``, ``r cos(theta)`` and ``r
+    sin(theta)``: the high 32 bits give ``u`` in [0, 1) and the radius ``r =
+    sqrt(-2 log1p(-u))``, at most 6.7, and the low 32 bits the angle ``theta``
+    in [0, 2 pi).  A span that starts or ends inside a pair draws that pair
+    whole, in a buffer of its own.
+    """
+    n = out.shape[0]
+    first, stop = lo // 2, (lo + n + 1) // 2
+    aligned = lo % 2 == 0 and n % 2 == 0
+    pairs = out.reshape(-1, 2) if aligned else np.empty((stop - first, 2))
+    bits = np.arange(first + 1, stop + 1, dtype=np.uint64)
+    bits *= _GOLDEN
+    bits += key
+    _splitmix(bits)
+    radius = (bits >> 32).astype(np.float64)
+    radius *= -(2.0 ** -32)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    bits &= 0xFFFFFFFF
+    angle = bits.astype(np.float64)
+    angle *= 2.0 * math.pi * 2.0 ** -32
+    np.cos(angle, out=pairs[:, 0])
+    np.sin(angle, out=pairs[:, 1])
+    pairs *= radius[:, None]
+    if not aligned:
+        out[:] = pairs.reshape(-1)[lo % 2: lo % 2 + n]
+
+
 def noise_excitation(n_samples: int, seed: int) -> np.ndarray:
-    """Standard-normal excitation from a seeded generator (bit-reproducible)."""
-    return np.random.default_rng(seed).standard_normal(n_samples)
+    """Standard-normal excitation of ``n_samples`` samples from ``seed``.
+
+    A counter-based generator, numpy alone: sample ``i`` is a function of
+    ``seed`` and ``i`` only (:func:`_noise_span`), so a shorter call gives a
+    prefix of a longer one and any span can be drawn on its own.  It runs in
+    chunks of ``_VALUE_BLOCK`` samples, so only a chunk's temporaries exist
+    besides the output.  The bits are fixed for a given numpy and CPU:
+    ``log1p``, ``sin`` and ``cos`` may be dispatched differently elsewhere.
+    ``seed`` is an integer in [0, 2**64).
+    """
+    _check_seed(seed, "noise_excitation: seed")
+    key = _noise_key(seed)
+    out = np.empty(n_samples)
+    for lo in range(0, n_samples, _VALUE_BLOCK):
+        _noise_span(key, lo, out[lo: lo + _VALUE_BLOCK])
+    return out
 
 
 # ---------------------------------------------------------------------------

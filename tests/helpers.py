@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: finite differences and synthetic data."""
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -110,6 +111,27 @@ def direct_pulse_train(f0_audio, mask, sample_rate, harmonic_cap):
     on = k_max > 0
     amp[on] = np.sqrt(2.0 * f0_audio[on] / (k_max[on] * fs))
     return total * amp * np.asarray(mask, dtype=float)
+
+
+def scalar_noise(n_samples, seed):
+    """Reference noise, one sample at a time in Python integers and ``math``:
+    the key is SplitMix64's mix of the seed, pair ``k`` the mix of ``key + (k +
+    1) * golden`` modulo 2**64, and Box-Muller makes samples ``2k`` and ``2k +
+    1`` from its high and low 32 bits."""
+    golden, wrap = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & wrap
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & wrap
+        return z ^ (z >> 31)
+
+    key, out = mix(seed), []
+    for k in range((n_samples + 1) // 2):
+        bits = mix((key + (k + 1) * golden) & wrap)
+        radius = math.sqrt(-2.0 * math.log1p(-(bits >> 32) * 2.0 ** -32))
+        angle = (bits & 0xFFFFFFFF) * (2.0 * math.pi * 2.0 ** -32)
+        out += [radius * math.cos(angle), radius * math.sin(angle)]
+    return np.array(out[:n_samples])
 
 
 def indexed_interpolate_f0(f0, hop):

@@ -116,6 +116,38 @@ def test_cli_loss_runs_without_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_cli_synth_and_fit_run_without_numpy_random(tmp_path):
+    # the noise excitation used to import numpy.random, 5.4 MiB of
+    # extension modules in every synth and fit process
+    rs = np.random.default_rng(0)
+    t, bins = 12, 33
+    feats = features.WorldFeatures(f0=np.full(t, 150.0), sp=rs.uniform(0.5, 1.5, (t, bins)),
+                                   ap=np.full((t, bins), 0.3), sample_rate=8000, hop=16,
+                                   fft_size=64)
+    feat_path, wav_path = tmp_path / "f.wfeat", tmp_path / "t.wav"
+    features.write_features(feat_path, feats)
+    features.write_wav(wav_path, features.Waveform(0.1 * rs.normal(size=t * 16), 8000))
+    script = (
+        "import sys\n"
+        "from diffworld import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    for argv in (["synth", str(feat_path), "-o", str(tmp_path / "y.wav")],
+                 ["fit", str(wav_path), "--f0", str(feat_path), "-o",
+                  str(tmp_path / "o.wfeat"), "--steps", "2", "--mels", "16",
+                  "--ap-bands", "4"]):
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip().splitlines()[-1] == "[]", argv[0]
+
+
+def test_library_never_imports_numpy_random():
+    package = Path(diffworld.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        assert "np.random" not in source and "numpy.random" not in source, path.name
+
+
 def test_runtime_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:

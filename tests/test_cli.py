@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,30 @@ class TestSynth:
         assert "SynthConfig.noise_seed must be an integer >= 0, got -1" in \
             capsys.readouterr().err
         assert not (tmp_path / "y.wav").exists()
+
+    def test_seed_of_2_to_the_64_names_noise_seed(self, tmp_path, capsys):
+        # numpy's generator used to take it; the noise's key is 64 bits
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=10)
+        assert cli.main(["synth", str(feat_path), "-o", str(tmp_path / "y.wav"),
+                         "--seed", str(2 ** 64)]) == cli.EXIT_VALIDATION
+        assert f"SynthConfig.noise_seed must be below 2**64, got {2 ** 64}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "y.wav").exists()
+
+    def test_harmonic_only_output_keeps_its_bits(self, tmp_path):
+        """With the noise gain at 0, no seed reaches the output, and the file
+        keeps the bits that synth wrote before the noise generator changed
+        (numpy 2.4 on x86-64; numpy may dispatch ``sin`` per CPU, so another
+        machine may differ in the last bits)."""
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=40)
+        out = tmp_path / "y.wav"
+        for seed in ("0", "3"):
+            assert cli.main(["synth", str(feat_path), "-o", str(out), "--gain-noise", "0",
+                             "--seed", seed]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "1fc8d0ebe91619f94e80280a2f972484e17f1ddf822c7eb6c01e15aba5fa130d")
 
     @pytest.mark.parametrize("flag", ["--gain-harmonic", "--gain-noise", "--gain-dry",
                                       "--gain-fir"])
@@ -351,6 +376,18 @@ class TestFit:
                          "--mels", "16", "--ap-bands", "4", "--seed", "-5"])
         assert code == cli.EXIT_VALIDATION
         assert "SynthConfig.noise_seed must be an integer >= 0, got -5" in \
+            capsys.readouterr().err
+
+    def test_seed_of_2_to_the_64_names_noise_seed(self, tmp_path, capsys):
+        feat_path = tmp_path / "f.wfeat"
+        make_raw_file(feat_path, t=8)
+        wav_path = tmp_path / "t.wav"
+        write_wav(wav_path, Waveform(np.zeros(8 * HOP), SR))
+        code = cli.main(["fit", str(wav_path), "--f0", str(feat_path),
+                         "-o", str(tmp_path / "o.wfeat"), "--steps", "2",
+                         "--mels", "16", "--ap-bands", "4", "--seed", str(2 ** 64 + 5)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"SynthConfig.noise_seed must be below 2**64, got {2 ** 64 + 5}" in \
             capsys.readouterr().err
 
 

@@ -36,6 +36,32 @@ class TestBasis:
         with pytest.raises(ValidationError, match=r"n_mels must be an integer, got "):
             mc.MelBasis.build(8000, 64, n_mels)
 
+    @pytest.mark.parametrize("args, name", [
+        ((8000, 64.0, 16), "fft_size"),     # a bare TypeError
+        ((8000, 64, [16]), "n_mels"),       # "unhashable type", from the cache
+        ((8000.5, 64, 16), "sample_rate"),  # built a basis
+        ((True, 64, 16), "sample_rate"),    # built a basis at 1 Hz
+    ])
+    def test_arguments_checked_before_the_cache(self, args, name):
+        with pytest.raises(ValidationError,
+                           match=rf"MelBasis.build: {name} must be an integer, got "):
+            mc.MelBasis.build(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 64, 16), r"sample_rate must be >= 1, got 0"),
+        ((8000, 0, 16), r"fft_size must be in \[1, 65536\], got 0"),
+        ((8000, 1 << 17, 16), r"fft_size must be in \[1, 65536\], got 131072"),
+        ((8000, 64, 16, [1e-5]), r"epsilon must be a finite number >= 0, got \[1e-05\]"),
+        ((8000, 64, 16, -1e-5), r"epsilon must be a finite number >= 0, got -1e-05"),
+        ((8000, 64, 16, np.nan), r"epsilon must be a finite number >= 0, got nan"),
+    ])
+    def test_out_of_range_arguments_named(self, args, message):
+        with pytest.raises(ValidationError, match=r"MelBasis.build: " + message):
+            mc.MelBasis.build(*args)
+
+    def test_equal_arguments_share_one_basis(self):
+        assert mc.MelBasis.build(8000, np.int64(64), np.int32(16), 1e-5) is BASIS
+
     def test_numpy_integer_band_count_accepted(self):
         basis = mc.MelBasis.build(8000, 64, np.int64(16))
         np.testing.assert_array_equal(basis.pinv, BASIS.pinv)

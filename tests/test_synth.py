@@ -10,7 +10,7 @@ from diffworld import tensor as dt
 from diffworld.errors import DomainError, ShapeError, ValidationError
 from diffworld.features import WorldFeatures, read_features, write_features
 from helpers import (composed_render, direct_pulse_train, indexed_interpolate_f0,
-                     overlap_sum_window_norm, padded_spectrum, rel_l2,
+                     overlap_sum_window_norm, padded_spectrum, rel_l2, scalar_noise,
                      two_formant_envelope, whole_clip_pulse_train)
 
 CFG = sy.SynthConfig()                      # 22050 / 1024 / 256
@@ -471,6 +471,88 @@ class TestHarmonicNoise:
         np.testing.assert_array_equal(a, b)
         c = noise_branch(sp, ap, replace(CFG, noise_seed=10)).data
         assert np.any(c != a)
+
+
+class TestNoiseExcitation:
+    def test_splitmix_gives_its_published_outputs(self):
+        # the first three outputs of SplitMix64 seeded with 0
+        counters = np.arange(1, 4, dtype=np.uint64) * np.uint64(sy._GOLDEN)
+        np.testing.assert_array_equal(
+            sy._splitmix(counters),
+            np.array([0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F],
+                     dtype=np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    def test_matches_the_scalar_reference(self, seed):
+        # the same integers; log1p, cos and sin may round differently in numpy
+        np.testing.assert_allclose(sy.noise_excitation(1001, seed), scalar_noise(1001, seed),
+                                   rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_a_million_samples_look_standard_normal(self, seed):
+        stats = pytest.importorskip("scipy.stats")
+        n = 2 ** 20
+        x = sy.noise_excitation(n, seed)
+        bound = 5.0 / np.sqrt(n)  # five standard errors
+        assert abs(np.mean(x)) < bound
+        assert abs(np.var(x) - 1.0) < bound * np.sqrt(2.0)
+        for lag in (1, 2):  # within a Box-Muller pair, and across pairs
+            assert abs(np.corrcoef(x[:-lag], x[lag:])[0, 1]) < bound
+        assert stats.kstest(x, "norm").pvalue > 1e-3
+        # the next seed's noise is another stream, not a shifted copy
+        other = sy.noise_excitation(n, (seed + 1) % 2 ** 64)
+        assert abs(np.corrcoef(x, other)[0, 1]) < bound
+
+    def test_same_seed_same_bits_and_other_seeds_other_noise(self):
+        a = sy.noise_excitation(5000, 9)
+        np.testing.assert_array_equal(a, sy.noise_excitation(5000, 9))
+        np.testing.assert_array_equal(a, sy.noise_excitation(5000, np.uint64(9)))
+        for seed in (8, 10, 2 ** 32 + 9, 2 ** 63 + 9):
+            assert np.count_nonzero(sy.noise_excitation(5000, seed) == a) == 0
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 777, sy._VALUE_BLOCK - 1, sy._VALUE_BLOCK + 1])
+    def test_a_shorter_draw_is_a_prefix_of_a_longer_one(self, m):
+        np.testing.assert_array_equal(sy.noise_excitation(2 * sy._VALUE_BLOCK + 3, 4)[:m],
+                                      sy.noise_excitation(m, 4))
+
+    @pytest.mark.parametrize("lo, hi", [(7, 12), (0, 5), (3, 3), (6, 6 + sy._VALUE_BLOCK),
+                                        (sy._VALUE_BLOCK - 1, sy._VALUE_BLOCK + 2)])
+    def test_a_span_is_drawn_on_its_own(self, lo, hi):
+        out = np.full(hi - lo, np.nan)
+        sy._noise_span(sy._noise_key(11), lo, out)
+        np.testing.assert_array_equal(out, sy.noise_excitation(hi, 11)[lo:])
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_the_chunk_size_does_not_move_the_bits(self, monkeypatch, block):
+        want = sy.noise_excitation(1001, 2)
+        monkeypatch.setattr(sy, "_VALUE_BLOCK", block)
+        np.testing.assert_array_equal(sy.noise_excitation(1001, 2), want)
+
+    def test_no_whole_clip_temporaries(self):
+        n = 8 * sy._VALUE_BLOCK
+        tracemalloc.start()
+        try:
+            sy.noise_excitation(n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and a chunk's temporaries, under two chunks of samples;
+        # one whole-clip uint64 array of the pairs would be half the output
+        assert peak < 8 * n + 3 * 8 * sy._VALUE_BLOCK
+
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70])
+    def test_seeds_of_2_to_the_64_or_more_rejected(self, seed):
+        # numpy's generator used to take them; the key is 64 bits
+        with pytest.raises(ValidationError, match=r"SynthConfig.noise_seed must be "
+                                                  rf"below 2\*\*64, got {seed}"):
+            replace(DESK, noise_seed=seed)
+        with pytest.raises(ValidationError, match=r"noise_excitation: seed must be below"):
+            sy.noise_excitation(4, seed)
+
+    def test_the_largest_seed_draws_without_a_warning(self):
+        # numpy warns when a uint64 scalar wraps, and pytest makes that an error
+        assert replace(DESK, noise_seed=2 ** 64 - 1).noise_seed == 2 ** 64 - 1
+        assert np.all(np.isfinite(sy.noise_excitation(9, 2 ** 64 - 1)))
 
 
 class TestSynthesize:

@@ -272,8 +272,11 @@ class TestFramingOps:
         np.testing.assert_array_equal(view, [[0, 1, 2, 3], [3, 4, 5, 6], [6, 7, 8, 9]])
         assert np.shares_memory(view, x)
         assert not view.flags.writeable
-        # a strided signal is framed by its own stride
+        # a strided signal is framed by its own stride, from a contiguous copy
         np.testing.assert_array_equal(dt._frames_view(x[::2], 2, 2, 2), [[0, 2], [4, 6]])
+        # a read-only signal gives a read-only view, not an error
+        x.flags.writeable = False
+        np.testing.assert_array_equal(dt._frames_view(x, 4, 3, 3)[2], [6, 7, 8, 9])
         assert dt._frames_view(x, 16, 3, 0).shape == (0, 16)
 
     @pytest.mark.parametrize("frame_len, hop, n_frames, need", [(4, 3, 4, 13), (11, 1, 1, 11),
