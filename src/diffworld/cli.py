@@ -20,6 +20,7 @@ import numpy as np
 from . import excite, losses, melcodec
 from . import fit as fitmod
 from . import synth as synthmod
+from . import tensor as dt
 from .errors import (DiffworldError, DomainError, FormatError, ShapeError,
                      ValidationError)
 from .features import (CompressedFeatures, Waveform, WorldFeatures,
@@ -150,7 +151,7 @@ def cmd_spectrogram(args) -> int:
     basis = melcodec.MelBasis.build(wave.sample_rate, cfg.fft_size, args.mels)
     spec = synthmod.stft(wave.samples, cfg.fft_size, cfg.hop).data
     mag = np.hypot(spec[:, 0, :], spec[:, 1, :])
-    logmel = np.log10(mag @ basis.weights.T + basis.epsilon)
+    logmel = np.log10(dt._product(mag, basis.weights.T) + basis.epsilon)
     with open(args.output, "w") as fh:
         for row in logmel:
             fh.write(",".join(f"{v:.9g}" for v in row))

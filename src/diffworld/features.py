@@ -157,8 +157,14 @@ def _check_sp(sp: np.ndarray, error: type[DiffworldError] = ValidationError) -> 
 
 def check_sample_rate(sample_rate, where: str = "sample_rate",
                       error: type[DiffworldError] = ValidationError) -> None:
-    """Raise ``error`` unless ``sample_rate`` is at least 1 Hz."""
-    if not sample_rate >= 1:
+    """Raise ``error`` unless ``sample_rate`` is an integer of at least 1 Hz.
+
+    A WFEAT or WAV header holds the rate as an integer, so a fractional rate
+    would render and then fail to be written.
+    """
+    if isinstance(sample_rate, bool) or not isinstance(sample_rate, (int, np.integer)):
+        raise error(f"{where} must be an integer, got {sample_rate!r}")
+    if sample_rate < 1:
         raise error(f"{where} must be >= 1, got {sample_rate}")
 
 

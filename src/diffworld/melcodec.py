@@ -65,12 +65,11 @@ class MelBasis:
         the wrong type would otherwise fail inside it, or share the entry of
         the integer it equals (``80.0``, ``True``).
         """
-        for name, value in (("sample_rate", sample_rate), ("fft_size", fft_size),
-                            ("n_mels", n_mels)):
+        check_sample_rate(sample_rate, "MelBasis.build: sample_rate")
+        for name, value in (("fft_size", fft_size), ("n_mels", n_mels)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(
                     f"MelBasis.build: {name} must be an integer, got {value!r}")
-        check_sample_rate(sample_rate, "MelBasis.build: sample_rate")
         if not 1 <= fft_size <= MAX_FFT_SIZE:
             raise ValidationError(f"MelBasis.build: fft_size must be in "
                                   f"[1, {MAX_FFT_SIZE}], got {fft_size}")
@@ -114,8 +113,8 @@ class MelBasis:
         # reconstructions by ~1.5x across the board; rescale each bin so a
         # flat envelope maps back to itself.  Weakly covered edge bins are
         # floored rather than amplified.
-        flat_gain = pinv @ (weights @ np.ones(n_bins))
-        pinv /= np.maximum(flat_gain, 0.5)[:, None]
+        flat_gain = dt._product(pinv, dt._product(weights, np.ones((n_bins, 1))))
+        pinv /= np.maximum(flat_gain, 0.5)
         return cls(weights=weights, pinv=pinv, epsilon=epsilon)
 
 
@@ -147,7 +146,7 @@ def decompress_sp(s, basis: MelBasis) -> dt.Tensor:
         raise ShapeError(f"decompress_sp: expected a (T, {basis.n_mels}) log mel, "
                          f"got shape {s.shape}")
     amplitude = np.power(10.0, s.data) - basis.epsilon
-    root = (amplitude.reshape(-1, basis.n_mels) @ basis.pinv.T).reshape(
+    root = dt._product(amplitude.reshape(-1, basis.n_mels), basis.pinv.T).reshape(
         s.shape[:-1] + (basis.n_bins,))
     passes = root >= 0.0 if s._tracked else None
     root = np.maximum(root, 0.0)
@@ -159,7 +158,7 @@ def decompress_sp(s, basis: MelBasis) -> dt.Tensor:
         grad = g * root
         grad += grad
         np.copyto(grad, 0.0, where=~passes)
-        grad = (grad.reshape(-1, basis.n_bins) @ basis.pinv).reshape(s.shape)
+        grad = dt._product(grad.reshape(-1, basis.n_bins), basis.pinv).reshape(s.shape)
         grad *= np.power(10.0, s.data)  # made again from the input the node holds
         grad *= dt._LN10
         return (grad,)
@@ -236,7 +235,7 @@ def decode(f0: np.ndarray, log_mel, coded_ap,
     resample = _resample_matrix(coded_ap.shape[-1], basis.n_bins)
 
     def bwd(g):
-        return (np.where(passes, g * voiced, 0.0) @ resample,)
+        return (dt._product(np.where(passes, g * voiced, 0.0), resample),)
 
     return sp, dt._record((coded_ap,), ap, bwd)
 

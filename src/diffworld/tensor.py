@@ -362,6 +362,48 @@ def reshape(a, shape) -> Tensor:
     return _record((a,), out, lambda g: (g.reshape(a.shape),))
 
 
+# OpenBLAS gives a GEMM of s = m * k * n multiply-adds one thread when s is at
+# most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4, and
+# s // (65536 * 4) threads (at most its pool's size) above that
+# (interface/gemm.c), so a product under twice the bound stays on one thread
+# whatever OPENBLAS_NUM_THREADS is.  numpy hands a product of one row or one
+# column to GEMV, which OpenBLAS keeps on one thread below 115200 * 4
+# (interface/gemv.c), and one row by one column to DOT, which it threads from
+# 10000 terms.  How a pool splits a product changes its rounding.
+_ONE_THREAD_MULADDS = 65536 * 4
+
+
+def _spans(size: int, per: int) -> list[slice]:
+    """``range(size)`` in slices of ``per``; when ``per > 1`` a one-line tail
+    joins the slice before it, so no slice has one line unless ``size`` is 1."""
+    cuts = list(range(0, size, per))
+    if per > 1 and len(cuts) > 1 and size - cuts[-1] == 1:
+        cuts.pop()
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [size])]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of 2-D float64 arrays, in tiles that OpenBLAS runs on one
+    thread, so that the bits do not depend on ``OPENBLAS_NUM_THREADS``.
+
+    Every matrix product of the package is made here.  Row blocks have at
+    least two rows (unless ``a`` has one), and each is cut into column blocks
+    so that a tile has at most ``_ONE_THREAD_MULADDS`` multiply-adds; only a
+    one-column tail that joins the block before it makes a tile larger, by at
+    most half.  The tiling depends on the shapes alone.  ``b`` is made
+    C-contiguous once, which costs less than reading a transposed view in
+    every tile.  A product of one row by one column stays a single DOT.
+    """
+    b = np.ascontiguousarray(b)
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n))
+    for rows in _spans(m, max(2, _ONE_THREAD_MULADDS // max(1, k * n))):
+        height = rows.stop - rows.start
+        for cols in _spans(n, max(1, _ONE_THREAD_MULADDS // max(1, k * height))):
+            np.matmul(a[rows], b[:, cols], out=out[rows, cols])
+    return out
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with the usual 1-D promotion rules."""
     a, b = as_tensor(a), as_tensor(b)
@@ -375,11 +417,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: expected 1-D or 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(_product(a.data, b.data))
 
     def bwd(g):
-        return (g @ b.data.T if a._tracked else None,
-                a.data.T @ g if b._tracked else None)
+        return (_product(g, b.data.T) if a._tracked else None,
+                _product(a.data.T, g) if b._tracked else None)
 
     return _record((a, b), out, bwd)
 

@@ -228,8 +228,8 @@ def fit_digest(problem, steps, learning_rate=0.03, **options):
     ``problem`` is ``(target, f0, synth_cfg)``; ``options`` go to ``fit``
     (``n_mels``, ``ap_bands``, ...).  Two fits with the same digest did the
     same arithmetic bit for bit, so a change that must not move a fit's bits
-    compares digests before and after.  OpenBLAS's thread count moves them,
-    so compare digests from one process, or pin ``OPENBLAS_NUM_THREADS``.
+    compares digests before and after.  They do not depend on OpenBLAS's
+    thread count: every product runs in tiles that stay on one thread.
     """
     target, f0, synth_cfg = problem
     fitted, trace = fi.fit(target, f0, synth_cfg=synth_cfg, **options,

@@ -1,0 +1,199 @@
+"""Every matrix product runs in tiles that OpenBLAS keeps on one thread.
+
+How OpenBLAS's pool splits a product changes its rounding, so products that
+woke the pool wrote different bits under ``OPENBLAS_NUM_THREADS=1`` and
+``2``.  ``tensor._product`` is the one place that makes a product; these
+tests check its tiling, its bits, and that the CLI's outputs no longer
+depend on the pool's size.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import diffworld
+from diffworld import synth as sy
+from diffworld import tensor as dt
+from diffworld.features import Waveform, WorldFeatures, write_features, write_wav
+from helpers import two_formant_envelope
+
+BOUND = dt._ONE_THREAD_MULADDS
+
+# products whose whole form OpenBLAS splits over threads; the first two are
+# the decode product and its adjoint at fft_size 8192, the others at 65536,
+# where one row of the product is already above the bound
+WIDE = {"fwd8192": (12, 80, 4097), "adj8192": (12, 4097, 80),
+        "fwd65536": (12, 80, 32769), "adj65536": (12, 32769, 80)}
+
+# runs in a fresh process: OpenBLAS reads its thread count once, at load
+SCRIPT = """
+import sys
+import numpy as np
+from diffworld import cli
+from diffworld import tensor as dt
+inputs, out = sys.argv[1:3]
+for argv in (["compress", f"{inputs}/raw.wfeat", "-o", f"{out}/comp.wfeat"],
+             ["decompress", f"{out}/comp.wfeat", "-o", f"{out}/decomp.wfeat"],
+             ["spectrogram", f"{inputs}/target.wav", "-o", f"{out}/spec.csv"],
+             ["fit", f"{inputs}/target.wav", "--f0", f"{inputs}/raw.wfeat",
+              "-o", f"{out}/fit.wfeat", "--steps", "3", "--lr", "0.03",
+              "--trace", f"{out}/trace.csv"]):
+    assert cli.main(argv) == 0, argv
+for i, (name, m, k, n) in enumerate(zip(sys.argv[3::4], *(map(int, sys.argv[j::4])
+                                                        for j in (4, 5, 6)))):
+    rs = np.random.default_rng(i)
+    product = dt._product(rs.normal(size=(m, k)), rs.normal(size=(k, n)))
+    with open(f"{out}/{name}.bin", "wb") as fh:
+        fh.write(product.tobytes())
+"""
+
+OUTPUTS = ["comp.wfeat", "decomp.wfeat", "spec.csv", "fit.wfeat", "trace.csv",
+           *(f"{name}.bin" for name in WIDE)]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Output directory per ``OPENBLAS_NUM_THREADS``, from one process each."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    cfg = sy.SynthConfig()  # 22050 Hz, fft 1024, hop 256
+    t = 86                  # 1 s: the codec's (86, 513) @ (513, 80) woke the pool
+    f0 = 120.0 + 30.0 * np.sin(np.arange(t) / 9.0)
+    f0[::11] = 0.0
+    env = two_formant_envelope(cfg.fft_size // 2 + 1, cfg.sample_rate)
+    feats = WorldFeatures(f0=f0, sp=np.outer(1.0 + 0.5 * np.cos(np.arange(t) / 7.0), env),
+                          ap=np.full((t, cfg.fft_size // 2 + 1), 0.2),
+                          sample_rate=cfg.sample_rate, hop=cfg.hop, fft_size=cfg.fft_size)
+    write_features(inputs / "raw.wfeat", feats)
+    write_wav(inputs / "target.wav", Waveform(sy.synthesize(feats, cfg).data, cfg.sample_rate))
+    shapes = [str(x) for name, shape in WIDE.items() for x in (name, *shape)]
+    package = str(Path(diffworld.__file__).parents[1])
+    dirs = {}
+    for threads in ("1", "2"):
+        out = dirs[threads] = tmp_path_factory.mktemp(f"threads{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([package, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", SCRIPT, str(inputs), str(out), *shapes],
+                       env=env, check=True, capture_output=True)
+    return dirs
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_outputs_do_not_depend_on_openblas_threads(runs, name):
+    # compress, decompress and fit used to write other bits under 2 threads
+    assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes()
+
+
+def tiles_of(monkeypatch, a, b):
+    """``_product(a, b)`` and the ``(rows, cols)`` spans of its tiles, for
+    C-contiguous ``a`` and ``b``, whose tiles are views into them."""
+    tiles, matmul = [], np.matmul
+
+    def record(x, y, out):
+        tiles.append((x, y))
+        return matmul(x, y, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", record)
+        product = dt._product(a, b)
+    spans = []
+    for x, y in tiles:
+        r0 = (x.ctypes.data - a.ctypes.data) // a.strides[0]
+        c0 = (y.ctypes.data - b.ctypes.data) // b.strides[1]
+        spans.append(((r0, r0 + x.shape[0]), (c0, c0 + y.shape[1])))
+    return product, spans
+
+
+def operands(m, k, n, seed=0):
+    rs = np.random.default_rng(seed)
+    return rs.normal(size=(m, k)), rs.normal(size=(k, n))
+
+
+@pytest.mark.parametrize("m, k, n, want", [
+    (1, 80, 513, [((0, 1), (0, 513))]),
+    (2, 80, 513, [((0, 2), (0, 513))]),
+    # 6 rows of 80 * 513 multiply-adds fit the bound
+    (12, 80, 513, [((0, 6), (0, 513)), ((6, 12), (0, 513))]),
+    # a one-row tail joins the block before it, which splits its columns
+    (13, 80, 513, [((0, 6), (0, 513)), ((6, 13), (0, 468)), ((6, 13), (468, 513))]),
+    # one row is above the bound: blocks of two rows, cut into columns
+    (5, 80, 4097, [((0, 2), (0, 1638)), ((0, 2), (1638, 3276)), ((0, 2), (3276, 4097)),
+                   ((2, 5), (0, 1092)), ((2, 5), (1092, 2184)), ((2, 5), (2184, 3276)),
+                   ((2, 5), (3276, 4097))]),
+])
+def test_tiles(monkeypatch, m, k, n, want):
+    a, b = operands(m, k, n)
+    product, spans = tiles_of(monkeypatch, a, b)
+    assert spans == want
+    for (r0, r1), (c0, c1) in spans:
+        # each tile is below the bound, so this reference runs on one thread
+        assert np.array_equal(product[r0:r1, c0:c1], a[r0:r1] @ b[:, c0:c1])
+
+
+@pytest.mark.parametrize("m, k, n", [(861, 80, 513), (861, 513, 80), (861, 513, 16),
+                                     (7, 80, 4097), (7, 4097, 80), (3, 80, 32769),
+                                     (3, 32769, 80), (9, 40, 1), (1, 600, 513),
+                                     (1, 80, 32769), (4, 0, 3), (0, 5, 3)])
+def test_every_tile_stays_on_one_thread(monkeypatch, m, k, n):
+    a, b = operands(m, k, n)
+    if k == 0 or m == 0:
+        assert np.array_equal(dt._product(a, b), np.zeros((m, n)))
+        return
+    product, spans = tiles_of(monkeypatch, a, b)
+    covered = np.zeros((m, n), int)
+    for (r0, r1), (c0, c1) in spans:
+        covered[r0:r1, c0:c1] += 1
+        assert r1 - r0 >= min(m, 2) and c1 - c0 >= min(n, 2)
+        # a one-column tail that joins its neighbour adds at most half a tile
+        assert (r1 - r0) * k * (c1 - c0) <= BOUND * 3 // 2
+        assert np.array_equal(product[r0:r1, c0:c1], a[r0:r1] @ b[:, c0:c1])
+    assert np.all(covered == 1)
+
+
+def test_wide_products_split_their_columns(monkeypatch):
+    for m, k, n in WIDE.values():
+        _, spans = tiles_of(monkeypatch, *operands(m, k, n))
+        assert len({cols for _, cols in spans}) > 1
+
+
+# numpy's product functions; ``dt.matmul`` is the differentiable op that
+# calls the helper
+PRODUCTS = {"dot", "matmul", "inner", "einsum", "tensordot", "vdot", "multi_dot"}
+
+
+def numpy_product(node) -> bool:
+    """Whether ``node`` names one of numpy's products (``np.dot``,
+    ``np.linalg.multi_dot``, ``x.dot``)."""
+    if not isinstance(node, ast.Attribute) or node.attr not in PRODUCTS:
+        return False
+    root = node.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return node.attr == "dot" or isinstance(root, ast.Name) and root.id in ("np", "numpy")
+
+
+def test_every_product_goes_through_the_helper():
+    found = []
+    for path in sorted(Path(diffworld.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "tensor.py":
+            helper, = (node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_product")
+            allowed = {id(node) for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif numpy_product(node):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [f"{path.name}:{node.lineno} import {alias.name}"
+                          for alias in node.names if alias.name in PRODUCTS]
+    assert not found

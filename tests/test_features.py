@@ -158,6 +158,22 @@ class TestWfeat:
             with pytest.raises(ValidationError, match=message):
                 ft.validate_features(replace(feats, **{field: value}))
 
+    @pytest.mark.parametrize("rate", [8000.5, 8000.0, True, "8000", None])
+    def test_sample_rate_must_be_an_integer(self, rate, tmp_path):
+        # 8000.5 used to validate and render, then fail in write_features with
+        # a bare struct.error ("required argument is not an integer")
+        for feats in (make_raw(), make_compressed()):
+            with pytest.raises(ValidationError,
+                               match=f"^sample_rate must be an integer, got {re.escape(repr(rate))}$"):
+                ft.validate_features(replace(feats, sample_rate=rate))
+            with pytest.raises(ValidationError, match="sample_rate must be an integer"):
+                ft.write_features(tmp_path / "x.wfeat", replace(feats, sample_rate=rate))
+
+    def test_numpy_integer_sample_rate_accepted(self, tmp_path):
+        feats = replace(make_raw(), sample_rate=np.int64(8000))
+        ft.write_features(tmp_path / "x.wfeat", feats)
+        assert ft.read_features(tmp_path / "x.wfeat").sample_rate == 8000
+
     def test_loaded_features_are_finite(self, tmp_path):
         path = tmp_path / "raw.wfeat"
         ft.write_features(path, make_raw())

@@ -43,6 +43,13 @@ class TestConfig:
                            match=f"SynthConfig.sample_rate must be >= 1, got {rate}"):
             replace(DESK, sample_rate=rate)
 
+    @pytest.mark.parametrize("rate", [22050.5, 22050.0, True])
+    def test_sample_rate_must_be_an_integer(self, rate):
+        # 22050.5 used to render, with no error until a writer packed the header
+        with pytest.raises(ValidationError, match=r"SynthConfig.sample_rate must be an "
+                                                  r"integer, got " + repr(rate)):
+            replace(DESK, sample_rate=rate)
+
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
     def test_noise_seed_must_be_an_integer_at_least_zero(self, seed):
         # a negative seed used to fail inside numpy's generator, far from the field

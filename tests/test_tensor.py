@@ -140,26 +140,31 @@ class TestMatmul:
         grads = dt.backward(dt.matmul(a, dt.Tensor(b)))
         np.testing.assert_allclose(grads[a], b)
 
-    def test_gradients_match_finite_differences(self):
-        rs = np.random.default_rng(5)
-        a0 = rs.normal(size=(3, 4))
-        b0 = rs.normal(size=(4, 2))
-        w = rs.normal(size=(3, 2))
+    def test_gradients_match_finite_differences(self, monkeypatch):
+        # with a bound of 40 multiply-adds, (5, 4) @ (4, 7) is tiled as the
+        # codec's products are: a merged row tail, column blocks, a merged
+        # column tail
+        for (m, k, n), bound in (((3, 4, 2), dt._ONE_THREAD_MULADDS), ((5, 4, 7), 40)):
+            monkeypatch.setattr(dt, "_ONE_THREAD_MULADDS", bound)
+            rs = np.random.default_rng(5)
+            a0 = rs.normal(size=(m, k))
+            b0 = rs.normal(size=(k, n))
+            w = rs.normal(size=(m, n))
 
-        def f_a(x):
-            return dt.sum(dt.mul(dt.matmul(dt.Tensor(x, requires_grad=True),
-                                           dt.Tensor(b0)), dt.Tensor(w))).item()
+            def f_a(x):
+                return dt.sum(dt.mul(dt.matmul(dt.Tensor(x, requires_grad=True),
+                                               dt.Tensor(b0)), dt.Tensor(w))).item()
 
-        def f_b(x):
-            return dt.sum(dt.mul(dt.matmul(dt.Tensor(a0),
-                                           dt.Tensor(x, requires_grad=True)),
-                                 dt.Tensor(w))).item()
+            def f_b(x):
+                return dt.sum(dt.mul(dt.matmul(dt.Tensor(a0),
+                                               dt.Tensor(x, requires_grad=True)),
+                                     dt.Tensor(w))).item()
 
-        ta = dt.Tensor(a0, requires_grad=True)
-        tb = dt.Tensor(b0, requires_grad=True)
-        grads = dt.backward(dt.sum(dt.mul(dt.matmul(ta, tb), dt.Tensor(w))))
-        assert rel_grad_err(grads[ta], central_diff(f_a, a0)) < 1e-6
-        assert rel_grad_err(grads[tb], central_diff(f_b, b0)) < 1e-6
+            ta = dt.Tensor(a0, requires_grad=True)
+            tb = dt.Tensor(b0, requires_grad=True)
+            grads = dt.backward(dt.sum(dt.mul(dt.matmul(ta, tb), dt.Tensor(w))))
+            assert rel_grad_err(grads[ta], central_diff(f_a, a0)) < 1e-6
+            assert rel_grad_err(grads[tb], central_diff(f_b, b0)) < 1e-6
 
 
 class TestRfft:
