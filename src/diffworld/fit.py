@@ -16,10 +16,11 @@ at every loss scale (:func:`losses.msl_target`), whose floored logs each
 loss block makes again from its rows.
 A step decodes the features, shapes and mixes the two spectra with one
 inverse STFT (:func:`synth.render`), evaluates the loss against the cached
-target, and back-propagates.  The whole-signal scratch buffers of the render
-and of the loss belong to the fit: one :class:`tensor.Workspace`, allocated
-in the first step and reused by the render and by every loss scale of every
-step, since they run one after another; per-block scratch is plain numpy.
+target, and back-propagates.  The whole-signal scratch buffer that the
+render and the loss fill in turn belongs to the fit: one
+:class:`tensor.Workspace`, allocated in the first step and reused by the
+render and by every loss scale of every step, since they run one after
+another; per-block scratch is plain numpy.
 A non-finite loss or gradient stops the fit with :class:`FitDivergence`,
 which names the step, and for a gradient the parameter and the first
 non-finite index.

@@ -7,17 +7,17 @@ differentiable in the rendered signal ``y`` only: the reference ``x`` must
 be untracked, and a tracked ``x`` raises instead of losing its gradient.
 Each scale term is a numpy loop over blocks of frames, ``2**15`` samples of
 frames to a block whether ``y`` is tracked or not, so no spectrum of the
-whole signal exists at once.  An untracked ``y`` sums the value block by
-block, which can move its last bits.  A tracked ``y`` keeps ``|d|`` of every
-frame and sums those whole arrays, as the composed tensor ops' means do, so
-its value keeps their bits; each block runs the gradient tail and the
-adjoint of its spectrum and overlap-adds its frames into one padded buffer,
-which then holds ``dL_s/dy`` and is the term's graph node.  That arithmetic
-follows the order the composed tensor ops would use, and none of its sums
-crosses a block, so the gradient keeps their bits too.  :func:`msl` adds its
-scales' gradients into one ``y``-sized buffer, from the last scale to the
-first, which is the order ``backward`` would sum them in, and records one
-node.
+whole signal exists at once.  Each block sums ``|d|`` of its frames along
+their bins, into one ``(frames,)`` vector per L1 term, and each vector is
+summed once at the end, so the value does not depend on the block size and
+is the same, bit for bit, tracked or not.  A tracked ``y`` also runs each
+block's gradient tail and the adjoint of its spectrum, and overlap-adds its
+frames into one padded buffer, which then holds ``dL_s/dy`` and is the
+term's graph node.  That arithmetic follows the order the composed tensor
+ops would use, and none of its sums crosses a block, so the gradient keeps
+their bits.  :func:`msl` adds its scales' gradients into one ``y``-sized
+buffer, from the last scale to the first, which is the order ``backward``
+would sum them in, and records one node.
 When ``x`` is a constant compared many times (the target of a fit), its
 magnitudes can be computed once with :func:`msl_target` and passed in its
 place; each block makes its floored logs from them again, which costs less
@@ -144,9 +144,10 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
     :class:`ScaleTarget` at the same window.  A tracked term is one graph
     node on ``y``; given ``_into``, a ``y``-sized buffer that :func:`msl`
     passes, it adds its gradient there instead and returns its value
-    untracked.  ``workspace`` holds the whole-signal buffers of a caller
-    that evaluates a tracked term again and again (``fit``); without one,
-    each call allocates its own.  The gradient never lives in the workspace.
+    untracked.  ``workspace`` holds the whole-signal overlap buffer of a
+    caller that evaluates a tracked term again and again (``fit``); without
+    one, each call allocates its own.  The gradient never lives in the
+    workspace.
     """
     y = dt.as_tensor(y)
     hop = window // 4
@@ -164,28 +165,18 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
         if x.shape != y.shape:
             raise ValidationError(f"signal lengths differ: {x.shape} vs {y.shape}")
 
-    def l1(d: np.ndarray, whole: np.ndarray | None) -> float:
-        """``sum|d|`` of a block; a tracked term keeps ``|d|`` in its rows of
-        ``whole`` and sums that once, as the composed ops' mean does."""
-        if whole is None:
-            return np.sum(np.abs(d))
-        np.abs(d, out=whole[first:stop])
-        return 0.0
-
     bins = window // 2 + 1
     n = float(n_frames * bins)
     tracked = y._tracked
-    abs_lin = abs_log = None
     if tracked:
-        abs_lin, abs_log = (dt._scratch(workspace, name, (n_frames, bins))
-                            for name in ("abs_lin", "abs_log"))
         # -1/N per bin, halved on the interior bins for the spectrum adjoint
         neg_inv_n = np.full(bins, -0.5 / n)
         neg_inv_n[[0, -1]] = -1.0 / n
         buf = dt._scratch(workspace, "overlap",
                           (_inverse_span(window, hop, n_frames, y.shape[0]),), zero=True)
+    # sum|d| of every frame, per L1 term; summed once, whatever the blocks
+    rows_lin, rows_log = np.empty(n_frames), np.empty(n_frames)
     per = _block_frames(window)
-    linear = logterm = 0.0
     for first in range(0, n_frames, per):
         stop = min(n_frames, first + per)
         mag_x, log_x = _reference_rows(x, window, first, stop)
@@ -193,12 +184,12 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
         mag_y = _magnitude(spec)
         d_lin = mag_x - mag_y
         del mag_x  # each array goes once used, to keep a block's peak low
-        linear += l1(d_lin, abs_lin)
+        np.add.reduce(np.abs(d_lin), axis=1, out=rows_lin[first:stop])
         floored = np.maximum(mag_y, LOG_FLOOR)
         d_log = np.log(floored)
         np.subtract(log_x, d_log, out=d_log)
         del log_x
-        logterm += l1(d_log, abs_log)
+        np.add.reduce(np.abs(d_log), axis=1, out=rows_log[first:stop])
         if not tracked:  # free the block before the next one is made
             del spec, mag_y, d_lin, floored, d_log
             continue
@@ -217,8 +208,7 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
         np.multiply(spec.real, g_mag, out=spec.real)
         np.multiply(spec.imag, g_mag, out=spec.imag)
         _spectrum_adjoint(spec, window, hop, buf, first)
-    if tracked:
-        linear, logterm = np.sum(abs_lin), np.sum(abs_log)
+    linear, logterm = np.sum(rows_lin), np.sum(rows_log)
     value = dt.Tensor(linear / n + logterm / n)
     if not tracked:
         return value

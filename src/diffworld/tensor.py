@@ -114,12 +114,11 @@ class Workspace:
 
     :meth:`take` returns a C-contiguous view of the buffer called ``name``,
     which grows to the largest request seen and so serves requests of
-    several sizes in turn; its contents are undefined.  It holds the three
-    whole-signal buffers, whose pages malloc would give back and fault in
+    several sizes in turn; its contents are undefined.  It holds one
+    whole-signal buffer, whose pages malloc would give back and fault in
     again on every call: ``overlap``, which an inverse STFT, its adjoint and
-    a tracked loss scale each fill, and a tracked loss scale's ``abs_lin``
-    and ``abs_log``.  A caller that runs the same computation repeatedly
-    (``fit``, once per step) reuses them and so faults fewer pages.
+    a tracked loss scale each fill.  A caller that runs the same computation
+    repeatedly (``fit``, once per step) reuses it and so faults fewer pages.
     Per-block scratch is plain numpy, which malloc's free lists serve.
     """
 
@@ -368,9 +367,10 @@ def reshape(a, shape) -> Tensor:
 # (interface/gemm.c), so a product under twice the bound stays on one thread
 # whatever OPENBLAS_NUM_THREADS is.  numpy hands a product of one row or one
 # column to GEMV, which OpenBLAS keeps on one thread below 115200 * 4
-# (interface/gemv.c), and one row by one column to DOT, which it threads from
-# 10000 terms.  How a pool splits a product changes its rounding.
+# (interface/gemv.c), and one row by one column to DOT, which it threads
+# above 10000 terms.  How a pool splits a product changes its rounding.
 _ONE_THREAD_MULADDS = 65536 * 4
+_ONE_THREAD_DOT = 10000
 
 
 def _spans(size: int, per: int) -> list[slice]:
@@ -390,17 +390,26 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     least two rows (unless ``a`` has one), and each is cut into column blocks
     so that a tile has at most ``_ONE_THREAD_MULADDS`` multiply-adds; only a
     one-column tail that joins the block before it makes a tile larger, by at
-    most half.  The tiling depends on the shapes alone.  ``b`` is made
-    C-contiguous once, which costs less than reading a transposed view in
-    every tile.  A product of one row by one column stays a single DOT.
+    most half.  An inner dimension deeper than ``_ONE_THREAD_MULADDS // 2``
+    (``_ONE_THREAD_DOT`` for one row by one column) is cut into spans of that
+    depth, whose partial products each tile adds in span order; a one-row or
+    one-column tile is then small enough for GEMV, and a one-by-one tile for
+    DOT.  The tiling depends on the shapes alone.  ``b`` is made C-contiguous
+    once, which costs less than reading a transposed view in every tile.
     """
     b = np.ascontiguousarray(b)
     (m, k), n = a.shape, b.shape[1]
+    deep = _ONE_THREAD_DOT if m == n == 1 else _ONE_THREAD_MULADDS // 2
+    first, *rest = [slice(lo, lo + deep) for lo in range(0, max(k, 1), deep)]
+    depth = min(k, deep)
     out = np.empty((m, n))
-    for rows in _spans(m, max(2, _ONE_THREAD_MULADDS // max(1, k * n))):
+    for rows in _spans(m, max(2, _ONE_THREAD_MULADDS // max(1, depth * n))):
         height = rows.stop - rows.start
-        for cols in _spans(n, max(1, _ONE_THREAD_MULADDS // max(1, k * height))):
-            np.matmul(a[rows], b[:, cols], out=out[rows, cols])
+        for cols in _spans(n, max(1, _ONE_THREAD_MULADDS // max(1, depth * height))):
+            tile = out[rows, cols]
+            np.matmul(a[rows, first], b[first, cols], out=tile)
+            for span in rest:
+                tile += np.matmul(a[rows, span], b[span, cols])
     return out
 
 

@@ -212,6 +212,36 @@ def composed_scale_loss(x, y, window, floor=1e-7):
     return dt.add(linear, logterm)
 
 
+def per_frame_scale_value(x, y, window, floor=1e-7):
+    """Reference value of a scale term in plain numpy, over every frame at
+    once: ``|d|`` of each frame summed along its bins, then the per-frame
+    sums of each L1 term summed, each divided by the element count.  These
+    are the sums the library makes, and their bits are the ones to match."""
+    hop = window // 4
+    n_frames = -(-len(y) // hop)
+
+    def magnitude(s):
+        spec = padded_spectrum(np.asarray(s, dtype=float), window, hop, 0, n_frames)
+        return np.sqrt(spec.real * spec.real + spec.imag * spec.imag)
+
+    mag_x, mag_y = magnitude(x), magnitude(y)
+    n = float(mag_x.size)
+    log_x = np.log(np.maximum(mag_x, floor))
+    log_y = np.log(np.maximum(mag_y, floor))
+    linear = np.sum(np.abs(mag_x - mag_y).sum(axis=1))
+    logterm = np.sum(np.abs(log_x - log_y).sum(axis=1))
+    return linear / n + logterm / n
+
+
+def per_frame_msl_value(x, y, scales):
+    """Reference spectral loss value: :func:`per_frame_scale_value` at every
+    scale, added in scale order from 0, as :func:`losses.msl` adds them."""
+    total = 0.0
+    for s in range(1, scales + 1):
+        total = total + per_frame_scale_value(x, y, 2 ** (5 + s))
+    return total
+
+
 def composed_msl(x, y, scales):
     """Reference spectral loss: :func:`composed_scale_loss` at every scale,
     summed by ``add`` in scale order, so that ``backward`` sums the scales'

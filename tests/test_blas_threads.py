@@ -29,6 +29,9 @@ BOUND = dt._ONE_THREAD_MULADDS
 # where one row of the product is already above the bound
 WIDE = {"fwd8192": (12, 80, 4097), "adj8192": (12, 4097, 80),
         "fwd65536": (12, 80, 32769), "adj65536": (12, 32769, 80)}
+# one-row products whose inner dimension alone OpenBLAS splits over threads:
+# a DOT and a GEMV
+DEEP = {"dot200000": (1, 200000, 1), "gemv300000": (1, 300000, 4)}
 
 # runs in a fresh process: OpenBLAS reads its thread count once, at load
 SCRIPT = """
@@ -53,7 +56,7 @@ for i, (name, m, k, n) in enumerate(zip(sys.argv[3::4], *(map(int, sys.argv[j::4
 """
 
 OUTPUTS = ["comp.wfeat", "decomp.wfeat", "spec.csv", "fit.wfeat", "trace.csv",
-           *(f"{name}.bin" for name in WIDE)]
+           *(f"{name}.bin" for name in {**WIDE, **DEEP})]
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ def runs(tmp_path_factory):
                           sample_rate=cfg.sample_rate, hop=cfg.hop, fft_size=cfg.fft_size)
     write_features(inputs / "raw.wfeat", feats)
     write_wav(inputs / "target.wav", Waveform(sy.synthesize(feats, cfg).data, cfg.sample_rate))
-    shapes = [str(x) for name, shape in WIDE.items() for x in (name, *shape)]
+    shapes = [str(x) for name, shape in {**WIDE, **DEEP}.items() for x in (name, *shape)]
     package = str(Path(diffworld.__file__).parents[1])
     dirs = {}
     for threads in ("1", "2"):
@@ -89,11 +92,12 @@ def test_outputs_do_not_depend_on_openblas_threads(runs, name):
 
 
 def tiles_of(monkeypatch, a, b):
-    """``_product(a, b)`` and the ``(rows, cols)`` spans of its tiles, for
-    C-contiguous ``a`` and ``b``, whose tiles are views into them."""
+    """``_product(a, b)`` and the ``(rows, cols, depth)`` spans of its tiles'
+    products, in call order, for C-contiguous ``a`` and ``b``, whose tiles
+    are views into them."""
     tiles, matmul = [], np.matmul
 
-    def record(x, y, out):
+    def record(x, y, out=None):
         tiles.append((x, y))
         return matmul(x, y, out=out)
 
@@ -102,9 +106,10 @@ def tiles_of(monkeypatch, a, b):
         product = dt._product(a, b)
     spans = []
     for x, y in tiles:
-        r0 = (x.ctypes.data - a.ctypes.data) // a.strides[0]
-        c0 = (y.ctypes.data - b.ctypes.data) // b.strides[1]
-        spans.append(((r0, r0 + x.shape[0]), (c0, c0 + y.shape[1])))
+        r0, k0 = divmod(x.ctypes.data - a.ctypes.data, a.strides[0])
+        c0 = (y.ctypes.data - b.ctypes.data) % b.strides[0] // b.itemsize
+        k0 //= a.itemsize
+        spans.append(((r0, r0 + x.shape[0]), (c0, c0 + y.shape[1]), (k0, k0 + x.shape[1])))
     return product, spans
 
 
@@ -128,16 +133,36 @@ def operands(m, k, n, seed=0):
 def test_tiles(monkeypatch, m, k, n, want):
     a, b = operands(m, k, n)
     product, spans = tiles_of(monkeypatch, a, b)
-    assert spans == want
-    for (r0, r1), (c0, c1) in spans:
+    assert spans == [(*tile, (0, k)) for tile in want]
+    for (r0, r1), (c0, c1), _ in spans:
         # each tile is below the bound, so this reference runs on one thread
         assert np.array_equal(product[r0:r1, c0:c1], a[r0:r1] @ b[:, c0:c1])
+
+
+@pytest.mark.parametrize("m, k, n, tiles, depths", [
+    # one row: GEMV tiles of two columns, 2**17 deep
+    (1, 300000, 4, [((0, 1), (0, 2)), ((0, 1), (2, 4))],
+     [(0, 131072), (131072, 262144), (262144, 300000)]),
+    # one row by one column: DOT tiles of 10000 terms
+    (1, 25000, 1, [((0, 1), (0, 1))], [(0, 10000), (10000, 20000), (20000, 25000)]),
+])
+def test_deep_tiles_add_their_spans_in_order(monkeypatch, m, k, n, tiles, depths):
+    a, b = operands(m, k, n)
+    product, spans = tiles_of(monkeypatch, a, b)
+    assert spans == [(*tile, depth) for tile in tiles for depth in depths]
+    for (r0, r1), (c0, c1) in tiles:
+        want = a[r0:r1, :depths[0][1]] @ b[:depths[0][1], c0:c1]
+        for lo, hi in depths[1:]:
+            want += a[r0:r1, lo:hi] @ b[lo:hi, c0:c1]
+        assert np.array_equal(product[r0:r1, c0:c1], want)
 
 
 @pytest.mark.parametrize("m, k, n", [(861, 80, 513), (861, 513, 80), (861, 513, 16),
                                      (7, 80, 4097), (7, 4097, 80), (3, 80, 32769),
                                      (3, 32769, 80), (9, 40, 1), (1, 600, 513),
-                                     (1, 80, 32769), (4, 0, 3), (0, 5, 3)])
+                                     (1, 80, 32769), (4, 0, 3), (0, 5, 3),
+                                     (1, 200000, 1), (1, 300000, 4), (2, 300000, 1),
+                                     (3, 300000, 2), (1, 25000, 1), (5, 140000, 7)])
 def test_every_tile_stays_on_one_thread(monkeypatch, m, k, n):
     a, b = operands(m, k, n)
     if k == 0 or m == 0:
@@ -145,19 +170,27 @@ def test_every_tile_stays_on_one_thread(monkeypatch, m, k, n):
         return
     product, spans = tiles_of(monkeypatch, a, b)
     covered = np.zeros((m, n), int)
-    for (r0, r1), (c0, c1) in spans:
-        covered[r0:r1, c0:c1] += 1
-        assert r1 - r0 >= min(m, 2) and c1 - c0 >= min(n, 2)
+    rebuilt = np.zeros((m, n))
+    for (r0, r1), (c0, c1), (k0, k1) in spans:
+        height, width, depth = r1 - r0, c1 - c0, k1 - k0
+        covered[r0:r1, c0:c1] += k0 == 0
+        if depth == k:  # an undivided inner dimension keeps lines together
+            assert height >= min(m, 2) and width >= min(n, 2)
+        if height == width == 1:
+            assert depth <= dt._ONE_THREAD_DOT
+        elif 1 in (height, width):
+            assert height * depth * width < 115200 * 4  # GEMV
         # a one-column tail that joins its neighbour adds at most half a tile
-        assert (r1 - r0) * k * (c1 - c0) <= BOUND * 3 // 2
-        assert np.array_equal(product[r0:r1, c0:c1], a[r0:r1] @ b[:, c0:c1])
+        assert height * depth * width <= BOUND * 3 // 2
+        rebuilt[r0:r1, c0:c1] += a[r0:r1, k0:k1] @ b[k0:k1, c0:c1]
     assert np.all(covered == 1)
+    assert np.array_equal(product, rebuilt)
 
 
 def test_wide_products_split_their_columns(monkeypatch):
     for m, k, n in WIDE.values():
         _, spans = tiles_of(monkeypatch, *operands(m, k, n))
-        assert len({cols for _, cols in spans}) > 1
+        assert len({cols for _, cols, _ in spans}) > 1
 
 
 # numpy's product functions; ``dt.matmul`` is the differentiable op that

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from diffworld import losses as ls
+from diffworld import synth as sy
 from diffworld import tensor as dt
 from diffworld.errors import ValidationError
 from helpers import (central_diff, composed_msl, composed_scale_loss, naive_msl,
-                     rel_grad_err)
+                     per_frame_msl_value, per_frame_scale_value, rel_grad_err)
 
 
 # (n, window) with 1, 2 per - 1, 2 per and 2 per + 1 frames, per = 32768 //
@@ -120,16 +121,20 @@ class TestFusedScaleTerm:
     @pytest.mark.parametrize("n, window", [(700, 64), (700, 2048), (100, 256),
                                            (4096, 1024)] + BOUNDARY_CASES)
     def test_bit_identical_to_composed_graph(self, n, window):
+        # the gradient keeps the composed graph's bits; the value sums each
+        # frame first, so its bits are the per-frame reference's
         rs = np.random.default_rng(22)
         x, y0 = rs.normal(size=n), rs.normal(size=n)
         y0[: n // 3] = 0.0  # silent frames: |Z| = 0 and the log floor
         ref_y = dt.Tensor(y0, requires_grad=True)
         ref = composed_scale_loss(x, ref_y, window)
         ref_grad = dt.backward(ref)[ref_y]
+        value = per_frame_scale_value(x, y0, window)
+        assert value == pytest.approx(ref.item(), rel=1e-14)
         for side in (x, ls.scale_target(x, window)):
             t = dt.Tensor(y0, requires_grad=True)
             term = ls.scale_loss(side, t, window)
-            assert term.item() == ref.item()
+            assert term.item() == value
             np.testing.assert_array_equal(dt.backward(term)[t], ref_grad)
 
     @pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 15872, 4700])
@@ -144,10 +149,12 @@ class TestFusedScaleTerm:
         ref_y = dt.Tensor(y0, requires_grad=True)
         ref = composed_msl(x, ref_y, cfg.scales)
         ref_grad = dt.backward(ref)[ref_y]
+        value = per_frame_msl_value(x, y0, cfg.scales)
+        assert value == pytest.approx(ref.item(), rel=1e-14)
         for side in (x, ls.msl_target(x, cfg)):
             t = dt.Tensor(y0, requires_grad=True)
             loss = ls.msl(side, t, cfg)
-            assert loss.item() == ref.item()
+            assert loss.item() == value
             np.testing.assert_array_equal(dt.backward(loss)[t], ref_grad)
 
     @pytest.mark.parametrize("n, window", [(700, 64), (100, 256), (30000, 64),
@@ -160,8 +167,28 @@ class TestFusedScaleTerm:
         y0[: n // 3] = 0.0
         tracked = ls.scale_loss(x, dt.Tensor(y0, requires_grad=True), window).item()
         for side in (x, ls.scale_target(x, window)):
-            assert ls.scale_loss(side, y0, window).item() == pytest.approx(
-                tracked, rel=1e-14)
+            assert ls.scale_loss(side, y0, window).item() == tracked
+
+    @pytest.mark.parametrize("block", [448, 1000, 64])
+    def test_value_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        # 448 samples of frames are blocks of 7 frames at window 64 and one
+        # frame from window 256 up; 64 makes a block of every frame
+        rs = np.random.default_rng(28)
+        x, y0 = rs.normal(size=5000), rs.normal(size=5000)
+        y0[:1500] = 0.0
+
+        def values():
+            out = []
+            for window in (64, 256, 2048):
+                for side in (x, ls.scale_target(x, window)):
+                    out += [ls.scale_loss(side, y0, window).item(),
+                            ls.scale_loss(side, dt.Tensor(y0, requires_grad=True),
+                                          window).item()]
+            return out
+
+        want = values()
+        monkeypatch.setattr(sy, "_VALUE_BLOCK", block)
+        assert values() == want
 
     def test_workspace_reuse_is_bit_identical_and_never_aliased(self):
         rs = np.random.default_rng(23)
