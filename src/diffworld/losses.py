@@ -10,19 +10,23 @@ frames to a block whether ``y`` is tracked or not, so no spectrum of the
 whole signal exists at once.  Each block sums ``|d|`` of its frames along
 their bins, into one ``(frames,)`` vector per L1 term, and each vector is
 summed once at the end, so the value does not depend on the block size and
-is the same, bit for bit, tracked or not.  A tracked ``y`` also runs each
-block's gradient tail and the adjoint of its spectrum, and overlap-adds its
+is the same, bit for bit, tracked or not.  The sums take ``|d|`` in place,
+after a tracked ``y``'s gradient tail has read the signs of both
+differences.  That tail then scales the block's spectrum, every other array
+of the block is freed, and the adjoint of the spectrum overlap-adds its
 frames into one padded buffer, which then holds ``dL_s/dy`` and is the
-term's graph node.  That arithmetic follows the order the composed tensor
-ops would use, and none of its sums crosses a block, so the gradient keeps
-their bits.  :func:`msl` adds its scales' gradients into one ``y``-sized
-buffer, from the last scale to the first, which is the order ``backward``
-would sum them in, and records one node.
+term's graph node.  A block whose magnitudes all clear the log floor builds
+no mask, as both would pass every bin.  That arithmetic follows the order
+the composed tensor ops would use, and none of its sums crosses a block, so
+the gradient keeps their bits.  :func:`msl` adds its scales' gradients into
+one ``y``-sized buffer, from the last scale to the first, which is the order
+``backward`` would sum them in, and records one node.
 When ``x`` is a constant compared many times (the target of a fit), its
-magnitudes can be computed once with :func:`msl_target` and passed in its
-place; each block makes its floored logs from them again, which costs less
-than holding a second spectrogram per scale.  The adversarial pieces operate
-on caller-supplied discriminator scores and feature maps; no discriminator
+magnitudes can be computed once with :func:`msl_target`, a block of frames
+at a time into one array per scale, and passed in its place; each block
+makes its floored logs from them again, which costs less than holding a
+second spectrogram per scale.  The adversarial pieces operate on
+caller-supplied discriminator scores and feature maps; no discriminator
 network ships here.
 """
 
@@ -83,9 +87,10 @@ def _reference(x, where: str) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _magnitude(spec: np.ndarray) -> np.ndarray:
-    """``|Z|`` as ``re * re + im * im``, then ``sqrt``, as ``complex_abs`` does."""
-    mag = spec.real * spec.real
+def _magnitude(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``|Z|`` as ``re * re + im * im``, then ``sqrt``, as ``complex_abs`` does;
+    into ``out`` when one is given."""
+    mag = np.multiply(spec.real, spec.real, out=out)
     mag += spec.imag * spec.imag
     return np.sqrt(mag, out=mag)
 
@@ -115,9 +120,17 @@ def _reference_rows(x, window: int, first: int = 0,
 
 
 def scale_target(x, window: int) -> ScaleTarget:
-    """Magnitude spectrogram of an untracked ``x``."""
+    """Magnitude spectrogram of an untracked ``x``, made a block of frames
+    at a time into one array."""
     x = _reference(x, "scale_target")
-    return ScaleTarget(window, _magnitude(_spectrum(x, window, window // 4)))
+    hop = window // 4
+    _check_signal(x, window, hop)
+    n_frames, per = n_frames_for(x.shape[0], hop), _block_frames(window)
+    mag = np.empty((n_frames, window // 2 + 1))
+    for first in range(0, n_frames, per):
+        stop = min(n_frames, first + per)
+        _magnitude(_spectrum(x, window, hop, first, stop), out=mag[first:stop])
+    return ScaleTarget(window, mag)
 
 
 def _l1_grad(diff: np.ndarray, neg_inv_n: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -184,29 +197,43 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
         mag_y = _magnitude(spec)
         d_lin = mag_x - mag_y
         del mag_x  # each array goes once used, to keep a block's peak low
-        np.add.reduce(np.abs(d_lin), axis=1, out=rows_lin[first:stop])
-        floored = np.maximum(mag_y, LOG_FLOOR)
+        # when every |Z| clears the floor, the clamp and both masks below
+        # pass every bin: the clamp is |Z| itself and no mask is built
+        above = mag_y.min() >= LOG_FLOOR
+        floored = mag_y if above else np.maximum(mag_y, LOG_FLOOR)
         d_log = np.log(floored)
         np.subtract(log_x, d_log, out=d_log)
         del log_x
-        np.add.reduce(np.abs(d_log), axis=1, out=rows_log[first:stop])
+        if tracked:
+            # dL/d|Z|: the log term's share comes first, through the log and
+            # the clamp, which passes where |Z| >= LOG_FLOOR; then the linear
+            # term's.  Each step is the one the composed ops' backward passes
+            # would take, in their order, so the bits match theirs.  Each
+            # sign is read before the sum below takes |d| in place
+            g_mag = _l1_grad(d_log, neg_inv_n, np.empty_like(d_log))
+            g_mag /= floored
+            if not above:
+                _zero_unless(g_mag, mag_y >= LOG_FLOOR)
+        np.add.reduce(np.abs(d_log, out=d_log), axis=1, out=rows_log[first:stop])
+        if tracked:
+            g_mag += _l1_grad(d_lin, neg_inv_n, d_log)  # d_log is spent
+        np.add.reduce(np.abs(d_lin, out=d_lin), axis=1, out=rows_lin[first:stop])
+        del d_lin, d_log, floored
         if not tracked:  # free the block before the next one is made
-            del spec, mag_y, d_lin, floored, d_log
+            del spec, mag_y
             continue
-        # dL/d|Z|: the log term's share comes first, through the log and the
-        # clamp, which passes where |Z| >= LOG_FLOOR; then the linear term's.
-        # Each step is the one the composed ops' backward passes would take,
-        # in their order, so the bits match theirs.
-        g_mag = _l1_grad(d_log, neg_inv_n, np.empty_like(d_log))
-        g_mag /= floored
-        _zero_unless(g_mag, mag_y >= LOG_FLOOR)
-        g_mag += _l1_grad(d_lin, neg_inv_n, d_log)  # d_log is spent
         # dL/dZ = Z dL/d|Z| / |Z|, and 0 where |Z| = 0, as complex_abs has it
-        keep = mag_y > 0.0
-        np.divide(g_mag, mag_y, out=g_mag, where=keep)
-        _zero_unless(g_mag, keep)
+        if above:
+            g_mag /= mag_y
+        else:
+            keep = mag_y > 0.0
+            np.divide(g_mag, mag_y, out=g_mag, where=keep)
+            _zero_unless(g_mag, keep)
+            del keep
+        del mag_y
         np.multiply(spec.real, g_mag, out=spec.real)
         np.multiply(spec.imag, g_mag, out=spec.imag)
+        del g_mag  # only the spectrum is left when irfft makes its frames
         _spectrum_adjoint(spec, window, hop, buf, first)
     linear, logterm = np.sum(rows_lin), np.sum(rows_log)
     value = dt.Tensor(linear / n + logterm / n)

@@ -358,7 +358,7 @@ def _check_signal(x: np.ndarray, fft_size: int, hop: int) -> None:
 
 
 def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int = 0,
-              stop: int | None = None) -> np.ndarray:
+              stop: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The one STFT kernel: the complex spectra of frames ``first..stop``.
 
     Frame ``t`` covers samples ``[t * hop - fft_size // 2, t * hop + fft_size
@@ -367,7 +367,8 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int = 0,
     defaults to that.  Frames that lie inside ``x`` are read in place,
     through a read-only strided view; only a run of frames that reaches past
     either end is copied, into a zero-padded buffer.  Only the ``(stop -
-    first, fft_size // 2 + 1)`` spectrum outlives the call.
+    first, fft_size // 2 + 1)`` spectrum outlives the call, written into
+    ``out`` when one is given.
     """
     _check_signal(x, fft_size, hop)
     # a cache entry: made before the buffers, so that a worker thread's heap
@@ -386,7 +387,21 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int = 0,
         samples[hi:] = 0.0
     frames = dt._frames_view(samples, fft_size, hop, stop - first) * window
     del samples  # a padded copy goes before the transform allocates
-    return np.fft.rfft(frames, axis=-1)
+    return np.fft.rfft(frames, axis=-1, out=out)
+
+
+def _spectrogram(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
+    """:func:`_spectrum` of every frame of ``x``, made :func:`_block_frames`
+    at a time into one array, so that no frames of the whole signal exist.
+    ``rfft`` transforms each frame on its own, so the bits are those of one
+    call over every frame."""
+    _check_signal(x, fft_size, hop)
+    n_frames, per = n_frames_for(x.shape[0], hop), _block_frames(fft_size)
+    spec = np.empty((n_frames, fft_size // 2 + 1), complex)
+    for first in range(0, n_frames, per):
+        stop = min(n_frames, first + per)
+        _spectrum(x, fft_size, hop, first, stop, out=spec[first:stop])
+    return spec
 
 
 def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int, buf: np.ndarray,
@@ -417,7 +432,7 @@ def stft(x, fft_size: int, hop: int) -> dt.Tensor:
     ``T = n_frames_for(len(x), hop)``; one graph node when ``x`` is tracked.
     """
     x = dt.as_tensor(x)
-    out = dt.Tensor(dt._to_planes(_spectrum(x.data, fft_size, hop)))
+    out = dt.Tensor(dt._to_planes(_spectrogram(x.data, fft_size, hop)))
     length = x.shape[0]
 
     def bwd(g):
@@ -567,8 +582,10 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
     the inputs, which holds nothing but them.  Its backward pass runs the
     adjoint of the inverse block by block: each block's spectrum gradient
     ``G`` gives that block's ``dg_i = Re(G) Re(S_i) + Im(G) Im(S_i)``, with a
-    signal's spectra computed again, and ``adjoint`` maps them to the block's
-    rows of the input gradients.  Each product and sum is the one that the
+    signal's spectra computed again and each ``Im(G) Im(S_i)`` made in one
+    buffer per call.  ``G`` is freed before ``adjoint`` maps the ``dg_i``,
+    which it owns and may overwrite, to the block's rows of the input
+    gradients.  Each product and sum is the one that the
     gains' tensor ops, shaping, mixing and :func:`istft` as separate ops
     would make, and no sum crosses a block, so the bits match theirs.
     ``ws`` is passed to the inverse and its adjoint for their ``overlap``.
@@ -607,13 +624,15 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
 
     def bwd(g):
         grads = [np.empty((n_frames, bins)) if x._tracked else None for x in inputs]
+        part = np.empty((min(n_frames, _block_frames(fft_size)), bins))
         for first, stop, grad in _inverse_adjoint(g, n_frames, fft_size, hop, length, ws):
             dgs = []
             for src in sources:
                 spec = source_rows(src, first, stop)
                 dg = grad.real * spec.real
-                dg += grad.imag * spec.imag
+                dg += np.multiply(grad.imag, spec.imag, out=part[:stop - first])
                 dgs.append(dg)
+            del grad, spec  # before adjoint makes its blocks
             for whole, block in zip(grads, adjoint(dgs, *input_rows(first, stop))):
                 if whole is not None:
                     whole[first:stop] = block
@@ -647,11 +666,13 @@ def excitation_spectra(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np
     """STFTs of the pulse train and of the noise for a frame-rate f0 contour.
 
     Both are constants of the contour and ``cfg.noise_seed``, returned as
-    complex ``(T, fft_size // 2 + 1)`` arrays for :func:`render`.  The
-    excitations span ``T * hop`` samples.
+    complex ``(T, fft_size // 2 + 1)`` arrays for :func:`render`, each made a
+    block of frames at a time (:func:`_spectrogram`).  The excitations span
+    ``T * hop`` samples.
     """
     e_h, e_n = _excitations(f0, cfg)
-    return _spectrum(e_h, cfg.fft_size, cfg.hop), _spectrum(e_n, cfg.fft_size, cfg.hop)
+    return (_spectrogram(e_h, cfg.fft_size, cfg.hop),
+            _spectrogram(e_n, cfg.fft_size, cfg.hop))
 
 
 def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig,
@@ -697,14 +718,25 @@ def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig,
 
     def adjoint(dgs, sp, ap):
         # the composed graph's backward ops in its order: the two scalar gains,
-        # ap * root, (1 - ap) * root, 1 - ap, and sqrt's subgradient
-        d_h, d_n = gain_h * dgs[0], gain_n * dgs[1]
+        # ap * root, (1 - ap) * root, 1 - ap, and sqrt's subgradient; each
+        # product and sum is theirs, made in place in the blocks it owns
+        d_h, d_n = dgs
+        d_h *= gain_h
+        d_n *= gain_n
         root = np.sqrt(sp)
-        d_ap = d_n * root + (-(d_h * root))
-        d_root = d_n * ap + d_h * (1.0 - ap)
+        d_ap = np.multiply(d_h, root)
+        np.negative(d_ap, out=d_ap)
+        d_root = np.multiply(d_n, root)
+        d_ap += d_root  # d_n * root + (-(d_h * root))
+        np.multiply(d_n, ap, out=d_root)
+        d_h *= np.subtract(1.0, ap, out=d_n)  # d_n is spent
+        d_root += d_h
+        # d_root / (2 root) where root > 0, and 0 elsewhere; root is the denom
         positive = root > 0
-        denom = np.where(positive, 2.0 * root, 1.0)
-        return np.where(positive, d_root / denom, 0.0), d_ap
+        root *= 2.0
+        np.divide(d_root, root, out=d_root, where=positive)
+        np.copyto(d_root, 0.0, where=np.logical_not(positive, out=positive))
+        return d_root, d_ap
 
     return _shaped_inverse(sources, value, adjoint, (sp, ap), cfg.fft_size, cfg.hop,
                            n_samples, ws)

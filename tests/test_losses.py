@@ -137,6 +137,53 @@ class TestFusedScaleTerm:
             assert term.item() == value
             np.testing.assert_array_equal(dt.backward(term)[t], ref_grad)
 
+    @staticmethod
+    def floor_blocks(seed):
+        """``(x, y)`` of three blocks of frames at every window, each block
+        being 8192 samples of hops: ``y`` is exact zeros in the first, 1e-12
+        noise in the second (``|Z|`` > 0, below the log floor) and unit noise
+        in the third (every ``|Z|`` above it).  The first two take the masked
+        gradient path, the third the one without masks."""
+        rs = np.random.default_rng(seed)
+        x, y = rs.normal(size=3 * 8192), rs.normal(size=3 * 8192)
+        y[:8192] = 0.0
+        y[8192:16384] = 1e-12 * rs.normal(size=8192)
+        for window in ls.MslConfig().window_sizes:
+            per, hop = 32768 // window, window // 4
+            low = [ls._magnitude(sy._spectrum(y, window, hop, first, first + per)).min()
+                   for first in (0, per, 2 * per)]
+            assert low[0] == 0.0 and 0.0 < low[1] < ls.LOG_FLOOR <= low[2], window
+        return x, y
+
+    @pytest.mark.parametrize("window", [64, 256, 2048])
+    def test_floor_blocks_bit_identical_to_composed_graph(self, window):
+        x, y0 = self.floor_blocks(29)
+        ref_y = dt.Tensor(y0, requires_grad=True)
+        ref = composed_scale_loss(x, ref_y, window)
+        ref_grad = dt.backward(ref)[ref_y]
+        value = per_frame_scale_value(x, y0, window)
+        assert value == pytest.approx(ref.item(), rel=1e-14)
+        for side in (x, ls.scale_target(x, window)):
+            t = dt.Tensor(y0, requires_grad=True)
+            term = ls.scale_loss(side, t, window)
+            assert term.item() == value
+            assert ls.scale_loss(side, y0, window).item() == value
+            np.testing.assert_array_equal(dt.backward(term)[t], ref_grad)
+
+    def test_msl_floor_blocks_bit_identical_to_composed_graph(self):
+        x, y0 = self.floor_blocks(30)
+        cfg = ls.MslConfig()
+        ref_y = dt.Tensor(y0, requires_grad=True)
+        ref = composed_msl(x, ref_y, cfg.scales)
+        ref_grad = dt.backward(ref)[ref_y]
+        value = per_frame_msl_value(x, y0, cfg.scales)
+        assert value == pytest.approx(ref.item(), rel=1e-14)
+        for side in (x, ls.msl_target(x, cfg)):
+            t = dt.Tensor(y0, requires_grad=True)
+            loss = ls.msl(side, t, cfg)
+            assert loss.item() == value
+            np.testing.assert_array_equal(dt.backward(loss)[t], ref_grad)
+
     @pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 15872, 4700])
     def test_msl_bit_identical_to_composed_graph(self, n):
         # 16384 samples are two blocks at every window, and a sample more or
@@ -258,6 +305,23 @@ class TestFusedScaleTerm:
             assert peak <= 1.02 * pinned, (window, peak)
 
 
+    def test_tracked_peak_memory_is_pinned(self):
+        # one tracked 10 s term at window 64, with its own gradient: at most
+        # 2% above the measured peak, 2.3 times the 1.68 MiB signal.  It was
+        # 4.42 MiB while each block made |d| in two temporaries and held its
+        # arrays until the spectrum adjoint had made its frames
+        rs = np.random.default_rng(25)
+        x, y0 = rs.normal(size=220500), rs.normal(size=220500)
+        ls.scale_loss(x[:4096], dt.Tensor(y0[:4096], requires_grad=True), 64)
+        t = dt.Tensor(y0, requires_grad=True)
+        tracemalloc.start()
+        try:
+            dt.backward(ls.scale_loss(x, t, 64))
+            peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 3.814, peak
+
 class TestMslTarget:
     def test_cached_target_is_bit_identical(self):
         rs = np.random.default_rng(14)
@@ -272,6 +336,12 @@ class TestMslTarget:
             direct = ls.msl(x, yr, cfg)
             assert cached.item() == direct.item()
             np.testing.assert_array_equal(g_cached, dt.backward(direct)[yr])
+
+    @pytest.mark.parametrize("n, window", BOUNDARY_CASES)
+    def test_blocks_match_one_spectrum_of_every_frame(self, n, window):
+        x = np.random.default_rng(17).normal(size=n)
+        whole = ls._magnitude(sy._spectrum(x, window, window // 4))
+        np.testing.assert_array_equal(ls.scale_target(x, window).mag, whole)
 
     def test_config_mismatch_rejected(self):
         x = np.random.default_rng(15).normal(size=300)

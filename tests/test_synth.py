@@ -348,6 +348,18 @@ class TestStft:
                         sy._spectrum(x, fft_size, hop, first, stop),
                         padded_spectrum(x, fft_size, hop, first, stop))
 
+    @pytest.mark.parametrize("fft_size", [64, 1024, 65536])
+    def test_spectrogram_blocks_match_one_call_over_every_frame(self, fft_size):
+        # rfft transforms each frame on its own, so blocks written into one
+        # array keep the bits of one call over every frame: one frame, one
+        # block, one block and a frame, and several with a partial last one
+        rs = np.random.default_rng(fft_size + 1)
+        per, hop = max(1, sy._VALUE_BLOCK // fft_size), fft_size // 4
+        for n_frames in (1, per, per + 1, 3 * per + per // 2 + 1):
+            x = rs.normal(size=n_frames * hop - 1)
+            np.testing.assert_array_equal(sy._spectrogram(x, fft_size, hop),
+                                          sy._spectrum(x, fft_size, hop))
+
     def test_interior_frames_are_not_copied(self, monkeypatch):
         x = np.random.default_rng(5).normal(size=4096)
         in_place = []
