@@ -40,8 +40,8 @@ import numpy as np
 from . import tensor as dt
 from .errors import ValidationError
 from .features import MAX_FFT_SIZE
-from .synth import (_block_frames, _check_signal, _inverse_span, _spectrum,
-                    _spectrum_adjoint, n_frames_for)
+from .synth import (_block_frames, _check_signal, _inverse_span, _spectrogram,
+                    _spectrum, _spectrum_adjoint, n_frames_for)
 # no longer called here; perfbench's tracer and its smoke test expect to
 # find it bound in this module
 from .synth import stft  # noqa: F401
@@ -107,15 +107,15 @@ class ScaleTarget(NamedTuple):
     mag: np.ndarray
 
 
-def _reference_rows(x, window: int, first: int = 0,
-                    stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _reference_rows(x, window: int, first: int,
+                    stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes and floored logs of frames ``first..stop`` of a reference
     ``x``: its :class:`ScaleTarget`, or its untracked samples.  The logs are
     made per block, from the magnitudes, in either case."""
     if isinstance(x, ScaleTarget):
         mag = x.mag[first:stop]
     else:
-        mag = _magnitude(_spectrum(x, window, window // 4, first=first, stop=stop))
+        mag = _magnitude(_spectrum(x, window, window // 4, first, stop))
     return mag, _floored_log(mag)
 
 
@@ -123,14 +123,7 @@ def scale_target(x, window: int) -> ScaleTarget:
     """Magnitude spectrogram of an untracked ``x``, made a block of frames
     at a time into one array."""
     x = _reference(x, "scale_target")
-    hop = window // 4
-    _check_signal(x, window, hop)
-    n_frames, per = n_frames_for(x.shape[0], hop), _block_frames(window)
-    mag = np.empty((n_frames, window // 2 + 1))
-    for first in range(0, n_frames, per):
-        stop = min(n_frames, first + per)
-        _magnitude(_spectrum(x, window, hop, first, stop), out=mag[first:stop])
-    return ScaleTarget(window, mag)
+    return ScaleTarget(window, _spectrogram(x, window, window // 4, _magnitude))
 
 
 def _l1_grad(diff: np.ndarray, neg_inv_n: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -357,25 +357,23 @@ def _check_signal(x: np.ndarray, fft_size: int, hop: int) -> None:
     dt._require_pow2(fft_size, "stft")
 
 
-def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int = 0,
-              stop: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int, stop: int,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The one STFT kernel: the complex spectra of frames ``first..stop``.
 
     Frame ``t`` covers samples ``[t * hop - fft_size // 2, t * hop + fft_size
     // 2)`` of ``x``, reading zeros outside it, and is Hann-windowed and
-    transformed.  ``x`` has ``n_frames_for(len(x), hop)`` frames; ``stop``
-    defaults to that.  Frames that lie inside ``x`` are read in place,
-    through a read-only strided view; only a run of frames that reaches past
-    either end is copied, into a zero-padded buffer.  Only the ``(stop -
-    first, fft_size // 2 + 1)`` spectrum outlives the call, written into
-    ``out`` when one is given.
+    transformed.  ``x`` has ``n_frames_for(len(x), hop)`` frames, and
+    :func:`_spectrogram` takes them all.  Frames that lie inside ``x`` are
+    read in place, through a read-only strided view; only a run of frames
+    that reaches past either end is copied, into a zero-padded buffer.  Only
+    the ``(stop - first, fft_size // 2 + 1)`` spectrum outlives the call,
+    written into ``out`` when one is given.
     """
     _check_signal(x, fft_size, hop)
     # a cache entry: made before the buffers, so that a worker thread's heap
     # keeps no long-lived block above them
     window = hann_window(fft_size)
-    if stop is None:
-        stop = n_frames_for(x.shape[0], hop)
     total, start, lo, hi = _frame_span(x.shape[0], fft_size, hop, first, stop)
     if lo == 0 and hi == total:
         samples = x[start: start + total]
@@ -390,18 +388,24 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int = 0,
     return np.fft.rfft(frames, axis=-1, out=out)
 
 
-def _spectrogram(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
+def _spectrogram(x: np.ndarray, fft_size: int, hop: int,
+                 each: Callable[[np.ndarray, np.ndarray], object] | None = None
+                 ) -> np.ndarray:
     """:func:`_spectrum` of every frame of ``x``, made :func:`_block_frames`
     at a time into one array, so that no frames of the whole signal exist.
     ``rfft`` transforms each frame on its own, so the bits are those of one
-    call over every frame."""
+    call over every frame.  Given ``each``, the array is real and
+    ``each(spectrum, rows)`` writes each block's spectrum into its rows."""
     _check_signal(x, fft_size, hop)
     n_frames, per = n_frames_for(x.shape[0], hop), _block_frames(fft_size)
-    spec = np.empty((n_frames, fft_size // 2 + 1), complex)
+    whole = np.empty((n_frames, fft_size // 2 + 1), complex if each is None else float)
     for first in range(0, n_frames, per):
         stop = min(n_frames, first + per)
-        _spectrum(x, fft_size, hop, first, stop, out=spec[first:stop])
-    return spec
+        if each is None:
+            _spectrum(x, fft_size, hop, first, stop, out=whole[first:stop])
+        else:
+            each(_spectrum(x, fft_size, hop, first, stop), whole[first:stop])
+    return whole
 
 
 def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int, buf: np.ndarray,

@@ -287,19 +287,26 @@ class TestFit:
         assert "loss" not in str(err.value)
 
     def test_target_spectrograms_are_computed_once(self, monkeypatch):
-        calls = []
-        real = ls._spectrum
+        # the target's spectrograms once per scale; each step's loss one
+        # block of y's spectrum per scale at this length
+        targets, calls = [], []
+        real_target, real = ls._spectrogram, ls._spectrum
 
-        def counting(x, fft_size, hop, first=0, stop=None):
+        def counting_target(x, fft_size, hop, each=None):
+            targets.append(fft_size)
+            return real_target(x, fft_size, hop, each)
+
+        def counting(x, fft_size, hop, first, stop):
             calls.append(fft_size)
             return real(x, fft_size, hop, first, stop)
 
+        monkeypatch.setattr(ls, "_spectrogram", counting_target)
         monkeypatch.setattr(ls, "_spectrum", counting)
         target, f0 = desk_problem(t=40)
         scales = 3
         cfg = fi.FitConfig(steps=3, learning_rate=0.01, msl=MslConfig(scales=scales))
         fi.fit(target, f0, cfg=cfg, synth_cfg=DESK, n_mels=16, ap_bands=4)
-        assert len(calls) == scales + 3 * scales
+        assert len(targets) == scales and len(calls) == 3 * scales
 
     def test_first_loss_equals_msl_of_initial_synthesis(self):
         # the noise comes from synth_cfg.noise_seed, so the seed changes the trace

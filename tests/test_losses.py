@@ -18,6 +18,34 @@ BOUNDARY_CASES = [(n, window) for window in (64, 256, 2048)
                                   (2 * 32768 // window - 1, 2 * 32768 // window,
                                    2 * 32768 // window + 1)]]
 BOUNDARY_CASES.append((12 * (1 << 14) - 5, 1 << 16))
+FLOOR = "floor"  # in place of n: the blocks of floor_signals
+
+
+def floor_signals(rs):
+    """``(x, y)`` of three blocks of frames at every window, each block being
+    8192 samples of hops: ``y`` is exact zeros in the first, 1e-12 noise in
+    the second (``|Z|`` > 0, below the log floor) and unit noise in the third
+    (every ``|Z|`` above it), so a block's masks pass no bin, some or all."""
+    x, y = rs.normal(size=3 * 8192), rs.normal(size=3 * 8192)
+    y[:8192] = 0.0
+    y[8192:16384] = 1e-12 * rs.normal(size=8192)
+    for window in ls.MslConfig().window_sizes:
+        per, hop = 32768 // window, window // 4
+        low = [ls._magnitude(sy._spectrum(y, window, hop, first, first + per)).min()
+               for first in (0, per, 2 * per)]
+        assert low[0] == 0.0 and 0.0 < low[1] < ls.LOG_FLOOR <= low[2], window
+    return x, y
+
+
+def signals(n, seed):
+    """``(x, y)`` of ``n`` samples of noise, with ``y``'s first third silent
+    (``|Z|`` = 0 and the log floor), or :func:`floor_signals` for ``FLOOR``."""
+    rs = np.random.default_rng(seed)
+    if n == FLOOR:
+        return floor_signals(rs)
+    x, y = rs.normal(size=n), rs.normal(size=n)
+    y[: n // 3] = 0.0
+    return x, y
 
 
 class TestMseFeatures:
@@ -119,45 +147,12 @@ class TestFusedScaleTerm:
         np.testing.assert_array_equal(grad, np.zeros(700))
 
     @pytest.mark.parametrize("n, window", [(700, 64), (700, 2048), (100, 256),
-                                           (4096, 1024)] + BOUNDARY_CASES)
+                                           (4096, 1024)] + BOUNDARY_CASES
+                             + [(FLOOR, 64), (FLOOR, 256), (FLOOR, 2048)])
     def test_bit_identical_to_composed_graph(self, n, window):
         # the gradient keeps the composed graph's bits; the value sums each
         # frame first, so its bits are the per-frame reference's
-        rs = np.random.default_rng(22)
-        x, y0 = rs.normal(size=n), rs.normal(size=n)
-        y0[: n // 3] = 0.0  # silent frames: |Z| = 0 and the log floor
-        ref_y = dt.Tensor(y0, requires_grad=True)
-        ref = composed_scale_loss(x, ref_y, window)
-        ref_grad = dt.backward(ref)[ref_y]
-        value = per_frame_scale_value(x, y0, window)
-        assert value == pytest.approx(ref.item(), rel=1e-14)
-        for side in (x, ls.scale_target(x, window)):
-            t = dt.Tensor(y0, requires_grad=True)
-            term = ls.scale_loss(side, t, window)
-            assert term.item() == value
-            np.testing.assert_array_equal(dt.backward(term)[t], ref_grad)
-
-    @staticmethod
-    def floor_blocks(seed):
-        """``(x, y)`` of three blocks of frames at every window, each block
-        being 8192 samples of hops: ``y`` is exact zeros in the first, 1e-12
-        noise in the second (``|Z|`` > 0, below the log floor) and unit noise
-        in the third (every ``|Z|`` above it).  The first two take the masked
-        gradient path, the third the one without masks."""
-        rs = np.random.default_rng(seed)
-        x, y = rs.normal(size=3 * 8192), rs.normal(size=3 * 8192)
-        y[:8192] = 0.0
-        y[8192:16384] = 1e-12 * rs.normal(size=8192)
-        for window in ls.MslConfig().window_sizes:
-            per, hop = 32768 // window, window // 4
-            low = [ls._magnitude(sy._spectrum(y, window, hop, first, first + per)).min()
-                   for first in (0, per, 2 * per)]
-            assert low[0] == 0.0 and 0.0 < low[1] < ls.LOG_FLOOR <= low[2], window
-        return x, y
-
-    @pytest.mark.parametrize("window", [64, 256, 2048])
-    def test_floor_blocks_bit_identical_to_composed_graph(self, window):
-        x, y0 = self.floor_blocks(29)
+        x, y0 = signals(n, 22)
         ref_y = dt.Tensor(y0, requires_grad=True)
         ref = composed_scale_loss(x, ref_y, window)
         ref_grad = dt.backward(ref)[ref_y]
@@ -170,28 +165,12 @@ class TestFusedScaleTerm:
             assert ls.scale_loss(side, y0, window).item() == value
             np.testing.assert_array_equal(dt.backward(term)[t], ref_grad)
 
-    def test_msl_floor_blocks_bit_identical_to_composed_graph(self):
-        x, y0 = self.floor_blocks(30)
-        cfg = ls.MslConfig()
-        ref_y = dt.Tensor(y0, requires_grad=True)
-        ref = composed_msl(x, ref_y, cfg.scales)
-        ref_grad = dt.backward(ref)[ref_y]
-        value = per_frame_msl_value(x, y0, cfg.scales)
-        assert value == pytest.approx(ref.item(), rel=1e-14)
-        for side in (x, ls.msl_target(x, cfg)):
-            t = dt.Tensor(y0, requires_grad=True)
-            loss = ls.msl(side, t, cfg)
-            assert loss.item() == value
-            np.testing.assert_array_equal(dt.backward(loss)[t], ref_grad)
-
-    @pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 15872, 4700])
+    @pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 15872, 4700, FLOOR])
     def test_msl_bit_identical_to_composed_graph(self, n):
         # 16384 samples are two blocks at every window, and a sample more or
         # less puts a frame on either side; 15872 samples are a frame short of
         # two blocks at window 2048.  The scales' gradients share one buffer
-        rs = np.random.default_rng(27)
-        x, y0 = rs.normal(size=n), rs.normal(size=n)
-        y0[: n // 3] = 0.0
+        x, y0 = signals(n, 27)
         cfg = ls.MslConfig()
         ref_y = dt.Tensor(y0, requires_grad=True)
         ref = composed_msl(x, ref_y, cfg.scales)
@@ -304,7 +283,6 @@ class TestFusedScaleTerm:
                 tracemalloc.stop()
             assert peak <= 1.02 * pinned, (window, peak)
 
-
     def test_tracked_peak_memory_is_pinned(self):
         # one tracked 10 s term at window 64, with its own gradient: at most
         # 2% above the measured peak, 2.3 times the 1.68 MiB signal.  It was
@@ -321,6 +299,7 @@ class TestFusedScaleTerm:
         finally:
             tracemalloc.stop()
         assert peak <= 1.02 * 3.814, peak
+
 
 class TestMslTarget:
     def test_cached_target_is_bit_identical(self):
@@ -340,7 +319,8 @@ class TestMslTarget:
     @pytest.mark.parametrize("n, window", BOUNDARY_CASES)
     def test_blocks_match_one_spectrum_of_every_frame(self, n, window):
         x = np.random.default_rng(17).normal(size=n)
-        whole = ls._magnitude(sy._spectrum(x, window, window // 4))
+        hop = window // 4
+        whole = ls._magnitude(sy._spectrum(x, window, hop, 0, sy.n_frames_for(n, hop)))
         np.testing.assert_array_equal(ls.scale_target(x, window).mag, whole)
 
     def test_config_mismatch_rejected(self):

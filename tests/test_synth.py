@@ -358,7 +358,7 @@ class TestStft:
         for n_frames in (1, per, per + 1, 3 * per + per // 2 + 1):
             x = rs.normal(size=n_frames * hop - 1)
             np.testing.assert_array_equal(sy._spectrogram(x, fft_size, hop),
-                                          sy._spectrum(x, fft_size, hop))
+                                          sy._spectrum(x, fft_size, hop, 0, n_frames))
 
     def test_interior_frames_are_not_copied(self, monkeypatch):
         x = np.random.default_rng(5).normal(size=4096)
@@ -432,7 +432,7 @@ def desk_features(t=8, voiced=True, seed=0):
 
 def harmonic_branch(e_h, sp, ap, cfg):
     """``render``'s harmonic branch alone: excitation ``e_h``, noise gain 0."""
-    spec_h = sy._spectrum(e_h, cfg.fft_size, cfg.hop)
+    spec_h = sy._spectrogram(e_h, cfg.fft_size, cfg.hop)
     return sy.render(spec_h, spec_h, sp, ap, replace(cfg, gain_noise=0.0))
 
 
