@@ -162,14 +162,22 @@ def check_sample_rate(sample_rate, where: str = "sample_rate",
     A WFEAT or WAV header holds the rate as an integer, so a fractional rate
     would render and then fail to be written.
     """
-    if isinstance(sample_rate, bool) or not isinstance(sample_rate, (int, np.integer)):
-        raise error(f"{where} must be an integer, got {sample_rate!r}")
+    _check_integer(sample_rate, where, error)
     if sample_rate < 1:
         raise error(f"{where} must be >= 1, got {sample_rate}")
 
 
+def _check_integer(value, where: str, error: type[DiffworldError] = ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{where} must be an integer, got {value!r}")
+
+
 def check_framing(hop: int, fft_size: int) -> None:
-    """Raise unless ``fft_size`` is in [1, MAX_FFT_SIZE] and ``hop >= 1``."""
+    """Raise unless ``fft_size`` is an integer in [1, MAX_FFT_SIZE] and
+    ``hop`` an integer >= 1: a WFEAT header holds both as integers."""
+    _check_integer(fft_size, "fft_size")
+    _check_integer(hop, "hop")
     if not 1 <= fft_size <= MAX_FFT_SIZE:
         raise ValidationError(
             f"fft_size must be in [1, {MAX_FFT_SIZE}], got {fft_size}")

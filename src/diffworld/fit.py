@@ -16,11 +16,7 @@ at every loss scale (:func:`losses.msl_target`), whose floored logs each
 loss block makes again from its rows.
 A step decodes the features, shapes and mixes the two spectra with one
 inverse STFT (:func:`synth.render`), evaluates the loss against the cached
-target, and back-propagates.  The whole-signal scratch buffer that the
-render and the loss fill in turn belongs to the fit: one
-:class:`tensor.Workspace`, allocated in the first step and reused by the
-render and by every loss scale of every step, since they run one after
-another; per-block scratch is plain numpy.
+target, and back-propagates.
 A non-finite loss or gradient stops the fit with :class:`FitDivergence`,
 which names the step, and for a gradient the parameter and the first
 non-finite index.
@@ -189,7 +185,6 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     # constant across steps: computed once
     spec_h, spec_n = excitation_spectra(f0, synth_cfg)
     target_spec = msl_target(target, cfg.msl)
-    workspace = dt.Workspace()
 
     params = {"log_mel": s0, "ap_logit": _logit(a0)}
     if fir is not None:
@@ -202,10 +197,10 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
                   for key, value in params.items()}
         s_t, a_t = leaves["log_mel"], dt.sigmoid(leaves["ap_logit"])
         sp, ap = melcodec.decode(f0, s_t, a_t, basis)
-        y = render(spec_h, spec_n, sp, ap, synth_cfg, workspace)
+        y = render(spec_h, spec_n, sp, ap, synth_cfg)
         if fir is not None:
             y = fir.apply(y, synth_cfg, leaves["fir_free"])
-        loss = msl(target_spec, y, cfg.msl, workspace)
+        loss = msl(target_spec, y, cfg.msl)
         if reference is not None and cfg.alpha != 0.0:
             feat_loss = dt.add(mse_features(reference.log_mel, s_t),
                                mse_features(reference.coded_ap, a_t))

@@ -39,9 +39,9 @@ import numpy as np
 
 from . import tensor as dt
 from .errors import ValidationError
-from .features import MAX_FFT_SIZE
-from .synth import (_block_frames, _check_signal, _inverse_span, _spectrogram,
-                    _spectrum, _spectrum_adjoint, n_frames_for)
+from .features import MAX_FFT_SIZE, _check_integer
+from .synth import (_blocks, _check_signal, _overlap_buffer, _spectrogram, _spectrum,
+                    _spectrum_adjoint, n_frames_for)
 # no longer called here; perfbench's tracer and its smoke test expect to
 # find it bound in this module
 from .synth import stft  # noqa: F401
@@ -55,9 +55,7 @@ class MslConfig:
     scales: int = 6
 
     def __post_init__(self):
-        if isinstance(self.scales, bool) or not isinstance(self.scales, (int, np.integer)):
-            raise ValidationError(
-                f"MslConfig.scales must be an integer, got {self.scales!r}")
+        _check_integer(self.scales, "MslConfig.scales")
         if not 1 <= self.scales <= MAX_SCALES:
             raise ValidationError(f"scales must be in [1, {MAX_SCALES}] (window "
                                   f"2**(5 + scales) <= {MAX_FFT_SIZE}), got {self.scales}")
@@ -142,18 +140,14 @@ def _zero_unless(arr: np.ndarray, keep: np.ndarray) -> None:
     np.copyto(arr, 0.0, where=np.logical_not(keep, out=keep))
 
 
-def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
-               _into: np.ndarray | None = None) -> dt.Tensor:
+def scale_loss(x, y, window: int, *, _into: np.ndarray | None = None) -> dt.Tensor:
     """Single-resolution term: L1 on magnitudes plus L1 on floored logs.
 
     ``x`` is an untracked signal as long as ``y``, or its
     :class:`ScaleTarget` at the same window.  A tracked term is one graph
     node on ``y``; given ``_into``, a ``y``-sized buffer that :func:`msl`
     passes, it adds its gradient there instead and returns its value
-    untracked.  ``workspace`` holds the whole-signal overlap buffer of a
-    caller that evaluates a tracked term again and again (``fit``); without
-    one, each call allocates its own.  The gradient never lives in the
-    workspace.
+    untracked.
     """
     y = dt.as_tensor(y)
     hop = window // 4
@@ -178,13 +172,10 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
         # -1/N per bin, halved on the interior bins for the spectrum adjoint
         neg_inv_n = np.full(bins, -0.5 / n)
         neg_inv_n[[0, -1]] = -1.0 / n
-        buf = dt._scratch(workspace, "overlap",
-                          (_inverse_span(window, hop, n_frames, y.shape[0]),), zero=True)
+        buf, grad_y = _overlap_buffer(window, hop, n_frames, y.shape[0])
     # sum|d| of every frame, per L1 term; summed once, whatever the blocks
     rows_lin, rows_log = np.empty(n_frames), np.empty(n_frames)
-    per = _block_frames(window)
-    for first in range(0, n_frames, per):
-        stop = min(n_frames, first + per)
+    for first, stop in _blocks(n_frames, window):
         mag_x, log_x = _reference_rows(x, window, first, stop)
         spec = _spectrum(y.data, window, hop, first, stop)
         mag_y = _magnitude(spec)
@@ -233,7 +224,7 @@ def scale_loss(x, y, window: int, workspace: dt.Workspace | None = None, *,
     if not tracked:
         return value
     grad = np.zeros(y.shape) if _into is None else _into
-    grad += buf[window // 2: window // 2 + y.shape[0]]
+    grad += grad_y
     if _into is not None:
         return value
     return dt._record((y,), value, lambda g: (np.multiply(g, grad, out=grad),))
@@ -253,14 +244,13 @@ def msl_target(x, cfg: MslConfig = MslConfig()) -> MslTarget:
                                     for window in cfg.window_sizes))
 
 
-def msl(x, y, cfg: MslConfig = MslConfig(),
-        workspace: dt.Workspace | None = None) -> dt.Tensor:
+def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
     """Multi-resolution spectrogram loss between two equal-length signals.
 
     Differentiable with respect to ``y``; ``x`` must be untracked, or an
     :class:`MslTarget` built with the same scales (:func:`scale_loss` checks
-    each scale's window).  ``workspace`` is passed to every scale term.  A
-    tracked ``y`` gets one graph node, its gradient the sum of the scales'.
+    each scale's window).  A tracked ``y`` gets one graph node, its gradient
+    the sum of the scales'.
     """
     y = dt.as_tensor(y)
     if isinstance(x, MslTarget):
@@ -276,7 +266,7 @@ def msl(x, y, cfg: MslConfig = MslConfig(),
     # one gradient buffer for every scale, filled from the last scale to the
     # first: the order in which backward would sum the terms' own gradients
     grad = np.zeros(y.shape) if y._tracked else None
-    terms = [scale_loss(side, y, window, workspace, _into=grad)
+    terms = [scale_loss(side, y, window, _into=grad)
              for side, window in reversed(tuple(zip(sides, cfg.window_sizes)))]
     total = dt.Tensor(0.0)
     for term in reversed(terms):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tensor as dt
 from .errors import DomainError, ShapeError, ValidationError
-from .features import (MAX_FFT_SIZE, CompressedFeatures, WorldFeatures, _check_sp,
-                       check_sample_rate, validate_features)
+from .features import (MAX_FFT_SIZE, CompressedFeatures, WorldFeatures, _check_integer,
+                       _check_sp, check_sample_rate, validate_features)
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_N_MELS = 80
@@ -67,9 +67,7 @@ class MelBasis:
         """
         check_sample_rate(sample_rate, "MelBasis.build: sample_rate")
         for name, value in (("fft_size", fft_size), ("n_mels", n_mels)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(
-                    f"MelBasis.build: {name} must be an integer, got {value!r}")
+            _check_integer(value, f"MelBasis.build: {name}")
         if not 1 <= fft_size <= MAX_FFT_SIZE:
             raise ValidationError(f"MelBasis.build: fft_size must be in "
                                   f"[1, {MAX_FFT_SIZE}], got {fft_size}")

@@ -50,7 +50,7 @@ from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 # samples of frames per block of every block loop, tracked or not (the loss's
-# value and gradient, the shaped inverse and its adjoint; see _block_frames),
+# value and gradient, the shaped inverse and its adjoint; see _blocks),
 # and samples per chunk of the pulse train: cli loss runs scale terms on
 # worker threads, and glibc keeps whatever a thread's heap grew to below its
 # trim threshold, so the blocks stay small
@@ -336,6 +336,14 @@ def _block_frames(fft_size: int) -> int:
     return max(1, _VALUE_BLOCK // fft_size)
 
 
+def _blocks(n_frames: int, fft_size: int) -> Iterator[tuple[int, int]]:
+    """The one block loop: ``(first, stop)`` of each block of ``n_frames``
+    frames at ``fft_size``, :func:`_block_frames` frames to a block."""
+    per = _block_frames(fft_size)
+    for first in range(0, n_frames, per):
+        yield first, min(n_frames, first + per)
+
+
 def _frame_span(length: int, fft_size: int, hop: int, first: int,
                 stop: int) -> tuple[int, int, int, int]:
     """Frames ``first..stop`` of a ``length``-sample signal, padded: their
@@ -397,15 +405,29 @@ def _spectrogram(x: np.ndarray, fft_size: int, hop: int,
     call over every frame.  Given ``each``, the array is real and
     ``each(spectrum, rows)`` writes each block's spectrum into its rows."""
     _check_signal(x, fft_size, hop)
-    n_frames, per = n_frames_for(x.shape[0], hop), _block_frames(fft_size)
+    n_frames = n_frames_for(x.shape[0], hop)
     whole = np.empty((n_frames, fft_size // 2 + 1), complex if each is None else float)
-    for first in range(0, n_frames, per):
-        stop = min(n_frames, first + per)
+    for first, stop in _blocks(n_frames, fft_size):
         if each is None:
             _spectrum(x, fft_size, hop, first, stop, out=whole[first:stop])
         else:
             each(_spectrum(x, fft_size, hop, first, stop), whole[first:stop])
     return whole
+
+
+def _overlap_buffer(fft_size: int, hop: int, n_frames: int,
+                    length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeroed buffer that ``n_frames`` frames overlap-add into, index 0
+    being sample ``-fft_size // 2``, and its view of samples ``0..length``.
+
+    It spans every frame and the ``length`` samples, whichever reach
+    further.  An inverse adds its frames into the buffer and reads its output
+    from the view; its adjoint writes into the view and reads frames from the
+    buffer, and :func:`_spectrum_adjoint`'s frames leave a gradient there.
+    """
+    buf = np.zeros(max((n_frames - 1) * hop + -(-fft_size // hop) * hop,
+                       fft_size // 2 + length))
+    return buf, buf[fft_size // 2: fft_size // 2 + length]
 
 
 def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int, buf: np.ndarray,
@@ -420,9 +442,8 @@ def _spectrum_adjoint(grad_spec: np.ndarray, fft_size: int, hop: int, buf: np.nd
     the halving is left to the caller so that it can fold it into the pass
     that makes ``grad_spec``.  Blocks added in frame order give each sample
     its terms in the order that one pass over all frames would.  For a
-    ``length``-sample signal, ``buf`` starts zeroed and :func:`_inverse_span`
-    long, and its samples ``[fft_size // 2, fft_size // 2 + length)`` end as
-    the signal's gradient.
+    ``length``-sample signal, ``buf`` is :func:`_overlap_buffer`'s, whose
+    view ends as the signal's gradient.
     """
     frames = np.fft.irfft(grad_spec, n=fft_size, axis=-1, norm="forward")
     frames *= hann_window(fft_size)
@@ -442,16 +463,11 @@ def stft(x, fft_size: int, hop: int) -> dt.Tensor:
     def bwd(g):
         grad_spec = dt._to_complex(g)
         grad_spec[:, 1:-1] *= 0.5
-        buf = np.zeros(_inverse_span(fft_size, hop, g.shape[0], length))
+        buf, grad = _overlap_buffer(fft_size, hop, g.shape[0], length)
         _spectrum_adjoint(grad_spec, fft_size, hop, buf)
-        return (buf[fft_size // 2: fft_size // 2 + length].copy(),)
+        return (grad.copy(),)
 
     return dt._record((x,), out, bwd)
-
-
-def _inverse_span(fft_size: int, hop: int, n_frames: int, length: int) -> int:
-    """Samples of the buffer that the frames of an inverse overlap-add into."""
-    return max((n_frames - 1) * hop + -(-fft_size // hop) * hop, fft_size // 2 + length)
 
 
 def _window_norm(fft_size: int, hop: int, n_frames: int, length: int) -> np.ndarray:
@@ -489,7 +505,7 @@ def _window_norm(fft_size: int, hop: int, n_frames: int, length: int) -> np.ndar
 
 
 def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: int,
-             hop: int, length: int, ws: dt.Workspace | None = None) -> np.ndarray:
+             hop: int, length: int) -> np.ndarray:
     """The one inverse STFT kernel: windowed ``irfft`` frames, overlap-added
     and divided by the overlap of the squared windows.
 
@@ -497,41 +513,34 @@ def _inverse(rows: Callable[[int, int], np.ndarray], n_frames: int, fft_size: in
     They are inverted :func:`_block_frames` at a time and added, in frame
     order, into one buffer, so each sample sums its terms as one pass over
     all frames would.  Returns ``length`` fresh samples; frame ``t`` is centered on
-    sample ``t * hop``.  The buffer is ``ws``'s ``overlap`` when one is given.
+    sample ``t * hop``.
     """
-    window, per = hann_window(fft_size), _block_frames(fft_size)
-    buf = dt._scratch(ws, "overlap", (_inverse_span(fft_size, hop, n_frames, length),),
-                      zero=True)
-    for first in range(0, n_frames, per):
-        stop = min(n_frames, first + per)
+    window = hann_window(fft_size)
+    buf, samples = _overlap_buffer(fft_size, hop, n_frames, length)
+    for first, stop in _blocks(n_frames, fft_size):
         frames = np.fft.irfft(rows(first, stop), n=fft_size, axis=-1)
         frames *= window
         dt._overlap_into(buf, frames, hop, first)
     # the norm's buffer takes its reciprocal and then the output
     out = _window_norm(fft_size, hop, n_frames, length)
     np.divide(1.0, out, out=out)
-    return np.multiply(buf[fft_size // 2: fft_size // 2 + length], out, out=out)
+    return np.multiply(samples, out, out=out)
 
 
 def _inverse_adjoint(grad: np.ndarray, n_frames: int, fft_size: int, hop: int,
-                     length: int, ws: dt.Workspace | None = None
-                     ) -> Iterator[tuple[int, int, np.ndarray]]:
+                     length: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Adjoint of :func:`_inverse`, a block of frames at a time: yields
     ``(first, stop, G)``, ``G`` being the gradient of the complex spectra of
     frames ``first..stop`` for the output gradient ``grad``.
 
     The normalization, once, then per block the frames that the overlap-add
     wrote, the window and ``irfft``'s adjoint.  Blocks are the forward
-    pass's.  The normalized gradient is padded in ``ws``'s ``overlap`` when
-    one is given.
+    pass's.
     """
-    padded = dt._scratch(ws, "overlap", (_inverse_span(fft_size, hop, n_frames, length),),
-                         zero=True)
-    np.multiply(grad, 1.0 / _window_norm(fft_size, hop, n_frames, length),
-                out=padded[fft_size // 2: fft_size // 2 + length])
-    window, per = hann_window(fft_size), _block_frames(fft_size)
-    for first in range(0, n_frames, per):
-        stop = min(n_frames, first + per)
+    padded, samples = _overlap_buffer(fft_size, hop, n_frames, length)
+    np.multiply(grad, 1.0 / _window_norm(fft_size, hop, n_frames, length), out=samples)
+    window = hann_window(fft_size)
+    for first, stop in _blocks(n_frames, fft_size):
         frames = dt._frames_view(padded[first * hop:], fft_size, hop, stop - first)
         yield first, stop, dt._irfft_adjoint(frames * window, fft_size)
 
@@ -567,8 +576,7 @@ def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
 
 def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
                     adjoint: Callable[..., tuple[np.ndarray, ...]], inputs,
-                    fft_size: int, hop: int, length: int,
-                    ws: dt.Workspace | None = None) -> dt.Tensor:
+                    fft_size: int, hop: int, length: int) -> dt.Tensor:
     """``istft(sum_i S_i * g_i)`` in one pass over blocks of frames.
 
     The real gains are a pair of numpy row functions of the inputs, each a
@@ -592,7 +600,6 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
     gradients.  Each product and sum is the one that the
     gains' tensor ops, shaping, mixing and :func:`istft` as separate ops
     would make, and no sum crosses a block, so the bits match theirs.
-    ``ws`` is passed to the inverse and its adjoint for their ``overlap``.
     """
     inputs = [dt.as_tensor(x) for x in inputs]
     n_frames, bins = inputs[0].shape[0], fft_size // 2 + 1
@@ -624,12 +631,12 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
                     mixed += np.multiply(plane, gain, out=part)
         return mix
 
-    out = dt.Tensor(_inverse(rows, n_frames, fft_size, hop, length, ws))
+    out = dt.Tensor(_inverse(rows, n_frames, fft_size, hop, length))
 
     def bwd(g):
         grads = [np.empty((n_frames, bins)) if x._tracked else None for x in inputs]
         part = np.empty((min(n_frames, _block_frames(fft_size)), bins))
-        for first, stop, grad in _inverse_adjoint(g, n_frames, fft_size, hop, length, ws):
+        for first, stop, grad in _inverse_adjoint(g, n_frames, fft_size, hop, length):
             dgs = []
             for src in sources:
                 spec = source_rows(src, first, stop)
@@ -657,13 +664,10 @@ def _check_feature_frames(name: str, arr, n_samples: int, hop: int) -> None:
 # full synthesis
 # ---------------------------------------------------------------------------
 
-def _excitations(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The pulse train and the noise for a frame-rate f0 contour, ``T * hop``
-    samples each."""
-    freq, mask = interpolate_f0(f0, cfg.hop)
-    pulses = pulse_train(freq, mask, cfg)
-    del freq, mask  # the contour goes before the noise is drawn
-    return pulses, noise_excitation(pulses.shape[0], cfg.noise_seed)
+def _pulses(f0: np.ndarray, cfg: SynthConfig) -> np.ndarray:
+    """The pulse train for a frame-rate f0 contour, ``T * hop`` samples; the
+    contour is freed on return."""
+    return pulse_train(*interpolate_f0(f0, cfg.hop), cfg)
 
 
 def excitation_spectra(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -672,15 +676,15 @@ def excitation_spectra(f0: np.ndarray, cfg: SynthConfig) -> tuple[np.ndarray, np
     Both are constants of the contour and ``cfg.noise_seed``, returned as
     complex ``(T, fft_size // 2 + 1)`` arrays for :func:`render`, each made a
     block of frames at a time (:func:`_spectrogram`).  The excitations span
-    ``T * hop`` samples.
+    ``T * hop`` samples, and the pulse train is freed before the noise is
+    drawn.
     """
-    e_h, e_n = _excitations(f0, cfg)
-    return (_spectrogram(e_h, cfg.fft_size, cfg.hop),
-            _spectrogram(e_n, cfg.fft_size, cfg.hop))
+    spec_h = _spectrogram(_pulses(f0, cfg), cfg.fft_size, cfg.hop)
+    noise = noise_excitation(spec_h.shape[0] * cfg.hop, cfg.noise_seed)
+    return spec_h, _spectrogram(noise, cfg.fft_size, cfg.hop)
 
 
-def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig,
-           workspace: dt.Workspace | None = None) -> dt.Tensor:
+def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     """Shape both excitation spectra, mix them and invert them.
 
     Computes ``istft(g_h * (1 - ap) * sqrt(sp) * E_h + g_n * ap * sqrt(sp) *
@@ -688,8 +692,6 @@ def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig,
     1)`` arrays, ``T`` being ``sp``'s frame count; differentiable in ``sp``
     and ``ap``.  ``sp`` must be non-negative and ``ap`` must lie in [0, 1]
     (:func:`~diffworld.features.check_ap`).  Output length is ``T * hop``.
-    ``workspace`` holds the ``overlap`` buffer of a caller that renders again
-    and again (``fit``).
     """
     sp = dt.as_tensor(sp)
     want = (sp.shape[0], cfg.fft_size // 2 + 1)
@@ -700,11 +702,10 @@ def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig,
             raise ValidationError(
                 f"render: the {name} spectrum must be a complex {want} array, one "
                 f"row per frame of sp; got {kind} of shape {np.shape(spec)}")
-    return _render((spec_h, spec_n), sp.shape[0], sp, ap, cfg, workspace)
+    return _render((spec_h, spec_n), sp.shape[0], sp, ap, cfg)
 
 
-def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig,
-            ws: dt.Workspace | None = None) -> dt.Tensor:
+def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     """:func:`render` from excitation spectra or signals of ``n_frames`` frames."""
     sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
     n_samples = n_frames * cfg.hop
@@ -743,7 +744,7 @@ def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig,
         return d_root, d_ap
 
     return _shaped_inverse(sources, value, adjoint, (sp, ap), cfg.fft_size, cfg.hop,
-                           n_samples, ws)
+                           n_samples)
 
 
 def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor:
@@ -756,7 +757,8 @@ def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor
     """
     sp = dt.as_tensor(sp)
     _check_finite("sp", sp.data)
-    e_h, e_n = _excitations(f0, cfg)
+    e_h = _pulses(f0, cfg)
+    e_n = noise_excitation(e_h.shape[0], cfg.noise_seed)
     return _render((e_h, e_n), e_h.shape[0] // cfg.hop, sp, ap, cfg)
 
 

@@ -21,8 +21,7 @@ for a tensor that several nodes read: ``backward`` sums the gradients it
 receives in reverse node-creation order.  Nodes that share an input and are
 created on different threads therefore give that input gradient bits that
 depend on thread timing; create them in a fixed order (compute on the
-threads, record on one) when the bits must not vary.  A :class:`Workspace`
-is not a graph: it belongs to one caller and is never shared by threads.
+threads, record on one) when the bits must not vary.
 
 The framing ops are vectorised.  :func:`frame` gathers through a strided
 view, and the scatter-add shared by :func:`overlap_add` and by ``frame``'s
@@ -107,42 +106,6 @@ def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Ten
         out._tracked = True
         out._node = (next(_SEQ), tuple(inputs), backward_fn)
     return out
-
-
-class Workspace:
-    """Named flat scratch buffers that one caller reuses from call to call.
-
-    :meth:`take` returns a C-contiguous view of the buffer called ``name``,
-    which grows to the largest request seen and so serves requests of
-    several sizes in turn; its contents are undefined.  It holds one
-    whole-signal buffer, whose pages malloc would give back and fault in
-    again on every call: ``overlap``, which an inverse STFT, its adjoint and
-    a tracked loss scale each fill.  A caller that runs the same computation
-    repeatedly (``fit``, once per step) reuses it and so faults fewer pages.
-    Per-block scratch is plain numpy, which malloc's free lists serve.
-    """
-
-    def __init__(self):
-        self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        key = (name, np.dtype(dtype))
-        size = math.prod(shape)
-        flat = self._flat.get(key)
-        if flat is None or flat.size < size:
-            flat = self._flat[key] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
-
-
-def _scratch(ws: Workspace | None, name: str, shape: tuple[int, ...],
-             dtype=np.float64, zero: bool = False) -> np.ndarray:
-    """A fresh array, or a view of ``ws``'s buffer ``name``; zeroed if asked."""
-    if ws is None:
-        return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-    buf = ws.take(name, shape, dtype)
-    if zero:
-        buf.fill(0)
-    return buf
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

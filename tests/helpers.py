@@ -358,6 +358,6 @@ def overlap_sum_window_norm(fft_size, hop, n_frames, length):
     """The inverse's window norm as one overlap-sum over every frame: the
     reference that ``synth._window_norm``'s edges-and-period form must match."""
     win_sq = np.broadcast_to(sy.hann_window(fft_size) ** 2, (n_frames, fft_size))
-    total = sy._inverse_span(fft_size, hop, n_frames, length)
-    norm = dt._overlap_sum(win_sq, hop, total)[fft_size // 2: fft_size // 2 + length]
+    buf, norm = sy._overlap_buffer(fft_size, hop, n_frames, length)
+    dt._overlap_into(buf, win_sq, hop)
     return np.where(norm > 1e-12, norm, 1.0)

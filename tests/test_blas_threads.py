@@ -4,7 +4,9 @@ How OpenBLAS's pool splits a product changes its rounding, so products that
 woke the pool wrote different bits under ``OPENBLAS_NUM_THREADS=1`` and
 ``2``.  ``tensor._product`` is the one place that makes a product; these
 tests check its tiling, its bits, and that the CLI's outputs no longer
-depend on the pool's size.
+depend on the pool's size.  A second source scan keeps the loop over blocks
+of frames in one place, ``synth._blocks``, as the first keeps products in
+``tensor._product``.
 """
 
 import ast
@@ -230,3 +232,32 @@ def test_every_product_goes_through_the_helper():
                 found += [f"{path.name}:{node.lineno} import {alias.name}"
                           for alias in node.names if alias.name in PRODUCTS]
     assert not found
+
+
+def block_loops(package: Path) -> list[str]:
+    """``file:line`` of each loop over blocks of frames outside
+    ``synth._blocks``: a ``range`` over ``n_frames``, or any ``range`` in a
+    function that sizes blocks with ``_block_frames``."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef) or func.name == "_blocks":
+                continue
+            sizes_blocks = "_block_frames" in names_in(func)
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "range"
+                        and (sizes_blocks or any("n_frames" in names_in(arg)
+                                                 for arg in node.args))):
+                    found.add(f"{path.name}:{node.lineno}")
+    return sorted(found)
+
+
+def names_in(node) -> set[str]:
+    return {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+
+
+def test_every_block_loop_goes_through_the_helper():
+    # one block rule in one place: every pass that monkeypatching
+    # synth._VALUE_BLOCK must reach takes its blocks from synth._blocks
+    assert block_loops(Path(diffworld.__file__).parent) == []

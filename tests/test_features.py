@@ -169,10 +169,28 @@ class TestWfeat:
             with pytest.raises(ValidationError, match="sample_rate must be an integer"):
                 ft.write_features(tmp_path / "x.wfeat", replace(feats, sample_rate=rate))
 
+    @pytest.mark.parametrize("field, value", [
+        ("hop", 16.0), ("hop", True), ("hop", "16"),
+        ("fft_size", 64.0), ("fft_size", np.float64(64)), ("fft_size", True),
+    ])
+    def test_framing_must_be_integers(self, field, value, tmp_path):
+        # hop 16.0 used to validate, then fail in synthesize with a TypeError
+        # and in write_features with a bare struct.error; hop True framed by 1
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        for feats in (make_raw(), make_compressed()):
+            bad = replace(feats, **{field: value})
+            with pytest.raises(ValidationError, match=message):
+                ft.validate_features(bad)
+            with pytest.raises(ValidationError, match=message):
+                ft.write_features(tmp_path / "x.wfeat", bad)
+
     def test_numpy_integer_sample_rate_accepted(self, tmp_path):
-        feats = replace(make_raw(), sample_rate=np.int64(8000))
+        # and numpy integer framing, which the integer rule also accepts
+        feats = replace(make_raw(), sample_rate=np.int64(8000), hop=np.int64(16),
+                        fft_size=np.int32(64))
         ft.write_features(tmp_path / "x.wfeat", feats)
-        assert ft.read_features(tmp_path / "x.wfeat").sample_rate == 8000
+        back = ft.read_features(tmp_path / "x.wfeat")
+        assert (back.sample_rate, back.hop, back.fft_size) == (8000, 16, 64)
 
     def test_loaded_features_are_finite(self, tmp_path):
         path = tmp_path / "raw.wfeat"
