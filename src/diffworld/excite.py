@@ -21,8 +21,8 @@ import numpy as np
 
 from . import melcodec
 from . import tensor as dt
-from .errors import ValidationError
-from .synth import SynthConfig, _check_feature_frames, _shaped_inverse
+from .errors import ValidationError, real_array
+from .synth import SynthConfig, _check_feature_frames, _check_signal, _shaped_inverse
 # no longer called here; perfbench's tracer and its smoke test expect to
 # find them bound in this module
 from .synth import istft, stft  # noqa: F401
@@ -49,15 +49,13 @@ def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
                 "transform_formants: the signal x is tracked, but the transform is "
                 "differentiable in the envelopes only; pass x untracked")
         x = x.data
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "x")
+    _check_signal(x, cfg.fft_size, cfg.hop)
+    sp_src, sp_tgt = dt.as_tensor(sp_src, "sp_src"), dt.as_tensor(sp_tgt, "sp_tgt")
     if use_decompressed:
         basis = melcodec.MelBasis.build(cfg.sample_rate, cfg.fft_size)
-        sp_src = melcodec.decompress_sp(
-            melcodec.compress_sp(dt.as_tensor(sp_src), basis), basis)
-        sp_tgt = melcodec.decompress_sp(
-            melcodec.compress_sp(dt.as_tensor(sp_tgt), basis), basis)
-    sp_src = dt.as_tensor(sp_src)
-    sp_tgt = dt.as_tensor(sp_tgt)
+        sp_src, sp_tgt = (melcodec.decompress_sp(melcodec.compress_sp(sp, basis), basis)
+                          for sp in (sp_src, sp_tgt))
     _check_feature_frames("sp_src", sp_src, x.shape[0], cfg.hop)
     _check_feature_frames("sp_tgt", sp_tgt, x.shape[0], cfg.hop)
 
@@ -80,5 +78,5 @@ def transform_formants(x, sp_src, sp_tgt, cfg: SynthConfig,
         return (np.where(sp_src >= ENVELOPE_FLOOR, -d_q * q / src, 0.0),
                 np.where(sp_tgt >= ENVELOPE_FLOOR, d_q / src, 0.0))
 
-    return _shaped_inverse((x,), value, adjoint, (sp_src, sp_tgt), cfg.fft_size,
-                           cfg.hop, x.shape[0])
+    return _shaped_inverse((x,), value, adjoint, {"sp_src": sp_src, "sp_tgt": sp_tgt},
+                           cfg.fft_size, cfg.hop, x.shape[0])

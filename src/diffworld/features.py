@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DiffworldError, FormatError, ValidationError, first_index
+from .errors import (DiffworldError, FormatError, ValidationError, check_framing,
+                     check_integer, first_index, real_array)
 
 WFEAT_MAGIC = b"WFEA"
 WFEAT_VERSION = 1
@@ -41,7 +42,6 @@ KIND_RAW = 0
 KIND_COMPRESSED = 1
 
 _HEADER = struct.Struct("<4sIIIIIIII")
-MAX_FFT_SIZE = 1 << 16  # bounds the (mels x bins) codec basis a header can ask for
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,6 @@ def _check_unit(x: np.ndarray, name: str, column: str) -> None:
         f"{name} out of [0, 1] at frame {frame}, {column} {col}: {x[frame, col]}")
 
 
-def check_ap(ap: np.ndarray) -> None:
-    """Raise unless ``ap`` is in [0, 1] (NaN is not), naming the frame and bin."""
-    _check_unit(ap, "ap", "bin")
-
-
 def _check_sp(sp: np.ndarray, error: type[DiffworldError] = ValidationError) -> None:
     """Raise ``error`` unless ``sp`` is non-negative, naming the frame and bin;
     a NaN is not negative, so a NaN minimum falls back to the mask."""
@@ -155,39 +150,9 @@ def _check_sp(sp: np.ndarray, error: type[DiffworldError] = ValidationError) -> 
         raise error(f"sp is negative at frame {frame}, bin {bin_}")
 
 
-def check_sample_rate(sample_rate, where: str = "sample_rate",
-                      error: type[DiffworldError] = ValidationError) -> None:
-    """Raise ``error`` unless ``sample_rate`` is an integer of at least 1 Hz.
-
-    A WFEAT or WAV header holds the rate as an integer, so a fractional rate
-    would render and then fail to be written.
-    """
-    _check_integer(sample_rate, where, error)
-    if sample_rate < 1:
-        raise error(f"{where} must be >= 1, got {sample_rate}")
-
-
-def _check_integer(value, where: str, error: type[DiffworldError] = ValidationError) -> None:
-    """Raise ``error`` unless ``value`` is an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{where} must be an integer, got {value!r}")
-
-
-def check_framing(hop: int, fft_size: int) -> None:
-    """Raise unless ``fft_size`` is an integer in [1, MAX_FFT_SIZE] and
-    ``hop`` an integer >= 1: a WFEAT header holds both as integers."""
-    _check_integer(fft_size, "fft_size")
-    _check_integer(hop, "hop")
-    if not 1 <= fft_size <= MAX_FFT_SIZE:
-        raise ValidationError(
-            f"fft_size must be in [1, {MAX_FFT_SIZE}], got {fft_size}")
-    if hop < 1:
-        raise ValidationError(f"hop must be >= 1, got {hop}")
-
-
 def _frame_arrays(feats, first: str, second: str) -> tuple[np.ndarray, ...]:
     """Contiguous float64 f0 and (T, width) arrays; checks shapes, f0, finite ``first``."""
-    f0, x, y = (np.ascontiguousarray(getattr(feats, name), dtype=np.float64)
+    f0, x, y = (np.ascontiguousarray(real_array(getattr(feats, name), name))
                 for name in ("f0", first, second))
     if f0.ndim != 1 or x.ndim != 2 or y.ndim != 2:
         raise ValidationError(f"features must be f0 (T,), {first} (T, width), "
@@ -209,7 +174,7 @@ def _validated_raw(feats: WorldFeatures) -> WorldFeatures:
             f"expected {bins} bins for fft_size {feats.fft_size}, "
             f"got sp {sp.shape[1]}, ap {ap.shape[1]}")
     _check_sp(sp)
-    check_ap(ap)
+    _check_unit(ap, "ap", "bin")
     # unvoiced frames are pure noise by convention; ap is copied only to set them
     unvoiced = f0 == 0
     if ap.min(where=unvoiced[:, None], initial=1.0) < 1.0:
@@ -227,9 +192,8 @@ def _validated_compressed(feats: CompressedFeatures) -> CompressedFeatures:
 def validate_features(feats):
     """Enforce the type invariants (including unvoiced ap coercion for raw)."""
     if not isinstance(feats, (WorldFeatures, CompressedFeatures)):
-        raise TypeError(f"not a feature container: {type(feats).__name__}")
-    check_sample_rate(feats.sample_rate)
-    check_framing(feats.hop, feats.fft_size)
+        raise ValidationError(f"feats is not a feature container: {type(feats).__name__}")
+    check_framing(sample_rate=feats.sample_rate, fft_size=feats.fft_size, hop=feats.hop)
     if isinstance(feats, WorldFeatures):
         return _validated_raw(feats)
     return _validated_compressed(feats)
@@ -335,7 +299,8 @@ def _wav_format(path, body: bytes) -> tuple[int, str]:
     if channels != 1:
         raise ValidationError(f"{path}: {channels}-channel audio; mono required "
                               "(downmix externally before loading)")
-    check_sample_rate(rate, f"{path}: sample rate", FormatError)
+    if rate < 1:  # an unpacked u32
+        raise FormatError(f"{path}: sample rate must be >= 1, got {rate}")
     if (code, bits, block) not in _WAV_CODECS:
         raise FormatError(f"{path}: unsupported sample codec (format {code:#x}, "
                           f"{bits}-bit, {block}-byte blocks); "
@@ -344,6 +309,8 @@ def _wav_format(path, body: bytes) -> tuple[int, str]:
 
 
 def read_wav(path, expect_sample_rate: int | None = None) -> Waveform:
+    if expect_sample_rate is not None:
+        check_framing("read_wav: ", expect_sample_rate=expect_sample_rate)
     try:
         blob = Path(path).read_bytes()
     except OSError as err:
@@ -385,16 +352,17 @@ def read_wav(path, expect_sample_rate: int | None = None) -> Waveform:
 
 def check_wav_rate(sample_rate: int) -> None:
     """Reject a rate whose float32 byte rate, ``rate * 4``, overflows a WAV header's u32."""
+    check_integer(sample_rate, "sample_rate")
     max_rate = 0xFFFFFFFF // 4
     if not 1 <= sample_rate <= max_rate:
         raise ValidationError(f"sample rate {sample_rate} cannot be written as "
-                              f"float32 WAV (must be in [1, {max_rate}])")
+                              f"float32 WAV (sample_rate must be in [1, {max_rate}])")
 
 
 def write_wav(path, wave: Waveform) -> None:
-    samples = np.asarray(wave.samples, dtype=np.float64)
+    samples = real_array(wave.samples, "samples")
     if samples.ndim != 1:
-        raise ValidationError("mono required: waveform must be 1-D")
+        raise ValidationError(f"mono required: samples must be 1-D, not {samples.shape}")
     if samples.size > MAX_WAV_SAMPLES:
         raise ValidationError(f"{samples.size} samples cannot be written as float32 "
                               f"WAV (at most {MAX_WAV_SAMPLES})")

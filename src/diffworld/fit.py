@@ -24,14 +24,14 @@ non-finite index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import melcodec
 from . import tensor as dt
-from .errors import DiffworldError, ValidationError, first_index
+from .errors import (DiffworldError, ValidationError, check_integer, check_real,
+                     first_index, real_array)
 from .features import CompressedFeatures, Waveform
 from .losses import MslConfig, mse_features, msl, msl_target
 from .synth import (FirPostFilter, SynthConfig, check_clock, excitation_spectra,
@@ -57,14 +57,9 @@ class FitConfig:
     msl: MslConfig = field(default_factory=MslConfig)
 
     def __post_init__(self):
-        if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
-                or self.steps < 1):
-            raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValidationError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        check_integer(self.steps, "steps", 1)
+        check_real(self.learning_rate, "learning_rate", 0)
+        check_real(self.alpha, "alpha")
         if not isinstance(self.msl, MslConfig):
             raise ValidationError(f"msl must be an MslConfig, got {self.msl!r}")
 
@@ -74,6 +69,9 @@ class AdamState:
     step: int
     m: dict
     v: dict
+
+    def __post_init__(self):
+        check_integer(self.step, "AdamState.step", 0)
 
     @classmethod
     def fresh(cls) -> "AdamState":
@@ -143,7 +141,7 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
     optimized jointly and updated in place.  ``init`` and ``reference``
     must share the synth config's clock and ``f0``'s frame count.
     """
-    melcodec.check_ap_bands(ap_bands)
+    check_integer(ap_bands, "ap_bands", 2)
     if isinstance(target, Waveform):
         if synth_cfg is None:
             synth_cfg = SynthConfig(sample_rate=target.sample_rate)
@@ -152,12 +150,12 @@ def fit(target, f0: np.ndarray, init: CompressedFeatures | None = None,
                 f"target rate {target.sample_rate} != config rate "
                 f"{synth_cfg.sample_rate}")
         target = target.samples
-    target = np.asarray(target, dtype=np.float64)
+    target = real_array(target, "target")
     if target.size == 0:
         raise ValidationError("target waveform is empty")
     if synth_cfg is None:
         synth_cfg = SynthConfig()
-    f0 = np.asarray(f0, dtype=np.float64)
+    f0 = real_array(f0, "f0")
     n_frames = f0.shape[0]
     hop = synth_cfg.hop
     n_samples = n_frames * hop

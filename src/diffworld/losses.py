@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as dt
-from .errors import ValidationError
-from .features import MAX_FFT_SIZE, _check_integer
+from .errors import (MAX_FFT_SIZE, ValidationError, check_framing, check_integer,
+                     check_real, real_array)
 from .synth import (_blocks, _check_signal, _overlap_buffer, _spectrogram, _spectrum,
                     _spectrum_adjoint, n_frames_for)
 # no longer called here; perfbench's tracer and its smoke test expect to
@@ -55,7 +55,7 @@ class MslConfig:
     scales: int = 6
 
     def __post_init__(self):
-        _check_integer(self.scales, "MslConfig.scales")
+        check_integer(self.scales, "MslConfig.scales")
         if not 1 <= self.scales <= MAX_SCALES:
             raise ValidationError(f"scales must be in [1, {MAX_SCALES}] (window "
                                   f"2**(5 + scales) <= {MAX_FFT_SIZE}), got {self.scales}")
@@ -67,9 +67,9 @@ class MslConfig:
 
 def mse_features(x, y) -> dt.Tensor:
     """Mean over all elements of the squared feature difference."""
-    x, y = dt.as_tensor(x), dt.as_tensor(y)
+    x, y = dt.as_tensor(x, "x"), dt.as_tensor(y, "y")
     if x.shape != y.shape:
-        raise ValidationError(f"feature shapes differ: {x.shape} vs {y.shape}")
+        raise ValidationError(f"feature shapes differ: x {x.shape} vs y {y.shape}")
     diff = dt.sub(x, y)
     return dt.mean(dt.mul(diff, diff))
 
@@ -82,7 +82,7 @@ def _reference(x, where: str) -> np.ndarray:
                 f"{where}: the reference signal x is tracked, but the loss is "
                 "differentiable in y only; pass x untracked")
         return x.data
-    return np.asarray(x, dtype=np.float64)
+    return real_array(x, "x")
 
 
 def _magnitude(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -120,6 +120,7 @@ def _reference_rows(x, window: int, first: int,
 def scale_target(x, window: int) -> ScaleTarget:
     """Magnitude spectrogram of an untracked ``x``, made a block of frames
     at a time into one array."""
+    check_framing("scale_target: ", window=window, transform=True)
     x = _reference(x, "scale_target")
     return ScaleTarget(window, _spectrogram(x, window, window // 4, _magnitude))
 
@@ -149,9 +150,10 @@ def scale_loss(x, y, window: int, *, _into: np.ndarray | None = None) -> dt.Tens
     passes, it adds its gradient there instead and returns its value
     untracked.
     """
-    y = dt.as_tensor(y)
+    check_framing("scale_loss: ", window=window, transform=True)
+    y = dt.as_tensor(y, "y")
     hop = window // 4
-    _check_signal(y.data, window, hop)
+    _check_signal(y.data, window, hop, "y")
     n_frames = n_frames_for(y.shape[0], hop)
     if isinstance(x, ScaleTarget):
         if x.window != window:
@@ -163,7 +165,7 @@ def scale_loss(x, y, window: int, *, _into: np.ndarray | None = None) -> dt.Tens
     else:
         x = _reference(x, "scale_loss")
         if x.shape != y.shape:
-            raise ValidationError(f"signal lengths differ: {x.shape} vs {y.shape}")
+            raise ValidationError(f"signal lengths differ: x {x.shape} vs y {y.shape}")
 
     bins = window // 2 + 1
     n = float(n_frames * bins)
@@ -252,7 +254,7 @@ def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
     each scale's window).  A tracked ``y`` gets one graph node, its gradient
     the sum of the scales'.
     """
-    y = dt.as_tensor(y)
+    y = dt.as_tensor(y, "y")
     if isinstance(x, MslTarget):
         if len(x.scales) != cfg.scales:
             raise ValidationError(f"target has {len(x.scales)} scales, "
@@ -262,7 +264,7 @@ def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
         x = _reference(x, "msl")
         x_shape, sides = x.shape, (x,) * cfg.scales
     if x_shape != y.shape:
-        raise ValidationError(f"signal lengths differ: {x_shape} vs {y.shape}")
+        raise ValidationError(f"signal lengths differ: x {x_shape} vs y {y.shape}")
     # one gradient buffer for every scale, filled from the last scale to the
     # first: the order in which backward would sum the terms' own gradients
     grad = np.zeros(y.shape) if y._tracked else None
@@ -282,6 +284,7 @@ def msl(x, y, cfg: MslConfig = MslConfig()) -> dt.Tensor:
 
 def hinge_generator(scores, mu: float = 1.0) -> dt.Tensor:
     """Generator hinge: ``mu * sum_k mean(-scores_k)``."""
+    check_real(mu, "mu")
     total = dt.Tensor(0.0)
     for s in scores:
         total = dt.add(total, dt.mean(dt.neg(dt.as_tensor(s))))
@@ -295,6 +298,7 @@ def feature_matching(real_maps, fake_maps, lam: float = 1.0) -> dt.Tensor:
     discriminator ``k``; the leading axis of each map tensor counts the maps
     in that layer, and each layer term is divided by that count.
     """
+    check_real(lam, "lam")
     if len(real_maps) != len(fake_maps):
         raise ValidationError("discriminator counts differ between map lists")
     total = dt.Tensor(0.0)
@@ -321,6 +325,7 @@ def hinge_discriminator(real_scores, fake_scores, mu: float = 1.0,
     (``max`` in place of ``min``) is available behind the flag because the
     stated form is non-positive and saturates at zero.
     """
+    check_real(mu, "mu")
     if len(real_scores) != len(fake_scores):
         raise ValidationError("discriminator counts differ between score lists")
     total = dt.Tensor(0.0)

@@ -15,15 +15,14 @@ values inside [0, 1] because every output is a convex combination of inputs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as dt
-from .errors import DomainError, ShapeError, ValidationError
-from .features import (MAX_FFT_SIZE, CompressedFeatures, WorldFeatures, _check_integer,
-                       _check_sp, check_sample_rate, validate_features)
+from .errors import (DomainError, ShapeError, ValidationError, check_framing, check_integer,
+                     check_real, real_array)
+from .features import CompressedFeatures, WorldFeatures, _check_sp, validate_features
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_N_MELS = 80
@@ -65,19 +64,9 @@ class MelBasis:
         the wrong type would otherwise fail inside it, or share the entry of
         the integer it equals (``80.0``, ``True``).
         """
-        check_sample_rate(sample_rate, "MelBasis.build: sample_rate")
-        for name, value in (("fft_size", fft_size), ("n_mels", n_mels)):
-            _check_integer(value, f"MelBasis.build: {name}")
-        if not 1 <= fft_size <= MAX_FFT_SIZE:
-            raise ValidationError(f"MelBasis.build: fft_size must be in "
-                                  f"[1, {MAX_FFT_SIZE}], got {fft_size}")
-        if n_mels < 1:
-            raise ValidationError(f"MelBasis.build: n_mels must be >= 1, got {n_mels}")
-        real = (int, float, np.integer, np.floating)
-        if (isinstance(epsilon, bool) or not isinstance(epsilon, real)
-                or not math.isfinite(epsilon) or epsilon < 0):
-            raise ValidationError(
-                f"MelBasis.build: epsilon must be a finite number >= 0, got {epsilon!r}")
+        check_framing("MelBasis.build: ", sample_rate=sample_rate, fft_size=fft_size,
+                      n_mels=n_mels)
+        check_real(epsilon, "MelBasis.build: epsilon", 0, "a finite number >= 0")
         return cls._build(int(sample_rate), int(fft_size), int(n_mels), float(epsilon))
 
     @classmethod
@@ -116,12 +105,19 @@ class MelBasis:
         return cls(weights=weights, pinv=pinv, epsilon=epsilon)
 
 
+def _rows(x, where: str, name: str, width: int | None = None) -> dt.Tensor:
+    """``x`` as a tensor of one or ``(T, width)`` rows, by default at least 2 wide."""
+    x = dt.as_tensor(x, name)
+    if x.ndim not in (1, 2) or (x.shape[-1] != width if width else x.shape[-1] < 2):
+        raise ShapeError(f"{where}: {name} must be (T, {width or 'points >= 2'}), "
+                         f"got shape {x.shape}")
+    return x
+
+
 def compress_sp(sp, basis: MelBasis) -> dt.Tensor:
     """Envelope (T, n_bins) -> log mel (T, n_mels), differentiable."""
-    sp = dt.as_tensor(sp)
+    sp = _rows(sp, "compress_sp", "sp", basis.n_bins)
     _check_sp(sp.data, DomainError)
-    if sp.shape[-1] != basis.n_bins:
-        raise ValidationError(f"expected {basis.n_bins} bins, got {sp.shape[-1]}")
     banded = dt.matmul(dt.sqrt(sp), dt.Tensor(basis.weights.T))
     return dt.log10(dt.add(banded, basis.epsilon))
 
@@ -137,12 +133,7 @@ def decompress_sp(s, basis: MelBasis) -> dt.Tensor:
     in their order (``R * R``'s two terms, the clamp, the product, the
     power), so the bits match theirs.
     """
-    s = dt.as_tensor(s)
-    if s.shape[-1] != basis.n_mels:
-        raise ValidationError(f"expected {basis.n_mels} mel bands, got {s.shape[-1]}")
-    if s.ndim not in (1, 2):
-        raise ShapeError(f"decompress_sp: expected a (T, {basis.n_mels}) log mel, "
-                         f"got shape {s.shape}")
+    s = _rows(s, "decompress_sp", "s", basis.n_mels)
     amplitude = np.power(10.0, s.data) - basis.epsilon
     root = dt._product(amplitude.reshape(-1, basis.n_mels), basis.pinv.T).reshape(
         s.shape[:-1] + (basis.n_bins,))
@@ -164,14 +155,6 @@ def decompress_sp(s, basis: MelBasis) -> dt.Tensor:
     return dt._record((s,), out, bwd)
 
 
-def check_ap_bands(ap_bands) -> None:
-    """The one aperiodicity band-count rule: an integer of at least 2, the
-    two ends of the coarse grid, which sit on the first and the last bin."""
-    if (isinstance(ap_bands, bool) or not isinstance(ap_bands, (int, np.integer))
-            or ap_bands < 2):
-        raise ValidationError(f"ap_bands must be an integer >= 2, got {ap_bands!r}")
-
-
 @functools.lru_cache(maxsize=32)
 def _resample_matrix(n_src: int, n_dst: int) -> np.ndarray:
     """(n_dst, n_src) linear-interpolation weights between regular grids.
@@ -179,8 +162,6 @@ def _resample_matrix(n_src: int, n_dst: int) -> np.ndarray:
     Both grids span the same interval with endpoints included, so the weights
     depend only on the point counts; every row is a convex combination.
     """
-    if n_src < 2 or n_dst < 2:
-        raise ValidationError("resampling grids need at least two points")
     pos = np.linspace(0.0, n_src - 1.0, n_dst)
     lo = np.minimum(pos.astype(int), n_src - 2)
     frac = pos - lo
@@ -193,13 +174,15 @@ def _resample_matrix(n_src: int, n_dst: int) -> np.ndarray:
 
 def compress_ap(ap, n_bands: int = DEFAULT_AP_BANDS) -> dt.Tensor:
     """Aperiodicity (T, n_bins) -> (T, n_bands) on a coarse regular grid."""
-    ap = dt.as_tensor(ap)
+    check_integer(n_bands, "compress_ap: n_bands", 2)  # a grid's two ends
+    ap = _rows(ap, "compress_ap", "ap")
     return dt.matmul(ap, dt.Tensor(_resample_matrix(ap.shape[-1], n_bands).T))
 
 
 def decompress_ap(a, n_bins: int) -> dt.Tensor:
     """Coarse aperiodicity (T, n_bands) -> (T, n_bins); stays in [0, 1]."""
-    a = dt.as_tensor(a)
+    check_integer(n_bins, "decompress_ap: n_bins", 2)
+    a = _rows(a, "decompress_ap", "a")
     return dt.matmul(a, dt.Tensor(_resample_matrix(a.shape[-1], n_bins).T))
 
 
@@ -217,13 +200,16 @@ def decode(f0: np.ndarray, log_mel, coded_ap,
     adjoint) in their order.  Both codec functions are called by their
     module names, so a wrapper installed there sees every decode.
     """
-    log_mel, coded_ap = dt.as_tensor(log_mel), dt.as_tensor(coded_ap)
+    f0 = real_array(f0, "f0")
+    if f0.ndim != 1:
+        raise ShapeError(f"decode: f0 must be 1-D, got shape {f0.shape}")
+    log_mel, coded_ap = dt.as_tensor(log_mel, "log_mel"), dt.as_tensor(coded_ap, "coded_ap")
     for name, x, columns in (("log_mel", log_mel, "mels"), ("coded_ap", coded_ap, "bands")):
         if x.ndim != 2 or x.shape[0] != len(f0):
             raise ShapeError(f"decode: {name} must be ({len(f0)}, {columns}), one row "
                              f"per frame of f0; got {x.shape}")
     sp = decompress_sp(log_mel, basis)
-    voiced = (np.asarray(f0) > 0).astype(np.float64)[:, None]
+    voiced = (f0 > 0).astype(np.float64)[:, None]
     ap = decompress_ap(coded_ap.data, basis.n_bins).data
     passes = (ap >= 0.0) & (ap <= 1.0) if coded_ap._tracked else None
     ap = np.clip(ap, 0.0, 1.0)
@@ -244,7 +230,7 @@ def decode(f0: np.ndarray, log_mel, coded_ap,
 
 def compress(feats: WorldFeatures, n_mels: int = DEFAULT_N_MELS,
              ap_bands: int = DEFAULT_AP_BANDS) -> CompressedFeatures:
-    check_ap_bands(ap_bands)
+    check_integer(ap_bands, "ap_bands", 2)
     feats = validate_features(feats)
     basis = MelBasis.build(feats.sample_rate, feats.fft_size, n_mels)
     return CompressedFeatures(

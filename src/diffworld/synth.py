@@ -44,9 +44,10 @@ import numpy as np
 
 from . import melcodec
 from . import tensor as dt
-from .errors import DomainError, ShapeError, ValidationError, first_index
-from .features import (CompressedFeatures, check_ap, check_f0, check_framing,
-                       _check_finite, _check_sp, check_sample_rate, validate_features)
+from .errors import (DomainError, ShapeError, ValidationError, check_framing, check_integer,
+                     check_real, first_index, real_array)
+from .features import (CompressedFeatures, check_f0, _check_finite, _check_sp, _check_unit,
+                       validate_features)
 
 F_MIN = 71.0  # Hz, the lowest fundamental whose harmonics must reach Nyquist
 # samples of frames per block of every block loop, tracked or not (the loss's
@@ -59,8 +60,7 @@ _VALUE_BLOCK = 1 << 15
 
 def _check_seed(seed, where: str) -> None:
     """Raise unless ``seed`` is an integer in [0, 2**64), the noise's seeds."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"{where} must be an integer >= 0, got {seed!r}")
+    check_integer(seed, where, 0)
     if seed >= 2 ** 64:
         raise ValidationError(f"{where} must be below 2**64, got {seed}")
 
@@ -79,17 +79,15 @@ class SynthConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
+        check_framing("SynthConfig.", sample_rate=self.sample_rate)
+        check_framing(fft_size=self.fft_size)
         if self.hop is None:
             object.__setattr__(self, "hop", self.fft_size // 4)
-        check_sample_rate(self.sample_rate, "SynthConfig.sample_rate")
-        check_framing(self.hop, self.fft_size)
+        check_framing(hop=self.hop)
         if self.fft_size % self.hop != 0:
-            raise ValidationError(
-                f"hop {self.hop} must divide fft_size {self.fft_size}")
+            raise ValidationError(f"hop {self.hop} must divide fft_size {self.fft_size}")
         for name in ("gain_harmonic", "gain_noise", "gain_dry", "gain_fir"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"SynthConfig.{name} must be finite, got {value}")
+            check_real(getattr(self, name), f"SynthConfig.{name}")
         _check_seed(self.noise_seed, "SynthConfig.noise_seed")
 
     @property
@@ -111,7 +109,7 @@ class FirPostFilter:
     """
 
     def __init__(self, taps: np.ndarray):
-        taps = np.asarray(taps, dtype=np.float64)
+        taps = real_array(taps, "taps")
         if taps.ndim != 1 or taps.shape[0] < 2:
             raise ValidationError("FIR taps must be 1-D with length >= 2")
         if taps[0] != 0.0:
@@ -164,7 +162,8 @@ def interpolate_f0(f0: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
     starts at frame ``t``'s center: each row is its frame's case written
     over the hop's fractions ``s / hop``, so no per-sample index exists.
     """
-    f0 = np.asarray(f0, dtype=np.float64)
+    check_framing("interpolate_f0: ", hop=hop)
+    f0 = real_array(f0, "f0")
     if f0.ndim != 1 or f0.shape[0] == 0:
         raise ValidationError("f0 must be 1-D with at least one frame")
     check_f0(f0)
@@ -210,8 +209,10 @@ def pulse_train(f0_audio: np.ndarray, mask: np.ndarray, cfg: SynthConfig) -> np.
     span of the ``cumsum``'s buffer, which becomes the output: only a
     chunk's temporaries exist besides it.
     """
-    f0_audio = np.asarray(f0_audio, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    f0_audio, mask = real_array(f0_audio, "f0_audio"), real_array(mask, "mask")
+    if f0_audio.ndim != 1 or mask.shape != f0_audio.shape:
+        raise ShapeError(f"pulse_train: f0_audio {f0_audio.shape} and mask {mask.shape} "
+                         "must be 1-D and of one length")
     fs = float(cfg.sample_rate)
     out = np.cumsum(f0_audio)
     for lo in range(0, out.shape[0], _VALUE_BLOCK):
@@ -300,6 +301,7 @@ def noise_excitation(n_samples: int, seed: int) -> np.ndarray:
     ``log1p``, ``sin`` and ``cos`` may be dispatched differently elsewhere.
     ``seed`` is an integer in [0, 2**64).
     """
+    check_integer(n_samples, "noise_excitation: n_samples", 0)
     _check_seed(seed, "noise_excitation: seed")
     key = _noise_key(seed)
     out = np.empty(n_samples)
@@ -354,15 +356,14 @@ def _frame_span(length: int, fft_size: int, hop: int, first: int,
     return total, start, max(0, -start), max(0, min(total, length - start))
 
 
-def _check_signal(x: np.ndarray, fft_size: int, hop: int) -> None:
-    """Raise unless ``x`` is a non-empty 1-D signal with an STFT geometry."""
+def _check_signal(x: np.ndarray, fft_size: int, hop: int, name: str = "x") -> None:
+    """Raise unless the signal ``name`` is 1-D and not empty, and the framing fits."""
+    check_framing("stft: ", fft_size=fft_size, hop=hop, transform=True)
     if x.ndim != 1:
-        raise ShapeError(f"stft: expected a 1-D signal, got shape {x.shape}")
+        raise ShapeError(f"stft: expected a 1-D signal {name}, got shape {x.shape}")
     if x.size == 0:
-        raise ValidationError("stft: the signal is empty; a spectrum needs at "
-                              "least one sample")
-    dt._require_hop(hop, "stft")
-    dt._require_pow2(fft_size, "stft")
+        raise ValidationError(f"stft: the signal is empty; {name} needs at least one "
+                              "sample for a spectrum")
 
 
 def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int, stop: int,
@@ -376,9 +377,8 @@ def _spectrum(x: np.ndarray, fft_size: int, hop: int, first: int, stop: int,
     read in place, through a read-only strided view; only a run of frames
     that reaches past either end is copied, into a zero-padded buffer.  Only
     the ``(stop - first, fft_size // 2 + 1)`` spectrum outlives the call,
-    written into ``out`` when one is given.
+    written into ``out`` when one is given.  The caller checks ``x`` once.
     """
-    _check_signal(x, fft_size, hop)
     # a cache entry: made before the buffers, so that a worker thread's heap
     # keeps no long-lived block above them
     window = hann_window(fft_size)
@@ -456,7 +456,7 @@ def stft(x, fft_size: int, hop: int) -> dt.Tensor:
     Returns a ``(T, 2, fft_size // 2 + 1)`` tensor of real/imag planes with
     ``T = n_frames_for(len(x), hop)``; one graph node when ``x`` is tracked.
     """
-    x = dt.as_tensor(x)
+    x = dt.as_tensor(x, "x")
     out = dt.Tensor(dt._to_planes(_spectrogram(x.data, fft_size, hop)))
     length = x.shape[0]
 
@@ -553,11 +553,10 @@ def istft(spec, fft_size: int, hop: int, length: int) -> dt.Tensor:
     wherever the squared windows overlap, which at 75% overlap is every
     output sample.
     """
-    spec = dt.as_tensor(spec)
-    dt._require_pow2(fft_size, "istft")
-    dt._require_hop(hop, "istft")
+    spec = dt.as_tensor(spec, "spec")
+    check_framing("istft: ", fft_size=fft_size, hop=hop, length=length, transform=True)
     if spec.ndim != 3 or spec.shape[1:] != (2, fft_size // 2 + 1):
-        raise ShapeError(f"istft: expected (T, 2, {fft_size // 2 + 1}) planes, "
+        raise ShapeError(f"istft: spec must be (T, 2, {fft_size // 2 + 1}) planes, "
                          f"got {spec.shape}")
     rows = dt._to_complex(spec.data)
     n_frames = rows.shape[0]
@@ -580,13 +579,14 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
     """``istft(sum_i S_i * g_i)`` in one pass over blocks of frames.
 
     The real gains are a pair of numpy row functions of the inputs, each a
-    ``(T, fft_size // 2 + 1)`` tensor: ``value(*rows)`` gives one block of
-    gains per source from the same block of rows of every input, and
-    ``adjoint(dgs, *rows)`` maps the gradients ``dgs`` of those gains to one
-    gradient block per input.  Both are elementwise, so any run of rows of
-    the inputs gives the same run of rows of their results.  Each source
-    ``S_i`` is a complex spectrum of ``T`` frames, or a signal of ``T``
-    frames whose rows :func:`_spectrum` computes as a block needs them.
+    ``(T, fft_size // 2 + 1)`` tensor keyed by the name of its argument:
+    ``value(*rows)`` gives one block of gains per source from the same block
+    of rows of every input, and ``adjoint(dgs, *rows)`` maps the gradients
+    ``dgs`` of those gains to one gradient block per input.  Both are
+    elementwise, so any run of rows of the inputs gives the same run of rows
+    of their results.  Each source ``S_i`` is a complex spectrum of ``T``
+    frames, or a signal of ``T`` frames whose rows :func:`_spectrum` computes
+    as a block needs them; the caller has checked a signal.
 
     Every pass takes :func:`_block_frames` frames per block, tracked or not,
     and makes its gains per block, so no spectrum, frame or gain of the whole
@@ -601,16 +601,13 @@ def _shaped_inverse(sources, value: Callable[..., tuple[np.ndarray, ...]],
     gains' tensor ops, shaping, mixing and :func:`istft` as separate ops
     would make, and no sum crosses a block, so the bits match theirs.
     """
-    inputs = [dt.as_tensor(x) for x in inputs]
+    names, inputs = list(inputs), [dt.as_tensor(x, name) for name, x in inputs.items()]
     n_frames, bins = inputs[0].shape[0], fft_size // 2 + 1
-    for x in inputs:
+    for name, x in zip(names, inputs):
         if x.shape != (n_frames, bins):
             raise ShapeError(f"spectral gains must be ({n_frames}, {bins}), one row per "
                              f"frame and one column per bin, and so must their "
-                             f"inputs; got {x.shape}")
-    for src in sources:
-        if not np.iscomplexobj(src):
-            _check_signal(src, fft_size, hop)
+                             f"inputs; got {x.shape} for {name}")
 
     def source_rows(src: np.ndarray, first: int, stop: int) -> np.ndarray:
         return (src[first:stop] if np.iscomplexobj(src)
@@ -691,27 +688,27 @@ def render(spec_h: np.ndarray, spec_n: np.ndarray, sp, ap, cfg: SynthConfig) -> 
     E_n)`` from :func:`excitation_spectra`'s complex ``(T, fft_size // 2 +
     1)`` arrays, ``T`` being ``sp``'s frame count; differentiable in ``sp``
     and ``ap``.  ``sp`` must be non-negative and ``ap`` must lie in [0, 1]
-    (:func:`~diffworld.features.check_ap`).  Output length is ``T * hop``.
+    (:func:`~diffworld.features.validate_features`).  Output length is ``T * hop``.
     """
-    sp = dt.as_tensor(sp)
+    sp = dt.as_tensor(sp, "sp")
     want = (sp.shape[0], cfg.fft_size // 2 + 1)
-    for name, spec in (("pulse-train", spec_h), ("noise", spec_n)):
+    for arg, name, spec in (("spec_h", "pulse-train", spec_h), ("spec_n", "noise", spec_n)):
         if not (isinstance(spec, np.ndarray) and np.iscomplexobj(spec)
                 and spec.shape == want):
             kind = spec.dtype if isinstance(spec, np.ndarray) else type(spec).__name__
             raise ValidationError(
                 f"render: the {name} spectrum must be a complex {want} array, one "
-                f"row per frame of sp; got {kind} of shape {np.shape(spec)}")
+                f"row per frame of sp; got {kind} of shape {np.shape(spec)} in {arg}")
     return _render((spec_h, spec_n), sp.shape[0], sp, ap, cfg)
 
 
 def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig) -> dt.Tensor:
     """:func:`render` from excitation spectra or signals of ``n_frames`` frames."""
-    sp, ap = dt.as_tensor(sp), dt.as_tensor(ap)
+    sp, ap = dt.as_tensor(sp, "sp"), dt.as_tensor(ap, "ap")
     n_samples = n_frames * cfg.hop
     _check_feature_frames("sp", sp, n_samples, cfg.hop)
     _check_feature_frames("ap", ap, n_samples, cfg.hop)
-    check_ap(ap.data)
+    _check_unit(ap.data, "ap", "bin")
     # checked here on the whole clip: the gains are made a block at a time
     _check_sp(sp.data, DomainError)
 
@@ -743,8 +740,8 @@ def _render(sources, n_frames: int, sp, ap, cfg: SynthConfig) -> dt.Tensor:
         np.copyto(d_root, 0.0, where=np.logical_not(positive, out=positive))
         return d_root, d_ap
 
-    return _shaped_inverse(sources, value, adjoint, (sp, ap), cfg.fft_size, cfg.hop,
-                           n_samples)
+    return _shaped_inverse(sources, value, adjoint, {"sp": sp, "ap": ap}, cfg.fft_size,
+                           cfg.hop, n_samples)
 
 
 def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor:
@@ -755,9 +752,10 @@ def synthesize_components(f0: np.ndarray, sp, ap, cfg: SynthConfig) -> dt.Tensor
     :func:`~diffworld.features.validate_features` applies.  Output length is
     ``n_frames * hop``.
     """
-    sp = dt.as_tensor(sp)
+    sp = dt.as_tensor(sp, "sp")
     _check_finite("sp", sp.data)
     e_h = _pulses(f0, cfg)
+    _check_signal(e_h, cfg.fft_size, cfg.hop)  # a config's fft_size may not be a power of 2
     e_n = noise_excitation(e_h.shape[0], cfg.noise_seed)
     return _render((e_h, e_n), e_h.shape[0] // cfg.hop, sp, ap, cfg)
 

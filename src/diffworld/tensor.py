@@ -41,7 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError, first_index
+from .errors import (DomainError, ShapeError, ValidationError, check_framing, first_index,
+                     real_array)
 
 _LN10 = math.log(10.0)
 
@@ -62,7 +63,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tracked", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an op's result, or an array that as_tensor has checked, is kept as it is
+        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
+                     else real_array(data, "Tensor data"))
         self.requires_grad = bool(requires_grad)
         self._tracked = self.requires_grad
         # (creation sequence number, inputs, backward_fn) of the op that
@@ -89,11 +92,9 @@ class Tensor:
         return f"Tensor({self.data!r}{flag})"
 
 
-def as_tensor(x) -> Tensor:
-    """Wrap array-likes as constant tensors; pass tensors through."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+def as_tensor(x, name: str = "Tensor data") -> Tensor:
+    """Wrap array-likes as constant tensors (``name`` in an error); pass tensors through."""
+    return x if isinstance(x, Tensor) else Tensor(real_array(x, name))
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:
@@ -402,11 +403,6 @@ def matmul(a, b) -> Tensor:
 # spectral primitives (complex values as trailing real/imag planes)
 # ---------------------------------------------------------------------------
 
-def _require_pow2(n: int, op: str) -> None:
-    if n < 2 or n & (n - 1):
-        raise ShapeError(f"{op}: transform size {n} is not a power of two")
-
-
 def _to_complex(planes: np.ndarray) -> np.ndarray:
     """``(..., 2, B)`` real/imag planes -> a new ``(..., B)`` complex array."""
     out = np.empty(planes.shape[:-2] + planes.shape[-1:], dtype=complex)
@@ -456,8 +452,7 @@ def rfft(a, n: int) -> Tensor:
     imaginary planes.  The backward pass is the exact adjoint transform.
     """
     a = as_tensor(a)
-    n = int(n)
-    _require_pow2(n, "rfft")
+    check_framing("rfft: ", n=n, transform=True, error=ShapeError)
     length = a.shape[-1]
     if length > n:
         raise ShapeError(f"rfft: input length {length} exceeds transform size {n}")
@@ -472,8 +467,7 @@ def rfft(a, n: int) -> Tensor:
 def irfft(z, n: int) -> Tensor:
     """Inverse real FFT of a ``(..., 2, n // 2 + 1)`` spectrum tensor."""
     z = as_tensor(z)
-    n = int(n)
-    _require_pow2(n, "irfft")
+    check_framing("irfft: ", n=n, transform=True, error=ShapeError)
     if z.shape[-2] != 2 or z.shape[-1] != n // 2 + 1:
         raise ShapeError(f"irfft: expected (..., 2, {n // 2 + 1}) planes, got {z.shape}")
     out = Tensor(np.fft.irfft(_to_complex(z.data), n=n, axis=-1))
@@ -505,11 +499,6 @@ def complex_abs(z) -> Tensor:
 # ---------------------------------------------------------------------------
 # framing, overlap-add, strictly causal FIR
 # ---------------------------------------------------------------------------
-
-def _require_hop(hop: int, op: str) -> None:
-    if hop < 1:
-        raise ShapeError(f"{op}: hop must be at least 1, got {hop}")
-
 
 def _overlap_into(buf: np.ndarray, frames: np.ndarray, hop: int, first: int = 0) -> None:
     """Add ``(T, frame_len)`` frames into ``buf``, frame ``t`` at ``(first + t) * hop``.
@@ -575,7 +564,7 @@ def frame(a, frame_len: int, hop: int, n_frames: int, pad_left: int) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 1:
         raise ShapeError(f"frame: expected a 1-D signal, got shape {a.shape}")
-    _require_hop(hop, "frame")
+    check_framing("frame: ", hop=hop, error=ShapeError)
     length = a.shape[0]
     total = (n_frames - 1) * hop + frame_len
     padded = np.zeros(total, dtype=a.data.dtype)
@@ -604,7 +593,7 @@ def overlap_add(frames_t, hop: int, out_len: int, pad_left: int) -> Tensor:
     frames_t = as_tensor(frames_t)
     if frames_t.ndim != 2:
         raise ShapeError(f"overlap_add: expected (T, frame_len), got {frames_t.shape}")
-    _require_hop(hop, "overlap_add")
+    check_framing("overlap_add: ", hop=hop, error=ShapeError)
     n_frames, frame_len = frames_t.shape
     total = max((n_frames - 1) * hop + frame_len, pad_left + out_len)
     buf = _overlap_sum(frames_t.data, hop, total)

@@ -1,8 +1,9 @@
 """The public surface, checked with the standard library's ``ast``.
 
 ``diffworld.__all__`` names only what resolves, once each; names that
-restated another path stay deleted; and no library module keeps an import
-it never uses (a line marked ``# noqa: F401`` is exempt).
+restated another path stay deleted; no library module keeps an import it
+never uses (a line marked ``# noqa: F401`` is exempt); and the argument rules
+live in ``errors`` alone.
 """
 
 import ast
@@ -201,3 +202,25 @@ def test_decode_and_fit_reach_the_codec_functions_by_module_name(monkeypatch):
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def rule_outside_the_checkers(path: Path) -> list[str]:
+    """Each ``isinstance(..., bool)`` test and ``_require_*`` helper in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_require"):
+            found.append(f"{path.name}:{node.lineno}: def {node.name}")
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2 and "bool" in {n.id for n in ast.walk(node.args[1])
+                                                       if isinstance(n, ast.Name)}):
+            found.append(f"{path.name}:{node.lineno}: isinstance(..., bool)")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "errors.py"),
+                         ids=lambda p: p.name)
+def test_argument_rules_live_in_the_checkers(path):
+    # one checker per argument kind in diffworld.errors: a module that tests
+    # for a bool or keeps a _require_* helper has written a rule of its own
+    assert rule_outside_the_checkers(path) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diffworld import features as ft
-from diffworld.errors import FormatError, ValidationError
+from diffworld.errors import MAX_FFT_SIZE, FormatError, ValidationError
 from helpers import wav_chunk, wav_file, wav_fmt
 
 
@@ -149,7 +149,7 @@ class TestWfeat:
     @pytest.mark.parametrize("field, value, message", [
         ("hop", 0, "hop must be >= 1"),
         ("fft_size", 0, "fft_size must be in"),
-        ("fft_size", ft.MAX_FFT_SIZE + 2, "fft_size must be in"),
+        ("fft_size", MAX_FFT_SIZE + 2, "fft_size must be in"),
         ("sample_rate", 0, "^sample_rate must be >= 1, got 0$"),
         ("sample_rate", -8000, "^sample_rate must be >= 1, got -8000$"),
     ])
@@ -157,6 +157,15 @@ class TestWfeat:
         for feats in (make_raw(), make_compressed()):
             with pytest.raises(ValidationError, match=message):
                 ft.validate_features(replace(feats, **{field: value}))
+
+    @pytest.mark.parametrize("feats", [3, None, {"f0": np.zeros(4)}])
+    def test_argument_that_is_no_container_named(self, feats, tmp_path):
+        # it used to raise a bare TypeError, which no DiffworldError handler sees
+        message = "^feats is not a feature container: "
+        with pytest.raises(ValidationError, match=message):
+            ft.validate_features(feats)
+        with pytest.raises(ValidationError, match=message):
+            ft.write_features(tmp_path / "x.wfeat", feats)
 
     @pytest.mark.parametrize("rate", [8000.5, 8000.0, True, "8000", None])
     def test_sample_rate_must_be_an_integer(self, rate, tmp_path):

@@ -93,6 +93,13 @@ class TestFitConfig:
                            match="learning_rate must be finite and >= 0, got"):
             fi.FitConfig(learning_rate=rate)
 
+    def test_bool_learning_rate_rejected(self):
+        # True used to be taken as a learning rate of 1
+        with pytest.raises(ValidationError,
+                           match="^learning_rate must be finite and >= 0, got True$"):
+            fi.FitConfig(learning_rate=True)
+        assert fi.FitConfig(learning_rate=np.float64(0.5)).learning_rate == 0.5
+
     @pytest.mark.parametrize("alpha", [float("nan"), float("-inf")])
     def test_alpha_must_be_finite(self, alpha):
         with pytest.raises(ValidationError, match="alpha must be finite, got"):

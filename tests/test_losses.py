@@ -298,6 +298,15 @@ class TestFusedScaleTerm:
         assert peak <= 1.02 * 3.814, peak
 
 
+class TestScaleLossWindow:
+    def test_float_window_named(self):
+        # it used to end in a bare TypeError ("unsupported operand type(s) for &")
+        x = np.zeros(300)
+        with pytest.raises(ValidationError,
+                           match="^scale_loss: window must be an integer, got 64.0$"):
+            ls.scale_loss(x, x, 64.0)
+
+
 class TestMslTarget:
     def test_cached_target_is_bit_identical(self):
         rs = np.random.default_rng(14)

@@ -177,6 +177,13 @@ class TestApCodec:
         assert rel_grad_err(grads[t], central_diff(f, ap0)) < 1e-6
 
 
+    def test_float_bin_count_named(self):
+        # it used to end in a bare TypeError from np.linspace
+        with pytest.raises(ValidationError,
+                           match="^decompress_ap: n_bins must be an integer >= 2, got 9.0$"):
+            mc.decompress_ap(np.full((2, 4), 0.5), 9.0)
+
+
 class TestDecode:
     DESK = sy.SynthConfig(sample_rate=8000, fft_size=64)
 

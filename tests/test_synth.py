@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diffworld import losses as ls
 from diffworld import melcodec as mc
 from diffworld import synth as sy
 from diffworld import tensor as dt
@@ -75,6 +76,67 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"SynthConfig.{name} must be finite, "
                                                   f"got {bad}"):
             sy.synthesize(feats, sy.SynthConfig.for_features(feats, **{name: bad}))
+
+    def test_bool_gain_rejected(self):
+        # True used to be taken as a gain of 1
+        with pytest.raises(ValidationError,
+                           match="^SynthConfig.gain_harmonic must be finite, got True$"):
+            replace(DESK, gain_harmonic=True)
+        assert replace(DESK, gain_harmonic=np.float64(0.5)).gain_harmonic == 0.5
+
+
+class TestArgumentRules:
+    X = np.random.default_rng(26).normal(size=500)
+
+    @pytest.mark.parametrize("call, message", [
+        # a hop of True used to frame by 1: 500 frames of a 500-sample signal
+        (lambda x: sy.stft(x, 64, True), "stft: hop must be an integer, got True"),
+        # a length of True used to give 1 sample, and -1 to give none
+        (lambda x: sy.istft(sy.stft(x, 64, 16), 64, 16, True),
+         "istft: length must be an integer, got True"),
+        (lambda x: sy.istft(sy.stft(x, 64, 16), 64, 16, -1),
+         "istft: length must be >= 1, got -1"),
+        # each of these used to end in a bare TypeError
+        (lambda x: sy.stft(x, 64, 16.0), "stft: hop must be an integer, got 16.0"),
+        (lambda x: sy.stft(x, 64.0, 16), "stft: fft_size must be an integer, got 64.0"),
+        (lambda x: sy.noise_excitation(10.0, 0),
+         "noise_excitation: n_samples must be an integer >= 0, got 10.0"),
+        (lambda x: sy.interpolate_f0(np.full(4, 100.0), 2.0),
+         "interpolate_f0: hop must be an integer, got 2.0"),
+    ])
+    def test_argument_named(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call(self.X)
+
+    @pytest.mark.parametrize("fft_size", [48, 1, 0])
+    def test_transform_size_must_be_a_power_of_two(self, fft_size):
+        with pytest.raises(ValidationError, match=r"^stft: fft_size must be a power of two "
+                                                  rf">= 2, got {fft_size}$"):
+            sy.stft(self.X, fft_size, 16)
+
+    def test_transform_size_has_no_upper_bound(self):
+        # only a config's or a header's fft_size is bounded (MAX_FFT_SIZE)
+        spec = sy.stft(self.X, 1 << 17, 1 << 15)
+        assert spec.shape == (1, 2, (1 << 16) + 1)
+        np.testing.assert_allclose(sy.istft(spec, 1 << 17, 1 << 15, 500).data, self.X,
+                                   rtol=0, atol=1e-12)
+
+    def test_signal_checked_once_per_call(self, monkeypatch):
+        # _spectrum used to check its signal again on each of a call's blocks
+        calls, check = [], sy._check_signal
+        for module in (sy, ls):
+            monkeypatch.setattr(module, "_check_signal", lambda *a: calls.append(a[1:3])
+                                or check(*a))
+        x = np.random.default_rng(3).normal(size=1 << 17)  # 16 blocks at window 64
+        sy.stft(x, 64, 16)
+        ls.scale_loss(x, dt.Tensor(x, requires_grad=True), 64)
+        assert calls == [(64, 16), (64, 16)]
+
+    def test_numpy_integers_accepted(self):
+        spec = sy.stft(self.X, np.int64(64), np.int32(16))
+        np.testing.assert_array_equal(spec.data, sy.stft(self.X, 64, 16).data)
+        back = sy.istft(spec, np.int64(64), np.int64(16), np.int64(500)).data
+        np.testing.assert_array_equal(back, sy.istft(spec, 64, 16, 500).data)
 
 
 class TestInterpolateF0:
@@ -906,7 +968,7 @@ class TestShapedInverse:
                 return (dgs[0] / (2.0 * np.sqrt(e)),)
 
             e_t = dt.Tensor(env, requires_grad=tracked)
-            y = sy._shaped_inverse((x,), value, adjoint, (e_t,), CFG.fft_size, CFG.hop,
+            y = sy._shaped_inverse((x,), value, adjoint, {"e": e_t}, CFG.fft_size, CFG.hop,
                                    len(x))
             assert values == blocks
             assert y._tracked == tracked

@@ -195,6 +195,17 @@ class TestRfft:
         with pytest.raises(ShapeError):
             dt.irfft(dt.Tensor(np.zeros((2, 7))), 12)
 
+    @pytest.mark.parametrize("n", [12.0, 16.0, True, 0])
+    def test_size_that_is_not_a_power_of_two_integer_rejected(self, n):
+        for op, x in ((dt.rfft, np.zeros(4)), (dt.irfft, np.zeros((2, 9)))):
+            with pytest.raises(ShapeError, match=rf"^{op.__name__}: n must be "):
+                op(dt.Tensor(x), n)
+
+    def test_size_above_the_codec_bound_accepted(self):
+        x = np.random.default_rng(5).normal(size=1 << 17)
+        back = dt.irfft(dt.rfft(dt.Tensor(x), 1 << 17), 1 << 17)
+        assert rel_l2(back.data, x) < 1e-12
+
     def test_roundtrip_identity(self):
         rs = np.random.default_rng(23)
         for n in (8, 64, 256, 1024):
